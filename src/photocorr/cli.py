@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, markers, montecarlo, seriesio
-from .detection import EfficiencyPair, thin_joint
+from .detection import EfficiencyPair, multimode_convolve, thin_joint
 from .errors import DataError, PhotocorrError, TailToleranceError, ValidationError
 from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, source_joint
 
@@ -84,16 +84,15 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
     mu = int(cfg.get("mu", 1))
     report = {"sources": {}}
     for kind in (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL):
-        # one mode pair carries n_mean / mu; the mu-fold convolution restores the total
-        dd = markers.difference_analytic(SourceSpec(kind, n_mean / mu, 1), eff)
-        if mu > 1:
-            dd = markers.multimode_difference(dd, mu)
+        dd = markers.difference_analytic(SourceSpec(kind, n_mean, mu), eff)
         seriesio.write_table(
             Path(out_dir) / f"diff_{kind}.tsv", ("d", "p"),
             zip(dd.d_values, dd.probs), fmt,
         )
         if cfg.get("joint", False):
-            joint = thin_joint(source_joint(SourceSpec(kind, n_mean)), eff)
+            # one mode pair carries n_mean / mu; the mu-fold convolution restores the total
+            joint = multimode_convolve(
+                thin_joint(source_joint(SourceSpec(kind, n_mean / mu)), eff), mu)
             rows = [(n1, n2, joint.probs[n1, n2])
                     for n1 in range(joint.cutoff + 1)
                     for n2 in range(joint.cutoff + 1)]

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
-from scipy.stats import binom
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import TailToleranceError, ValidationError
 from .sources import (
@@ -52,9 +51,17 @@ class MomentSet:
 
 
 def loss_matrix(eta, cutoff):
-    """L[m, n] = Binomial(n, eta) pmf at m, for m, n = 0..cutoff."""
-    n = np.arange(cutoff + 1)
-    return binom.pmf(n[:, None], n[None, :], eta)
+    """L[m, n] = Binomial(n, eta) pmf at m, for m, n = 0..cutoff.
+
+    Evaluated as a log-binomial; xlogy/xlog1py keep 0 * log 0 = 0, so the
+    matrix is exact at eta = 0 and eta = 1.
+    """
+    m = np.arange(cutoff + 1)[:, None]
+    n = np.arange(cutoff + 1)[None, :]
+    k = np.maximum(n - m, 0)
+    log_pmf = (gammaln(n + 1) - gammaln(m + 1) - gammaln(k + 1)
+               + xlogy(m, eta) + xlog1py(k, -eta))
+    return np.where(m <= n, np.exp(log_pmf), 0.0)
 
 
 def thin_joint(dist: JointCountDistribution, eff: EfficiencyPair) -> JointCountDistribution:
@@ -120,9 +127,10 @@ def multimode_convolve(dist: JointCountDistribution, mu: int,
     """Distribution of per-beam count sums over mu independent mode pairs.
 
     Computed as the mu-fold two-dimensional self-convolution of the
-    single-pair distribution, by direct summation.  The support grows to
-    mu * cutoff and is then trimmed back while the discarded mass stays
-    within tail_tol.
+    single-pair distribution: the mu-th power of its 2-D FFT, zero-padded to
+    the full support mu * cutoff + 1 per axis so nothing wraps around.  The
+    support is then trimmed back while the discarded mass stays within
+    tail_tol / 2.
     """
     if int(mu) != mu or mu < 1:
         raise ValidationError(f"mu: must be an integer >= 1, got {mu}")
@@ -133,11 +141,10 @@ def multimode_convolve(dist: JointCountDistribution, mu: int,
             f"convolved support {mu * dist.cutoff} exceeds the cap {MAX_AUTO_CUTOFF}",
             required_cutoff=mu * dist.cutoff,
         )
-    out = dist.probs
-    for _ in range(mu - 1):
-        out = convolve2d(out, dist.probs)
+    size = (mu * dist.cutoff + 1,) * 2
+    out = np.fft.irfftn(np.fft.rfftn(dist.probs, size, (0, 1)) ** mu, size, (0, 1))
     np.maximum(out, 0.0, out=out)
-    out, trimmed = _trim_square(out, tail_tol / 2)
+    out = _trim_square(out, tail_tol / 2)
     tail = max(0.0, 1.0 - out.sum())
     return JointCountDistribution(out, tail)
 
@@ -152,4 +159,4 @@ def _trim_square(p, budget):
             break
         dropped += edge
         c -= 1
-    return np.ascontiguousarray(p[:c, :c]), dropped
+    return np.ascontiguousarray(p[:c, :c])

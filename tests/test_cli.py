@@ -168,6 +168,18 @@ class TestAnalytic:
         total = sum(float(r.split("\t")[2]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_multimode_joint_table_matches_closed_variance(self, tmp_path):
+        cfg = write_config(tmp_path, "an.json", {"eta": [0.5, 0.7], "n_mean": 2.0, "mu": 3,
+                                                 "joint": True})
+        assert run(["analytic", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        report = json.loads((tmp_path / "analytic.json").read_text())
+        for kind in ("twin_beam", "coherent_pair", "split_thermal"):
+            rows = (tmp_path / f"joint_{kind}.tsv").read_text().splitlines()[1:]
+            n1, n2, p = np.array([[float(v) for v in r.split("\t")] for r in rows]).T
+            d = n1 - n2
+            var = (d - d @ p) ** 2 @ p
+            assert var == pytest.approx(report["sources"][kind]["sigma2_d"], rel=1e-6)
+
     def test_format_selector(self, tmp_path):
         cfg = write_config(tmp_path, "an.json", {"eta": [0.6, 0.6], "n_mean": 1.0})
         run(["analytic", "--config", cfg, "--out", tmp_path / "c", "--format", "csv"])

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
+from scipy.stats import binom
 
 from photocorr import (
     EfficiencyPair,
@@ -13,6 +18,7 @@ from photocorr import (
     thin_joint,
     twin_beam_joint,
 )
+from photocorr.detection import loss_matrix
 
 ETA_GRID = [0.3, 0.5, 0.67, 0.9]
 
@@ -34,6 +40,11 @@ class TestThinJoint:
         j = twin_beam_joint(1.0, tail_tol=1e-14)
         t = thin_joint(j, EfficiencyPair(0.5, 0.5))
         assert t.probs[0, 0] == pytest.approx(4.0 / 7.0, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-3] + ETA_GRID + [0.999, 1.0])
+    def test_loss_matrix_matches_binomial_pmf(self, eta):
+        want = binom.pmf(np.arange(301)[:, None], np.arange(301)[None, :], eta)
+        assert np.max(np.abs(loss_matrix(eta, 300) - want)) < 1e-13
 
     @pytest.mark.parametrize("eta", ETA_GRID)
     def test_probability_preserved(self, eta):
@@ -138,6 +149,24 @@ class TestMultimodeConvolve:
                     for b2 in range(c + 1):
                         want[a1 + a2, b1 + b2] += j.probs[a1, b1] * j.probs[a2, b2]
         assert np.max(np.abs(got.probs - want[: got.cutoff + 1, : got.cutoff + 1])) < 1e-15
+
+
+    def test_matches_repeated_direct_convolution(self):
+        j = thin_joint(twin_beam_joint(1.0), EfficiencyPair(0.6, 0.7))
+        want = j.probs
+        for _ in range(4):
+            want = convolve2d(want, j.probs)
+        got = multimode_convolve(j, 5, tail_tol=1e-300)
+        assert got.cutoff == 5 * j.cutoff
+        assert np.max(np.abs(got.probs - want)) < 1e-15
+
+
+def test_import_leaves_scipy_stats_and_signal_unloaded():
+    code = ("import sys, photocorr; "
+            "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestEfficiencyPair:

@@ -9,7 +9,10 @@ from photocorr import (
     EfficiencyPair,
     JointCountDistribution,
     SourceSpec,
+    TailToleranceError,
     UndefinedMarkerError,
+    ValidationError,
+    analytic_moments,
     bessel_i,
     correlation_coefficient,
     correlation_from_joint,
@@ -193,25 +196,25 @@ def thermal_difference_literal(d, n_mean, eta1, eta2, q_max=90, n_max=45):
     Independent nested summation over the photon numbers (q, q') of the two
     output beams and the count overlap n, with binomial weights bound to the
     outer indices; used only as a cross-check oracle at small intensity.
+    The three indices are numpy axes (n, q, q'); terms outside
+    q >= n + d, q' >= n are masked to zero.
     """
     if d < 0:
         return thermal_difference_literal(-d, n_mean, eta2, eta1, q_max, n_max)
     y = n_mean / (1.0 + 2.0 * n_mean)
-    total = 0.0
-    for n in range(n_max):
-        ratio_n = (eta1 * eta2 / ((1 - eta1) * (1 - eta2))) ** n
-        inner = 0.0
-        for q in range(n + d, q_max):
-            for qp in range(n, q_max):
-                inner += (
-                    y ** (q + qp)
-                    * math.exp(gammaln(q + qp + 1) - gammaln(q + 1) - gammaln(qp + 1))
-                    * (1 - eta1) ** q * (1 - eta2) ** qp
-                    * math.exp(gammaln(q + 1) - gammaln(n + d + 1) - gammaln(q - n - d + 1))
-                    * math.exp(gammaln(qp + 1) - gammaln(n + 1) - gammaln(qp - n + 1))
-                )
-        total += ratio_n * inner * (eta1 / (1 - eta1)) ** d
-    return total / (1.0 + 2.0 * n_mean)
+    n = np.arange(n_max)[:, None, None]
+    q = np.arange(q_max)[None, :, None]
+    qp = np.arange(q_max)[None, None, :]
+    terms = (
+        y ** (q + qp)
+        * np.exp(gammaln(q + qp + 1) - gammaln(q + 1) - gammaln(qp + 1))
+        * (1 - eta1) ** q * (1 - eta2) ** qp
+        * np.exp(gammaln(q + 1) - gammaln(n + d + 1) - gammaln(np.maximum(q - n - d, 0) + 1))
+        * np.exp(gammaln(qp + 1) - gammaln(n + 1) - gammaln(np.maximum(qp - n, 0) + 1))
+    )
+    inner = np.where((q >= n + d) & (qp >= n), terms, 0.0).sum(axis=(1, 2))
+    ratio_n = (eta1 * eta2 / ((1 - eta1) * (1 - eta2))) ** np.arange(n_max)
+    return float(ratio_n @ inner) * (eta1 / (1 - eta1)) ** d / (1.0 + 2.0 * n_mean)
 
 
 class TestThermalLiteralSeries:
@@ -223,6 +226,57 @@ class TestThermalLiteralSeries:
         for d in range(-4, 5):
             want = thermal_difference_literal(d, 0.5, *eta)
             assert dd.prob(d) == pytest.approx(want, rel=1e-8)
+
+
+KINDS = ["twin_beam", "coherent_pair", "split_thermal"]
+
+
+class TestManyModesAndBrightBeams:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mu_modes_match_convolved_single_pair(self, kind):
+        eff = EfficiencyPair(0.6, 0.7)
+        got = difference_analytic(SourceSpec(kind, 10.0, 14), eff)
+        want = multimode_difference(difference_analytic(SourceSpec(kind, 10.0 / 14), eff), 14)
+        assert total_variation(got, want) < 1e-9
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bright_beam_moments(self, kind):
+        src = SourceSpec(kind, 1e6, 14)
+        eff = EfficiencyPair(0.66, 0.68)
+        dd = difference_analytic(src, eff)
+        m = analytic_moments(src, eff)
+        assert dd.probs.sum() == pytest.approx(1.0 - dd.tail_mass, abs=1e-12)
+        assert dd.tail_mass <= 1e-10
+        assert dd.mean() == pytest.approx(m.mean1 - m.mean2, rel=1e-6)
+        assert dd.variance() == pytest.approx(difference_variance(src, eff).sigma2_d, rel=1e-6)
+
+    def test_oversized_window_rejected(self):
+        with pytest.raises(TailToleranceError):
+            difference_analytic(SourceSpec.twin_beam(1e15, 14), EfficiencyPair(0.5, 0.7))
+
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-10, 1.0])
+    def test_tail_tol_validated(self, tail_tol):
+        with pytest.raises(ValidationError):
+            difference_analytic(SourceSpec.twin_beam(1.0), EfficiencyPair(0.5, 0.7),
+                                tail_tol=tail_tol)
+
+    def test_one_sided_support(self):
+        # a perfect detector on beam 1 sees every twin photon: d >= 0
+        dd = difference_analytic(SourceSpec.twin_beam(2.0), EfficiencyPair(1.0, 0.6))
+        assert dd.support[0] == 0
+        oracle = difference_from_joint(thinned(SourceSpec.twin_beam(2.0), EfficiencyPair(1.0, 0.6)))
+        assert total_variation(dd, oracle) < 1e-9
+
+
+    @pytest.mark.parametrize("d_range", [(-90, 0), (-3, 60), (20, 40)])
+    def test_balanced_law_asymmetric_range(self, d_range):
+        # A = B: the window is mirrored, and must still cover a one-sided d_range
+        src, eff = SourceSpec.twin_beam(1.0), EfficiencyPair(0.6, 0.6)
+        dd = difference_analytic(src, eff, d_range=d_range)
+        assert dd.support == d_range
+        oracle = difference_from_joint(thinned(src, eff))
+        for d in range(d_range[0], d_range[1] + 1):
+            assert dd.prob(d) == pytest.approx(oracle.prob(d), abs=1e-12)
 
 
 class TestDifferenceVariance:
@@ -311,6 +365,19 @@ class TestMultimodeDifference:
                         want[d] = want.get(d, 0.0) + j.probs[q1, r1] * j.probs[q2, r2]
         tv = 0.5 * sum(abs(got.prob(d) - want.get(d, 0.0)) for d in range(-2 * c, 2 * c + 1))
         assert tv < 1e-12
+
+
+class TestMultimodeDifferenceLoopReference:
+    def test_matches_repeated_direct_convolution(self):
+        dd = difference_analytic(SourceSpec.split_thermal(1.0), EfficiencyPair(0.5, 0.7))
+        want = dd.probs
+        for _ in range(4):
+            want = np.convolve(want, dd.probs)
+        got = multimode_difference(dd, 5, tail_tol=1e-300)
+        # only rounding-level entries (exact zeros after clipping) may be trimmed
+        i = got.d_min - 5 * dd.d_min
+        assert np.all(want[:i] < 1e-15) and np.all(want[i + len(got.probs):] < 1e-15)
+        assert np.max(np.abs(got.probs - want[i:i + len(got.probs)])) < 1e-15
 
 
 class TestDifferenceDistributionType:
