@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
 from .errors import (
@@ -79,7 +78,8 @@ def measured_difference_variance(series: ShotSeries) -> float:
 
     Voltage records are first mapped back to counts (v/alpha); the additive
     instrument-noise variance propagates as nv1/alpha1**2 + nv2/alpha2**2
-    and is removed.
+    and is removed.  Raises NoiseDominatedError when that noise exceeds the
+    measured variance.
     """
     c1, c2 = series.counts()
     d = c1 - c2
@@ -89,7 +89,10 @@ def measured_difference_variance(series: ShotSeries) -> float:
         noise = nv1 / a1**2 + nv2 / a2**2
     else:
         noise = nv1 + nv2
-    return float(d.var() - noise)
+    sigma2 = float(d.var() - noise)
+    if sigma2 < 0.0:
+        raise NoiseDominatedError("instrument noise exceeds the measured difference variance")
+    return sigma2
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,8 @@ def fit_multithermal(values, integer_mu: bool = True, mu_max: int = 200) -> Mult
         ll = (grid - 1.0) * mean_log - grid - gammaln(grid) - grid * np.log(v_mean / grid)
         mu_hat = float(grid[np.argmax(ll)])
     else:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(lambda m: -mean_loglik(m), bounds=(1.0, float(mu_max)),
                               method="bounded", options={"xatol": 1e-8})
         mu_hat = float(res.x)
@@ -215,6 +220,8 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM,
         if overshoot(lo_eta) > 0.0:
             raise InconsistentDataError(
                 "no admissible efficiency pair reproduces the measured variance")
+        from scipy.optimize import brentq
+
         hi_eta = brentq(overshoot, lo_eta, hi_eta, xtol=1e-12)
 
     candidates = [d for d in (delta_at(lo_eta), delta_at(hi_eta)) if d is not None]
@@ -228,12 +235,12 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM,
 class PumpFit:
     """Pump excess-noise fraction solving the noise budget, with round trip."""
 
-    x: float
-    at_floor: bool
-    base_sigma2: float         # model variance at x = 0 (the corrected value)
-    excess_coefficient: float  # d sigma2 / d x**2
+    x: float | np.ndarray
+    at_floor: bool | np.ndarray
+    base_sigma2: float | np.ndarray         # model variance at x = 0 (the corrected value)
+    excess_coefficient: float | np.ndarray  # d sigma2 / d x**2
 
-    def predicted_sigma2(self) -> float:
+    def predicted_sigma2(self):
         return self.base_sigma2 + self.x**2 * self.excess_coefficient
 
 
@@ -251,9 +258,12 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
         thermal:    2 N_j**2
 
     Measurements at or below the x = 0 model return x = 0 with at_floor set.
+    eta1 and eta2 may be arrays that broadcast against each other (e.g. a
+    column and a row of an efficiency grid); every field of the result then
+    has the broadcast shape.
     """
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
-        if not (0.0 < eta <= 1.0):
+        if not np.all((0.0 < eta) & (eta <= 1.0)):
             raise ValidationError(f"{name}: must lie in (0, 1], got {eta}")
     if min(m1, m2) <= 0:
         raise ValidationError("m1, m2: detected means must be > 0")
@@ -262,15 +272,15 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
     if kind == TWIN_BEAM:
         base = (eta1 - eta2) ** 2 * n_bar**2 / mu \
             + (eta1 + eta2 - 2.0 * eta1 * eta2) * n_bar
-        coef = sum(nj**2 / mu * math.asinh(math.sqrt(nj / mu)) ** 2 for nj in (n1, n2))
+        coef = sum(nj**2 / mu * np.arcsinh(np.sqrt(nj / mu)) ** 2 for nj in (n1, n2))
     elif kind == SPLIT_THERMAL:
         base = (eta1 - eta2) ** 2 * n_bar**2 / mu + (eta1 + eta2) * n_bar
         coef = 2.0 * (n1**2 + n2**2)
     else:
         raise ValidationError(f"kind: expected twin_beam or split_thermal, got {kind!r}")
-    if sigma2_measured <= base:
-        return PumpFit(0.0, True, base, coef)
-    return PumpFit(math.sqrt((sigma2_measured - base) / coef), False, base, coef)
+    at_floor = sigma2_measured <= base
+    x = np.sqrt(np.maximum(sigma2_measured - base, 0.0) / coef)
+    return PumpFit(x, at_floor, base, coef)
 
 
 @dataclass(frozen=True)
@@ -300,16 +310,9 @@ def noise_surface(sigma2_measured, m1, m2, mu, eta1_grid, eta2_grid,
     e2 = np.asarray(eta2_grid, dtype=float)
     if e1.min() <= 0 or e1.max() > 1 or e2.min() <= 0 or e2.max() > 1:
         raise ValidationError("efficiency grids must lie in (0, 1]")
-    x = np.zeros((e1.size, e2.size))
-    corrected = np.zeros_like(x)
-    floor = np.zeros(x.shape, dtype=bool)
-    for i, a in enumerate(e1):
-        for j, b in enumerate(e2):
-            fit = solve_pump_noise(sigma2_measured, a, b, m1, m2, mu, kind)
-            x[i, j] = fit.x
-            floor[i, j] = fit.at_floor
-            corrected[i, j] = sigma2_measured if fit.at_floor else fit.base_sigma2
+    fit = solve_pump_noise(sigma2_measured, e1[:, None], e2[None, :], m1, m2, mu, kind)
+    corrected = np.where(fit.at_floor, sigma2_measured, fit.base_sigma2)
     if eta_nominal is None:
         eta_nominal = 0.5 * (float(e1.mean()) + float(e2.mean()))
     interval = imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind)
-    return NoiseBudget(e1, e2, x, corrected, floor, float(m1 + m2), interval)
+    return NoiseBudget(e1, e2, fit.x, corrected, fit.at_floor, float(m1 + m2), interval)

@@ -72,7 +72,7 @@ def _write_report(out_dir, name, payload, resolved_config):
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -85,19 +85,16 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
     report = {"sources": {}}
     for kind in (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL):
         dd = markers.difference_analytic(SourceSpec(kind, n_mean, mu), eff)
-        seriesio.write_table(
-            Path(out_dir) / f"diff_{kind}.tsv", ("d", "p"),
-            zip(dd.d_values, dd.probs), fmt,
-        )
+        seriesio.write_table(Path(out_dir) / f"diff_{kind}.tsv",
+                             {"d": dd.d_values, "p": dd.probs}, fmt)
         if cfg.get("joint", False):
             # one mode pair carries n_mean / mu; the mu-fold convolution restores the total
             joint = multimode_convolve(
                 thin_joint(source_joint(SourceSpec(kind, n_mean / mu)), eff), mu)
-            rows = [(n1, n2, joint.probs[n1, n2])
-                    for n1 in range(joint.cutoff + 1)
-                    for n2 in range(joint.cutoff + 1)]
+            n1, n2 = np.indices(joint.probs.shape)
             seriesio.write_table(Path(out_dir) / f"joint_{kind}.tsv",
-                                 ("n1", "n2", "p"), rows, fmt)
+                                 {"n1": n1.ravel(), "n2": n2.ravel(), "p": joint.probs.ravel()},
+                                 fmt)
         rep = markers.difference_variance(SourceSpec(kind, n_mean, mu), eff)
         report["sources"][kind] = {
             "correlation": markers.correlation_coefficient(SourceSpec(kind, n_mean, mu), eff),
@@ -111,6 +108,9 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
     return EXIT_OK
 
 
+_SWEEP_KINDS = (("coherent", COHERENT_PAIR), ("twin_beam", TWIN_BEAM), ("thermal", SPLIT_THERMAL))
+
+
 def cmd_sweep(cfg, out_dir, fmt="tsv"):
     """Variance-versus-intensity and variance-versus-efficiency tables."""
     eff = _eff_from(cfg)
@@ -119,29 +119,23 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
         n_grid = np.linspace(float(cfg.get("n_min", 0.0)), float(cfg.get("n_max", 25.0)),
                              int(cfg.get("n_points", 101))).tolist()
     mu = int(cfg.get("mu", 1))
-    rows = []
-    for n in n_grid:
-        cols = [n]
-        for kind in (COHERENT_PAIR, TWIN_BEAM, SPLIT_THERMAL):
-            cols.append(markers.difference_variance(SourceSpec(kind, float(n), mu), eff).sigma2_d)
-        rows.append(cols)
-    seriesio.write_table(Path(out_dir) / "sweep_n.tsv",
-                         ("n_mean", "sigma2_coherent", "sigma2_twin_beam", "sigma2_thermal"),
-                         rows, fmt)
+    table = {"n_mean": np.asarray(n_grid)}
+    for name, kind in _SWEEP_KINDS:
+        table[f"sigma2_{name}"] = np.array(
+            [markers.difference_variance(SourceSpec(kind, float(n), mu), eff).sigma2_d
+             for n in n_grid])
+    seriesio.write_table(Path(out_dir) / "sweep_n.tsv", table, fmt)
     eta_grid = cfg.get("eta_grid")
     if eta_grid is None:
         eta_grid = np.linspace(0.05, 1.0, 20).tolist()
     n_ref = float(cfg.get("n_ref", 1.0))
-    rows = []
-    for eta in eta_grid:
-        pair = EfficiencyPair(float(eta), float(eta))
-        cols = [eta]
-        for kind in (COHERENT_PAIR, TWIN_BEAM, SPLIT_THERMAL):
-            cols.append(markers.difference_variance(SourceSpec(kind, n_ref, mu), pair).sigma2_d / n_ref)
-        rows.append(cols)
-    seriesio.write_table(Path(out_dir) / "sweep_eta.tsv",
-                         ("eta", "ratio_coherent", "ratio_twin_beam", "ratio_thermal"),
-                         rows, fmt)
+    table = {"eta": np.asarray(eta_grid)}
+    for name, kind in _SWEEP_KINDS:
+        table[f"ratio_{name}"] = np.array(
+            [markers.difference_variance(SourceSpec(kind, n_ref, mu),
+                                         EfficiencyPair(float(eta), float(eta))).sigma2_d / n_ref
+             for eta in eta_grid])
+    seriesio.write_table(Path(out_dir) / "sweep_eta.tsv", table, fmt)
     _write_report(out_dir, "sweep.json", {"tables": ["sweep_n.tsv", "sweep_eta.tsv"]}, cfg)
     return EXIT_OK
 
@@ -256,14 +250,14 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     eta2_grid = np.linspace(lo, hi, points)
     budget = analysis.noise_surface(sigma2, m1, m2, mu, eta1_grid, eta2_grid,
                                     kind=kind, eta_nominal=cfg.get("eta_nominal"))
-    rows = []
-    for i, a in enumerate(budget.eta1):
-        for j, b in enumerate(budget.eta2):
-            rows.append((a, b, budget.x[i, j], budget.corrected_sigma2[i, j],
-                         budget.shot_noise_plane))
-    seriesio.write_table(Path(out_dir) / "noise_surface.tsv",
-                         ("eta1", "eta2", "x", "corrected_sigma2", "shot_noise_plane"),
-                         rows, fmt)
+    eta1, eta2 = np.meshgrid(budget.eta1, budget.eta2, indexing="ij")
+    seriesio.write_table(Path(out_dir) / "noise_surface.tsv", {
+        "eta1": eta1.ravel(),
+        "eta2": eta2.ravel(),
+        "x": budget.x.ravel(),
+        "corrected_sigma2": budget.corrected_sigma2.ravel(),
+        "shot_noise_plane": np.full(budget.x.size, budget.shot_noise_plane),
+    }, fmt)
     eta_nom = cfg.get("eta_nominal", 0.5 * (lo + hi))
     nominal = analysis.solve_pump_noise(sigma2, eta_nom, eta_nom, m1, m2, mu, kind)
     summary = {

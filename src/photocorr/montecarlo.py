@@ -52,6 +52,7 @@ class SimulationConfig:
     def __post_init__(self):
         if int(self.shots) != self.shots or self.shots < 1:
             raise ValidationError(f"shots: must be an integer >= 1, got {self.shots}")
+        object.__setattr__(self, "shots", int(self.shots))
         if self.pump_x < 0:
             raise ValidationError(f"pump_x: must be >= 0, got {self.pump_x}")
         if self.volts and (self.conv[0] <= 0 or self.conv[1] <= 0):

@@ -26,14 +26,10 @@ def write_series(series: ShotSeries, csv_path, extra_meta=None) -> Path:
     csv_path = Path(csv_path)
     counts_mode = series.unit == "counts"
     names = ("m1", "m2") if counts_mode else ("v1", "v2")
+    row = "%d,%d,%d\n" if counts_mode else "%d,%.12g,%.12g\n"
     with open(csv_path, "w") as fh:
         fh.write(f"shot,{names[0]},{names[1]}\n")
-        if counts_mode:
-            for i, (a, b) in enumerate(zip(series.ch1, series.ch2)):
-                fh.write(f"{i},{int(a)},{int(b)}\n")
-        else:
-            for i, (a, b) in enumerate(zip(series.ch1, series.ch2)):
-                fh.write(f"{i},{a:.12g},{b:.12g}\n")
+        _write_rows(fh, row, (range(len(series.ch1)), series.ch1, series.ch2))
     meta = {
         "unit": series.unit,
         "alpha1": series.conv[0],
@@ -98,35 +94,31 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
     return series, meta
 
 
-def write_table(path, header, rows, fmt="tsv") -> Path:
-    """Tabular output with values in 12-significant-digit scientific form.
+def write_table(path, columns, fmt="tsv") -> Path:
+    """Tabular output written column-wise, with one format per column.
 
-    fmt selects the container: "tsv" (default), "csv", or "json" (a list of
-    row objects keyed by the header names); the path suffix is adjusted to
-    match.
+    columns maps each header name to a 1-d array, all of one length.  The
+    dtype of a column picks its format: integer columns are written as
+    integers, all others in 12-significant-digit scientific form.  fmt
+    selects the container: "tsv" (default), "csv", or "json" (a list of row
+    objects keyed by the header names); the path suffix is adjusted to match.
     """
     path = Path(path).with_suffix(f".{fmt}")
+    cols = [np.asarray(c) for c in columns.values()]
     if fmt == "json":
-        payload = [{k: _jsonval(v) for k, v in zip(header, row)} for row in rows]
+        rows = zip(*(c.tolist() for c in cols))
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump([dict(zip(columns, r)) for r in rows], fh, indent=2)
             fh.write("\n")
         return path
     sep = {"tsv": "\t", "csv": ","}[fmt]
+    row = sep.join("%d" if np.issubdtype(c.dtype, np.integer) else "%.12e" for c in cols)
     with open(path, "w") as fh:
-        fh.write(sep.join(header) + "\n")
-        for row in rows:
-            fh.write(sep.join(_fmt(v) for v in row) + "\n")
+        fh.write(sep.join(columns) + "\n")
+        _write_rows(fh, row + "\n", cols)
     return path
 
 
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{v:.12e}"
-
-
-def _jsonval(v):
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
+def _write_rows(fh, row, columns):
+    """Write row % values for each row of values read across the columns."""
+    fh.writelines(row % r for r in zip(*columns))

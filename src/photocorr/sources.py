@@ -54,8 +54,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"kind: expected one of {_KINDS}, got {self.kind!r}")
-        if not (self.n_mean >= 0.0):
-            raise ValidationError(f"n_mean: must be >= 0, got {self.n_mean}")
+        if not (0.0 <= self.n_mean < math.inf):
+            raise ValidationError(f"n_mean: must be finite and >= 0, got {self.n_mean}")
         if int(self.mu) != self.mu or self.mu < 1:
             raise ValidationError(f"mu: must be an integer >= 1, got {self.mu}")
         if not (0.0 <= self.tau <= 1.0):

@@ -106,6 +106,13 @@ class TestMeasuredDifferenceVariance:
         v = rng.poisson(30.0, 10000)
         assert measured_difference_variance(counts_series(v, v)) == 0.0
 
+    def test_noise_dominated_rejected(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        v = rng.poisson(30.0, 10000)
+        with pytest.raises(NoiseDominatedError):
+            measured_difference_variance(counts_series(v, v + rng.integers(0, 2, v.size),
+                                                       noise=(1.0, 1.0)))
+
     def test_volts_mode_recovers_count_variance(self):
         src = SourceSpec.twin_beam(100.0, 4)
         eff = EfficiencyPair(0.6, 0.7)
@@ -255,6 +262,29 @@ class TestNoiseSurface:
         diag = np.array([nb.corrected_sigma2[i, i] for i in range(5)])
         assert np.all(diag < nb.shot_noise_plane)
         assert nb.corrected_sigma2.max() > nb.shot_noise_plane
+
+    @pytest.mark.parametrize("kind, p", [("twin_beam", PAPER_TWB),
+                                         ("split_thermal", PAPER_THERMAL)])
+    def test_matches_per_point_solver(self, kind, p):
+        # the grid spans both sides of the floor: balanced points need pump noise,
+        # strongly unbalanced ones already exceed the measurement at x = 0
+        grid1 = np.linspace(0.3, 0.95, 14)
+        grid2 = np.linspace(0.35, 1.0, 11)
+        nb = noise_surface(p["sigma2"], p["m1"], p["m2"], p["mu"], grid1, grid2,
+                           kind=kind, eta_nominal=p["eta"])
+        x = np.zeros((grid1.size, grid2.size))
+        corrected = np.zeros_like(x)
+        floor = np.zeros(x.shape, dtype=bool)
+        for i, a in enumerate(grid1):
+            for j, b in enumerate(grid2):
+                fit = solve_pump_noise(p["sigma2"], a, b, p["m1"], p["m2"], p["mu"], kind)
+                x[i, j] = fit.x
+                floor[i, j] = fit.at_floor
+                corrected[i, j] = p["sigma2"] if fit.at_floor else fit.base_sigma2
+        assert floor.any() and not floor.all()
+        assert np.array_equal(nb.at_floor, floor)
+        assert nb.x == pytest.approx(x, rel=1e-12, abs=0.0)
+        assert nb.corrected_sigma2 == pytest.approx(corrected, rel=1e-12, abs=0.0)
 
     def test_imbalance_interval_passed_through(self):
         p = PAPER_TWB

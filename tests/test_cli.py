@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from photocorr import EfficiencyPair, SourceSpec, noise_surface, source_joint, thin_joint
 from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -56,6 +57,13 @@ class TestSimulate:
             "source": "laser", "n_mean": 1.0, "eta": [0.5, 0.5], "shots": 10,
         })
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_infinite_mean_exits_2(self, tmp_path, command):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text('{"source": "twin_beam", "n_mean": Infinity, "eta": [0.5, 0.5], '
+                       '"shots": 10}')
+        assert run([command, "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "none.json", "--out", tmp_path]) == EXIT_VALIDATION
@@ -168,6 +176,20 @@ class TestAnalytic:
         total = sum(float(r.split("\t")[2]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_joint_table_rows_run_n1_major(self, tmp_path):
+        cfg = write_config(tmp_path, "an.json", {"eta": [0.4, 0.9], "n_mean": 1.0,
+                                                 "joint": True})
+        run(["analytic", "--config", cfg, "--out", tmp_path])
+        joint = thin_joint(source_joint(SourceSpec("split_thermal", 1.0)),
+                           EfficiencyPair(0.4, 0.9))
+        rows = [r.split("\t") for r in
+                (tmp_path / "joint_split_thermal.tsv").read_text().splitlines()[1:]]
+        side = joint.cutoff + 1
+        assert len(rows) == side * side
+        for k, (n1, n2, p) in enumerate(rows):
+            assert (int(n1), int(n2)) == (k // side, k % side)
+            assert float(p) == pytest.approx(joint.probs[k // side, k % side], rel=1e-11)
+
     def test_multimode_joint_table_matches_closed_variance(self, tmp_path):
         cfg = write_config(tmp_path, "an.json", {"eta": [0.5, 0.7], "n_mean": 2.0, "mu": 3,
                                                  "joint": True})
@@ -256,6 +278,31 @@ class TestNoiseBudget:
         assert run(["noise-budget", "--config", cfg, "--out", tmp_path]) == EXIT_OK
         rows = (tmp_path / "noise_surface.tsv").read_text().splitlines()[1:]
         assert all(float(r.split("\t")[2]) == 0.0 for r in rows)
+
+    def test_surface_rows_run_eta1_major(self, tmp_path):
+        p = {"sigma2_measured": 2.124e11, "m1": 7.225e6, "m2": 7.0e6, "mu": 14}
+        cfg = write_config(tmp_path, "nb.json", dict(
+            p, source="twin_beam", eta_grid={"lo": 0.5, "hi": 0.9, "points": 4}))
+        assert run(["noise-budget", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        grid = np.linspace(0.5, 0.9, 4)
+        budget = noise_surface(*p.values(), grid, grid)
+        rows = (tmp_path / "noise_surface.tsv").read_text().splitlines()[1:]
+        assert len(rows) == 16
+        for k, row in enumerate(rows):
+            eta1, eta2, x, _, _ = (float(v) for v in row.split("\t"))
+            i, j = k // 4, k % 4
+            assert (eta1, eta2) == pytest.approx((grid[i], grid[j]), rel=1e-11)
+            assert x == pytest.approx(budget.x[i, j], rel=1e-11)
+
+    @pytest.mark.parametrize("sigma2, at_floor", [(2.124e11, False), (1.0, True)])
+    def test_at_floor_flag_is_a_json_boolean(self, tmp_path, sigma2, at_floor):
+        cfg = write_config(tmp_path, "nb.json", {
+            "sigma2_measured": sigma2, "m1": 7.225e6, "m2": 7.212e6, "mu": 14,
+            "eta_nominal": 0.67, "eta_grid": {"lo": 0.6, "hi": 0.7, "points": 2},
+        })
+        assert run(["noise-budget", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        summary = json.loads((tmp_path / "noise_budget.json").read_text())
+        assert summary["x_at_nominal_at_floor"] is at_floor
 
     def test_missing_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "nb.json", {"sigma2_measured": 1.0})

@@ -163,7 +163,8 @@ class TestMultimodeConvolve:
 
 def test_import_leaves_scipy_stats_and_signal_unloaded():
     code = ("import sys, photocorr; "
-            "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.signal', 'scipy.optimize') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -44,6 +44,13 @@ class TestDeterminism:
         a, b = sample_series(cfg), sample_series(cfg)
         assert np.array_equal(a.ch1, b.ch1) and np.array_equal(a.ch2, b.ch2)
 
+    def test_integral_float_shots(self):
+        cfg = cfg_for("twin_beam", 5.0, 3, (0.6, 0.7), shots=1e3, pump_x=0.01)
+        ref = sample_series(cfg_for("twin_beam", 5.0, 3, (0.6, 0.7), shots=1000, pump_x=0.01))
+        series = sample_series(cfg)
+        assert type(cfg.shots) is int
+        assert np.array_equal(series.ch1, ref.ch1) and np.array_equal(series.ch2, ref.ch2)
+
     def test_seed_changes_series(self):
         base = cfg_for("split_thermal", 5.0, 2, (0.7, 0.7), shots=2000)
         other = cfg_for("split_thermal", 5.0, 2, (0.7, 0.7), shots=2000, seed=124)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,27 @@ def test_empty_data_rejected(tmp_path):
 
 
 def test_table_format(tmp_path):
-    path = write_table(tmp_path / "t.tsv", ("d", "p"), [(0, 0.5), (1, 0.25)])
+    path = write_table(tmp_path / "t.tsv", {"d": [0, 1], "p": [0.5, 0.25]})
     lines = path.read_text().splitlines()
     assert lines[0] == "d\tp"
     assert lines[1] == "0\t5.000000000000e-01"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "csv", "json"])
+def test_table_formats_each_column_by_dtype(tmp_path, fmt):
+    columns = {"n": np.array([0, -3, 12]), "p": np.array([0.5, 1e-300, 2.0 / 3.0])}
+    path = write_table(tmp_path / "t.tsv", columns, fmt)
+    assert path.suffix == f".{fmt}"
+    text = path.read_text()
+    if fmt == "json":
+        assert json.loads(text) == [{"n": 0, "p": 0.5}, {"n": -3, "p": 1e-300},
+                                    {"n": 12, "p": 2.0 / 3.0}]
+        assert '"n": -3,' in text
+        return
+    sep = "\t" if fmt == "tsv" else ","
+    assert text.splitlines() == [
+        f"n{sep}p",
+        f"0{sep}5.000000000000e-01",
+        f"-3{sep}1.000000000000e-300",
+        f"12{sep}6.666666666667e-01",
+    ]

@@ -153,6 +153,11 @@ class TestSourceSpec:
         with pytest.raises(ValidationError):
             SourceSpec.twin_beam(1.0, mu=0)
 
+    @pytest.mark.parametrize("n_mean", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mean_rejected(self, n_mean):
+        with pytest.raises(ValidationError, match="n_mean"):
+            SourceSpec.coherent_pair(n_mean)
+
     def test_tau_validated(self):
         with pytest.raises(ValidationError):
             SourceSpec.split_thermal(1.0, tau=1.5)
