@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     InconsistentDataError,
@@ -28,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .montecarlo import ShotSeries
-from .sources import SPLIT_THERMAL, TWIN_BEAM, multithermal_pdf
+from .sources import SPLIT_THERMAL, TWIN_BEAM, _log_factorial, multithermal_pdf
 
 
 def correlation_function(series: ShotSeries, lag: int) -> float:
@@ -126,12 +125,13 @@ def fit_multithermal(values, integer_mu: bool = True, mu_max: int = 200) -> Mult
 
     def mean_loglik(mu):
         # profile log-likelihood per sample at the ML mean
-        return ((mu - 1.0) * mean_log - mu - gammaln(mu)
+        return ((mu - 1.0) * mean_log - mu - math.lgamma(mu)
                 - mu * math.log(v_mean / mu))
 
     if integer_mu:
         grid = np.arange(1, mu_max + 1, dtype=float)
-        ll = (grid - 1.0) * mean_log - grid - gammaln(grid) - grid * np.log(v_mean / grid)
+        log_gamma = _log_factorial(mu_max - 1)  # lgamma(mu) = log((mu - 1)!)
+        ll = (grid - 1.0) * mean_log - grid - log_gamma - grid * np.log(v_mean / grid)
         mu_hat = float(grid[np.argmax(ll)])
     else:
         from scipy.optimize import minimize_scalar

@@ -20,7 +20,13 @@ import numpy as np
 
 from . import analysis, markers, montecarlo, seriesio
 from .detection import EfficiencyPair, multimode_convolve, thin_joint
-from .errors import DataError, PhotocorrError, TailToleranceError, ValidationError
+from .errors import (
+    DataError,
+    PhotocorrError,
+    TailToleranceError,
+    UndefinedMarkerError,
+    ValidationError,
+)
 from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, source_joint
 
 EXIT_OK = 0
@@ -32,31 +38,79 @@ EXIT_TOLERANCE = 4
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"config: no such file: {path}")
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path}: invalid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config: expected a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+_REQUIRED = object()
+
+
+def _config_value(cfg, key, cast, default=_REQUIRED):
+    """cast(cfg[key]), or default when the key is absent or null.
+
+    A missing required key, or a value that cast rejects, raises
+    ValidationError naming the key, so a wrong-typed config exits with 2.
+    """
+    value = cfg.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"config: missing required key {key!r}")
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"config: {key!r}: {exc}") from None
+
+
+def _integer(value):
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _float_pair(value):
+    if isinstance(value, str):
+        raise ValueError(f"expected a pair [x1, x2], got {value!r}")
+    a, b = value
+    return float(a), float(b)
+
+
+def _number_list(value):
+    arr = np.asarray(value)
+    if arr.ndim != 1 or arr.dtype.kind not in "biuf":
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return arr
+
+
+def _grid_spec(value):
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object with lo, hi and points, got {value!r}")
+    return value
 
 
 def _source_from(cfg) -> SourceSpec:
-    try:
-        return SourceSpec(
-            kind=cfg["source"],
-            n_mean=float(cfg["n_mean"]),
-            mu=int(cfg.get("mu", 1)),
-            tau=float(cfg.get("tau", 0.5)),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"config: missing required key {exc}")
+    return SourceSpec(
+        kind=_config_value(cfg, "source", _text),
+        n_mean=_config_value(cfg, "n_mean", float),
+        mu=_config_value(cfg, "mu", _integer, 1),
+        tau=_config_value(cfg, "tau", float, 0.5),
+    )
 
 
 def _eff_from(cfg) -> EfficiencyPair:
-    try:
-        eta = cfg["eta"]
-        return EfficiencyPair(float(eta[0]), float(eta[1]))
-    except (KeyError, IndexError, TypeError):
-        raise ValidationError("config: 'eta' must be a pair [eta1, eta2]")
+    return EfficiencyPair(*_config_value(cfg, "eta", _float_pair))
 
 
 def _write_report(out_dir, name, payload, resolved_config):
@@ -80,8 +134,8 @@ def _jsonable(obj):
 def cmd_analytic(cfg, out_dir, fmt="tsv"):
     """Difference distributions, correlation coefficients, variances, threshold."""
     eff = _eff_from(cfg)
-    n_mean = float(cfg.get("n_mean", 1.0))
-    mu = int(cfg.get("mu", 1))
+    n_mean = _config_value(cfg, "n_mean", float, 1.0)
+    mu = _config_value(cfg, "mu", _integer, 1)
     report = {"sources": {}}
     for kind in (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL):
         dd = markers.difference_analytic(SourceSpec(kind, n_mean, mu), eff)
@@ -96,8 +150,12 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
                                  {"n1": n1.ravel(), "n2": n2.ravel(), "p": joint.probs.ravel()},
                                  fmt)
         rep = markers.difference_variance(SourceSpec(kind, n_mean, mu), eff)
+        try:
+            correlation = markers.correlation_coefficient(SourceSpec(kind, n_mean, mu), eff)
+        except UndefinedMarkerError:
+            correlation = "undefined"  # a beam has zero variance
         report["sources"][kind] = {
-            "correlation": markers.correlation_coefficient(SourceSpec(kind, n_mean, mu), eff),
+            "correlation": correlation,
             "sigma2_d": rep.sigma2_d,
             "shot_noise_level": rep.shot_noise_level,
             "below_shot_noise": rep.below_shot_noise,
@@ -114,21 +172,22 @@ _SWEEP_KINDS = (("coherent", COHERENT_PAIR), ("twin_beam", TWIN_BEAM), ("thermal
 def cmd_sweep(cfg, out_dir, fmt="tsv"):
     """Variance-versus-intensity and variance-versus-efficiency tables."""
     eff = _eff_from(cfg)
-    n_grid = cfg.get("n_grid")
+    n_grid = _config_value(cfg, "n_grid", _number_list, None)
     if n_grid is None:
-        n_grid = np.linspace(float(cfg.get("n_min", 0.0)), float(cfg.get("n_max", 25.0)),
-                             int(cfg.get("n_points", 101))).tolist()
-    mu = int(cfg.get("mu", 1))
+        n_grid = np.linspace(_config_value(cfg, "n_min", float, 0.0),
+                             _config_value(cfg, "n_max", float, 25.0),
+                             _config_value(cfg, "n_points", _integer, 101))
+    mu = _config_value(cfg, "mu", _integer, 1)
     table = {"n_mean": np.asarray(n_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"sigma2_{name}"] = np.array(
             [markers.difference_variance(SourceSpec(kind, float(n), mu), eff).sigma2_d
              for n in n_grid])
     seriesio.write_table(Path(out_dir) / "sweep_n.tsv", table, fmt)
-    eta_grid = cfg.get("eta_grid")
+    eta_grid = _config_value(cfg, "eta_grid", _number_list, None)
     if eta_grid is None:
-        eta_grid = np.linspace(0.05, 1.0, 20).tolist()
-    n_ref = float(cfg.get("n_ref", 1.0))
+        eta_grid = np.linspace(0.05, 1.0, 20)
+    n_ref = _config_value(cfg, "n_ref", float, 1.0)
     table = {"eta": np.asarray(eta_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"ratio_{name}"] = np.array(
@@ -144,33 +203,30 @@ def cmd_simulate(cfg, out_dir, seed_override=None):
     """Generate a shot series and write it as CSV plus JSON sidecar."""
     src = _source_from(cfg)
     eff = _eff_from(cfg)
-    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
+    seed = _config_value(cfg, "seed", _integer, 0) if seed_override is None else seed_override
     sim = montecarlo.SimulationConfig(
         source=src,
         eff=eff,
-        shots=int(cfg.get("shots", 10000)),
+        shots=_config_value(cfg, "shots", _integer, 10000),
         seed=seed,
-        pump_x=float(cfg.get("pump_x", 0.0)),
+        pump_x=_config_value(cfg, "pump_x", float, 0.0),
         volts=bool(cfg.get("volts", False)),
-        conv=tuple(cfg.get("conv", (1.0, 1.0))),
-        instrument_noise_var=tuple(cfg.get("instrument_noise_var", (0.0, 0.0))),
+        conv=_config_value(cfg, "conv", _float_pair, (1.0, 1.0)),
+        instrument_noise_var=_config_value(cfg, "instrument_noise_var", _float_pair, (0.0, 0.0)),
     )
+    name = _config_value(cfg, "name", _text, "shots.csv")
     series = montecarlo.sample_series(sim)
     resolved = dict(cfg)
     resolved["seed"] = seed
-    seriesio.write_series(series, Path(out_dir) / cfg.get("name", "shots.csv"),
-                          extra_meta={"config": resolved})
+    seriesio.write_series(series, Path(out_dir) / name, extra_meta={"config": resolved})
     return EXIT_OK
 
 
 def cmd_analyze(cfg, out_dir):
     """Reduce a CSV shot record to correlation, difference and fit statistics."""
-    try:
-        input_path = cfg["input"]
-    except KeyError:
-        raise ValidationError("config: missing required key 'input'")
+    input_path = _config_value(cfg, "input", _text)
+    lags = _config_value(cfg, "lags", lambda v: [_integer(lag) for lag in v], (0, 1, 2, 5))
     series, meta = seriesio.read_series(input_path)
-    lags = [int(v) for v in cfg.get("lags", (0, 1, 2, 5))]
     gamma = {str(lag): analysis.correlation_function(series, lag) for lag in lags}
     report = {
         "shots": len(series),
@@ -191,7 +247,7 @@ def cmd_analyze(cfg, out_dir):
                 "chi2_per_bin": fit.goodness,
                 "n_clipped": fit.n_clipped,
             }
-    _write_report(out_dir, cfg.get("name", "analysis.json"), report, cfg)
+    _write_report(out_dir, _config_value(cfg, "name", _text, "analysis.json"), report, cfg)
     return EXIT_OK
 
 
@@ -212,17 +268,14 @@ def _difference_histogram(series):
 
 def cmd_fit(cfg, out_dir):
     """Multithermal fit of one channel of a CSV record."""
-    try:
-        input_path = cfg["input"]
-    except KeyError:
-        raise ValidationError("config: missing required key 'input'")
-    series, _ = seriesio.read_series(input_path)
-    channel = int(cfg.get("channel", 1))
+    input_path = _config_value(cfg, "input", _text)
+    channel = _config_value(cfg, "channel", _integer, 1)
     if channel not in (1, 2):
         raise ValidationError(f"channel: must be 1 or 2, got {channel}")
+    series, _ = seriesio.read_series(input_path)
     values = series.counts()[channel - 1]
     fit = analysis.fit_multithermal(values, integer_mu=bool(cfg.get("integer_mu", True)))
-    _write_report(out_dir, cfg.get("name", "fit.json"), {
+    _write_report(out_dir, _config_value(cfg, "name", _text, "fit.json"), {
         "channel": channel,
         "mu": fit.mu_hat,
         "v_mean": fit.v_mean_hat,
@@ -234,22 +287,20 @@ def cmd_fit(cfg, out_dir):
 
 def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     """Pump-noise surface over an efficiency grid plus imbalance interval."""
-    try:
-        sigma2 = float(cfg["sigma2_measured"])
-        m1 = float(cfg["m1"])
-        m2 = float(cfg["m2"])
-        mu = int(cfg["mu"])
-    except KeyError as exc:
-        raise ValidationError(f"config: missing required key {exc}")
-    kind = cfg.get("source", TWIN_BEAM)
-    grid_cfg = cfg.get("eta_grid", {})
-    lo = float(grid_cfg.get("lo", 0.4))
-    hi = float(grid_cfg.get("hi", 0.95))
-    points = int(grid_cfg.get("points", 12))
+    sigma2 = _config_value(cfg, "sigma2_measured", float)
+    m1 = _config_value(cfg, "m1", float)
+    m2 = _config_value(cfg, "m2", float)
+    mu = _config_value(cfg, "mu", _integer)
+    kind = _config_value(cfg, "source", _text, TWIN_BEAM)
+    grid_cfg = _config_value(cfg, "eta_grid", _grid_spec, {})
+    lo = _config_value(grid_cfg, "lo", float, 0.4)
+    hi = _config_value(grid_cfg, "hi", float, 0.95)
+    points = _config_value(grid_cfg, "points", _integer, 12)
     eta1_grid = np.linspace(lo, hi, points)
     eta2_grid = np.linspace(lo, hi, points)
+    eta_nominal = _config_value(cfg, "eta_nominal", float, None)
     budget = analysis.noise_surface(sigma2, m1, m2, mu, eta1_grid, eta2_grid,
-                                    kind=kind, eta_nominal=cfg.get("eta_nominal"))
+                                    kind=kind, eta_nominal=eta_nominal)
     eta1, eta2 = np.meshgrid(budget.eta1, budget.eta2, indexing="ij")
     seriesio.write_table(Path(out_dir) / "noise_surface.tsv", {
         "eta1": eta1.ravel(),
@@ -258,7 +309,7 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
         "corrected_sigma2": budget.corrected_sigma2.ravel(),
         "shot_noise_plane": np.full(budget.x.size, budget.shot_noise_plane),
     }, fmt)
-    eta_nom = cfg.get("eta_nominal", 0.5 * (lo + hi))
+    eta_nom = 0.5 * (lo + hi) if eta_nominal is None else eta_nominal
     nominal = analysis.solve_pump_noise(sigma2, eta_nom, eta_nom, m1, m2, mu, kind)
     summary = {
         "shot_noise_plane": budget.shot_noise_plane,
@@ -268,8 +319,9 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
         "x_grid_min": float(budget.x.min()),
         "x_grid_max": float(budget.x.max()),
     }
-    if "reference_x" in cfg:
-        summary["reference_x"] = float(cfg["reference_x"])
+    reference_x = _config_value(cfg, "reference_x", float, None)
+    if reference_x is not None:
+        summary["reference_x"] = reference_x
     _write_report(out_dir, "noise_budget.json", summary, cfg)
     return EXIT_OK
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import TailToleranceError, ValidationError
 from .sources import (
@@ -23,6 +22,7 @@ from .sources import (
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
+    _log_factorial,
 )
 
 
@@ -53,14 +53,18 @@ class MomentSet:
 def loss_matrix(eta, cutoff):
     """L[m, n] = Binomial(n, eta) pmf at m, for m, n = 0..cutoff.
 
-    Evaluated as a log-binomial; xlogy/xlog1py keep 0 * log 0 = 0, so the
-    matrix is exact at eta = 0 and eta = 1.
+    Evaluated as a log-binomial; the power terms are taken as 0 where their
+    exponent is 0 (0 * log 0 = 0), so the matrix is exact at eta = 0 and
+    eta = 1.
     """
     m = np.arange(cutoff + 1)[:, None]
     n = np.arange(cutoff + 1)[None, :]
     k = np.maximum(n - m, 0)
-    log_pmf = (gammaln(n + 1) - gammaln(m + 1) - gammaln(k + 1)
-               + xlogy(m, eta) + xlog1py(k, -eta))
+    log_fact = _log_factorial(cutoff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (log_fact[n] - log_fact[m] - log_fact[k]
+                   + np.where(m > 0, m * np.log(eta), 0.0)
+                   + np.where(k > 0, k * np.log1p(-eta), 0.0))
     return np.where(m <= n, np.exp(log_pmf), 0.0)
 
 

@@ -121,19 +121,20 @@ def correlation_coefficient(src: SourceSpec, eff: EfficiencyPair) -> float:
 
     Summing over independent mode pairs scales covariance and variances by
     the same factor mu, so the coefficient keeps the single-pair form at the
-    per-mode mean.
+    per-mode mean.  Raises UndefinedMarkerError when a beam's detected
+    variance is zero (no photons, or zero efficiency).
     """
     e1, e2 = eff.eta1, eff.eta2
     if src.kind == COHERENT_PAIR:
         return 0.0
+    m = analytic_moments(src, eff)
+    if m.var1 <= 0.0 or m.var2 <= 0.0:
+        raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
     n = src.per_mode_mean
     if src.kind == TWIN_BEAM:
         return (1.0 + n) * math.sqrt(e1 * e2) / math.sqrt((1.0 + e1 * n) * (1.0 + e2 * n))
     if src.tau == 0.5:
         return n * math.sqrt(e1 * e2) / math.sqrt((1.0 + e1 * n) * (1.0 + e2 * n))
-    m = analytic_moments(src, eff)
-    if m.var1 <= 0.0 or m.var2 <= 0.0:
-        raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
     return m.cov / math.sqrt(m.var1 * m.var2)
 
 

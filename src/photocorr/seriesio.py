@@ -10,12 +10,15 @@ Counts round-trip exactly; voltages are written with 12 significant digits.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .montecarlo import ShotSeries
+
+_INT64 = np.iinfo(np.int64)
 
 
 def sidecar_path(csv_path) -> Path:
@@ -58,40 +61,74 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
             meta = json.load(fh)
     unit = meta.get("unit", "counts")
     counts_mode = unit == "counts"
-    ch1, ch2 = [], []
+    dtype = np.int64 if counts_mode else float
     with open(csv_path) as fh:
         header = fh.readline().strip()
         expected = "shot,m1,m2" if counts_mode else "shot,v1,v2"
         if header != expected:
             raise DataError(f"{csv_path}: line 1: expected header {expected!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{csv_path}: line {lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                if counts_mode:
-                    ch1.append(int(parts[1]))
-                    ch2.append(int(parts[2]))
-                else:
-                    ch1.append(float(parts[1]))
-                    ch2.append(float(parts[2]))
-            except ValueError as exc:
-                raise DataError(f"{csv_path}: line {lineno}: {exc}") from exc
-    if not ch1:
-        raise DataError(f"{csv_path}: no data rows")
-    dtype = np.int64 if counts_mode else float
+        rows = _load_rows(fh, dtype)
+        if rows is None:
+            fh.seek(0)
+            fh.readline()
+            ch1, ch2 = _scan_rows(fh, csv_path, dtype)
+        else:
+            ch1, ch2 = np.ascontiguousarray(rows[:, 1:].T)
     series = ShotSeries(
-        np.asarray(ch1, dtype=dtype),
-        np.asarray(ch2, dtype=dtype),
+        ch1,
+        ch2,
         unit,
         (meta.get("alpha1", 1.0), meta.get("alpha2", 1.0)),
         (meta.get("noise_var1", 0.0), meta.get("noise_var2", 0.0)),
         meta.get("pump_truncations", 0),
     )
     return series, meta
+
+
+def _load_rows(fh, dtype):
+    """Parse the data rows in one numpy call; None if they are not plain rows.
+
+    Anything numpy rejects or warns about (a malformed field, a row of the
+    wrong width, an empty body) returns None, so the caller can rescan the
+    rows with _scan_rows to name the offending line.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
+    if rows.shape[0] < 1 or rows.shape[1] != 3:
+        return None
+    return rows
+
+
+def _scan_rows(fh, csv_path, dtype):
+    """Line-by-line parse of the data rows; raises DataError at the first bad line."""
+    parse = _parse_count if dtype is np.int64 else float
+    ch1, ch2 = [], []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise DataError(f"{csv_path}: line {lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            ch1.append(parse(parts[1]))
+            ch2.append(parse(parts[2]))
+        except ValueError as exc:
+            raise DataError(f"{csv_path}: line {lineno}: {exc}") from exc
+    if not ch1:
+        raise DataError(f"{csv_path}: no data rows")
+    return np.asarray(ch1, dtype=dtype), np.asarray(ch2, dtype=dtype)
+
+
+def _parse_count(text):
+    value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"count {value} is outside the int64 range")
+    return value
 
 
 def write_table(path, columns, fmt="tsv") -> Path:

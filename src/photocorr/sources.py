@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TailToleranceError, ValidationError
 
@@ -197,9 +196,10 @@ def split_thermal_joint(n_mean, tau=0.5, cutoff=None, tail_tol=DEFAULT_TAIL_TOL)
     n1 = np.arange(c + 1)[:, None]
     n2 = np.arange(c + 1)[None, :]
     tot = n1 + n2
+    log_fact = _log_factorial(2 * c)
     with np.errstate(divide="ignore"):
         log_split = (
-            gammaln(tot + 1) - gammaln(n1 + 1) - gammaln(n2 + 1)
+            log_fact[tot] - log_fact[n1] - log_fact[n2]
             + n1 * np.log(tau if tau > 0 else 1.0)
             + n2 * np.log1p(-tau if tau < 1 else 0.0)
         )
@@ -248,7 +248,7 @@ def multithermal_pdf(v, mu, v_mean):
     out[pos] = np.exp(
         -v[pos] * mu / v_mean
         + (mu - 1) * np.log(v[pos])
-        - gammaln(mu)
+        - math.lgamma(mu)
         - mu * math.log(v_mean / mu)
     )
     if mu == 1:
@@ -256,11 +256,16 @@ def multithermal_pdf(v, mu, v_mean):
     return out[0] if scalar else out
 
 
+def _log_factorial(top):
+    """log(k!) for k = 0..top, as a table to index with integer arrays."""
+    return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+
+
 def _poisson_pmf(k, lam):
     k = np.asarray(k)
     if lam == 0.0:
         return np.where(k == 0, 1.0, 0.0)
-    return np.exp(k * math.log(lam) - lam - gammaln(k + 1))
+    return np.exp(k * math.log(lam) - lam - _log_factorial(int(k.max(initial=0)))[k])
 
 
 def _poisson_cdf_grid(lam):

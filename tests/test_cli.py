@@ -69,6 +69,33 @@ class TestSimulate:
         assert run(["simulate", "--config", tmp_path / "none.json", "--out", tmp_path]) == EXIT_VALIDATION
 
 
+SIM = {"source": "twin_beam", "n_mean": 1.0, "eta": [0.5, 0.5], "shots": 10}
+BUDGET = {"sigma2_measured": 1.0e6, "m1": 7.0e5, "m2": 7.0e5, "mu": 14}
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", dict(SIM, n_mean="abc"), "n_mean"),
+    ("simulate", dict(SIM, eta="ab"), "eta"),
+    ("simulate", dict(SIM, eta=[0.5]), "eta"),
+    ("simulate", dict(SIM, shots="x"), "shots"),
+    ("simulate", dict(SIM, shots=2.5), "shots"),
+    ("simulate", dict(SIM, mu=1.5), "mu"),
+    ("simulate", dict(SIM, name=5), "name"),
+    ("simulate", dict(SIM, conv=[1.0, "a"]), "conv"),
+    ("analytic", {"eta": [0.5, 0.5], "mu": "two"}, "mu"),
+    ("sweep", {"eta": [0.5, 0.5], "n_grid": ["a", "b"]}, "n_grid"),
+    ("noise-budget", dict(BUDGET, m1="x"), "m1"),
+    ("noise-budget", dict(BUDGET, eta_grid={"points": "many"}), "points"),
+    ("noise-budget", dict(BUDGET, eta_grid=[0.5, 0.9]), "eta_grid"),
+    ("analyze", {"input": "shots.csv", "lags": ["x"]}, "lags"),
+    ("simulate", [SIM], "JSON object"),
+])
+def test_wrong_typed_config_exits_2(tmp_path, capsys, command, payload, key):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run([command, "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+
+
 class TestAnalyze:
     def make_series(self, tmp_path, **overrides):
         payload = {
@@ -101,6 +128,12 @@ class TestAnalyze:
         report = json.loads((tmp_path / "analysis.json").read_text())
         assert report["correlation_raw"] == pytest.approx(1.0, abs=1e-12)
         assert report["sigma2_difference"] == 0.0
+
+    def test_count_outside_int64_exits_3(self, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("shot,m1,m2\n0,99999999999999999999,1\n")
+        cfg = write_config(tmp_path, "ana.json", {"input": str(big)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
 
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -166,6 +199,14 @@ class TestAnalytic:
             table = {int(r.split("\t")[0]): float(r.split("\t")[1]) for r in rows}
             assert table[0] == pytest.approx(1.0, abs=1e-12)
             assert all(p == 0.0 for d, p in table.items() if d != 0)
+
+    def test_vacuum_correlation_reported_undefined(self, tmp_path):
+        cfg = write_config(tmp_path, "an.json", {"eta": [0.5, 0.7], "n_mean": 0.0})
+        assert run(["analytic", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        report = json.loads((tmp_path / "analytic.json").read_text())
+        assert report["sources"]["twin_beam"]["correlation"] == "undefined"
+        assert report["sources"]["split_thermal"]["correlation"] == "undefined"
+        assert report["sources"]["coherent_pair"]["correlation"] == 0.0
 
     def test_joint_table(self, tmp_path):
         cfg = write_config(tmp_path, "an.json", {"eta": [0.6, 0.8], "n_mean": 1.0,

@@ -95,6 +95,17 @@ class TestCorrelationCoefficient:
         with pytest.raises(UndefinedMarkerError):
             correlation_from_joint(j)
 
+    @pytest.mark.parametrize("src, eta", [
+        (SourceSpec.twin_beam(0.0), (0.5, 0.5)),
+        (SourceSpec.twin_beam(2.0, mu=3), (0.0, 0.5)),
+        (SourceSpec.split_thermal(0.0), (0.5, 0.5)),
+        (SourceSpec.split_thermal(1.0), (0.5, 0.0)),
+        (SourceSpec.split_thermal(1.0, tau=0.3), (0.0, 0.5)),
+    ])
+    def test_zero_variance_beam_rejected(self, src, eta):
+        with pytest.raises(UndefinedMarkerError):
+            correlation_coefficient(src, EfficiencyPair(*eta))
+
     def test_multimode_uses_per_mode_population(self):
         # splitting the same energy over mu pairs lowers the per-mode mean
         eff = EfficiencyPair(0.6, 0.7)

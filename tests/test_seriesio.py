@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from photocorr import DataError, ShotSeries, read_series, write_series
-from photocorr.seriesio import sidecar_path, write_table
+from photocorr.seriesio import _load_rows, _scan_rows, sidecar_path, write_table
 
 
 def test_counts_round_trip_exact(tmp_path):
@@ -56,6 +57,13 @@ def test_bad_header_rejected(tmp_path):
         read_series(path)
 
 
+def test_count_outside_int64_reports_line_number(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("shot,m1,m2\n0,1,2\n1,99999999999999999999,3\n")
+    with pytest.raises(DataError, match="line 3: count 99999999999999999999 is outside"):
+        read_series(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="no such file"):
         read_series(tmp_path / "nope.csv")
@@ -93,3 +101,85 @@ def test_table_formats_each_column_by_dtype(tmp_path, fmt):
         f"-3{sep}1.000000000000e-300",
         f"12{sep}6.666666666667e-01",
     ]
+
+
+def _rng_volts():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(400) * 10.0 ** rng.integers(-12, 12, 400)
+    rows = [f"{i},{a:.12g},{b!r}" for i, (a, b) in enumerate(zip(values[:200], values[200:]))]
+    return "\n".join(rows) + "\n"
+
+
+# Data bodies (after the header) on which the numpy parse and the line scan
+# must agree: the same arrays, or the same DataError message.
+BODIES = {
+    "plain": "0,1,2\n1,3,4\n",
+    "no_final_newline": "0,1,2\n1,3,4",
+    "crlf": "0,1,2\r\n1,3,4\r\n",
+    "blank_lines": "\n0,1,2\n\n1,3,4\n\n",
+    "whitespace_line": "0,1,2\n   \n1,3,4\n",
+    "hash_line": "# note\n0,1,2\n",
+    "hash_suffix": "0,1,2\n1,3,4 # note\n",
+    "two_fields": "0,1\n1,2\n",
+    "two_fields_later": "0,1,2\n1,2\n",
+    "four_fields": "0,1,2,3\n",
+    "four_fields_later": "0,1,2\n1,2,3,4\n",
+    "float_count": "0,5.0,1\n",
+    "exponent_count": "0,1e3,1\n",
+    "underscore": "0,1_000,1\n",
+    "signs": "0,+5,-1\n",
+    "spaces": " 0 , 1 , 2 \n1,\t3,4\t\n",
+    "trailing_comma": "0,1,2,\n",
+    "empty_field": "0,,2\n",
+    "huge": "0,99999999999999999999,1\n",
+    "huge_negative": "0,1,-99999999999999999999\n",
+    "int64_limits": "0,9223372036854775807,-9223372036854775808\n",
+    "shot_not_a_number": "x,1,2\n",
+    "non_finite": "0,nan,inf\n1,-inf,NaN\n2,Infinity,1e400\n3,-0.0,1e-320\n",
+    "random_volts": _rng_volts(),
+    "empty": "",
+    "only_blank": "\n\n",
+}
+
+
+def _scan(path, dtype):
+    with open(path) as fh:
+        fh.readline()
+        return _scan_rows(fh, path, dtype)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("unit", ["counts", "volts"])
+@pytest.mark.parametrize("body", sorted(BODIES))
+def test_fast_parse_agrees_with_line_scan(tmp_path, unit, body):
+    path = tmp_path / f"{unit}.csv"
+    header = "shot,m1,m2" if unit == "counts" else "shot,v1,v2"
+    path.write_text(f"{header}\n{BODIES[body]}")
+    sidecar_path(path).write_text(json.dumps({"unit": unit}))
+    want = _outcome(lambda: _scan(path, np.int64 if unit == "counts" else float))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(lambda: read_series(path)[0])
+    assert [str(w.message) for w in caught] == []
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for ch, ref in zip((got.ch1, got.ch2), want):
+        assert ch.dtype == ref.dtype
+        assert ch.tobytes() == ref.tobytes()
+
+
+def test_plain_rows_take_the_numpy_parse(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("shot,m1,m2\n0,1,2\n1,3,4\n")
+    with open(path) as fh:
+        fh.readline()
+        rows = _load_rows(fh, np.int64)
+    assert rows.tolist() == [[0, 1, 2], [1, 3, 4]]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from photocorr import (
     JointCountDistribution,
@@ -16,6 +17,7 @@ from photocorr import (
     thermal_pmf,
     twin_beam_joint,
 )
+from photocorr.sources import _log_factorial
 
 N_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
 
@@ -179,3 +181,14 @@ class TestJointCountDistribution:
         p[1, 1] = -0.5
         with pytest.raises(ValidationError):
             JointCountDistribution(p, 0.0)
+
+
+class TestLogFactorial:
+    def test_small_values(self):
+        assert _log_factorial(0).tolist() == [0.0]
+        want = [math.log(math.factorial(k)) for k in range(21)]
+        assert _log_factorial(20) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    def test_matches_gammaln(self):
+        k = np.arange(45001)
+        np.testing.assert_allclose(_log_factorial(45000), gammaln(k + 1.0), rtol=1e-14, atol=0)
