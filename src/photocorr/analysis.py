@@ -26,7 +26,8 @@ from .errors import (
     UndefinedMarkerError,
     ValidationError,
 )
-from .montecarlo import ShotSeries
+from .markers import _difference_variance_model, _variance_terms
+from .montecarlo import ShotSeries, _pump_excess
 from .sources import SPLIT_THERMAL, TWIN_BEAM, _log_factorial, multithermal_pdf
 
 
@@ -162,26 +163,23 @@ def _chi2_per_bin(v, mu, v_mean):
     return float(chi2 / keep.sum())
 
 
-def _difference_variance_model(delta, eta_bar, n_of_eta, mu, kind):
-    """sigma2(d) with efficiencies eta_bar +- delta/2 and N = n_of_eta."""
-    if kind == TWIN_BEAM:
-        # (e1+e2-2e1e2) N = 2 eb(1-eb) N + delta**2 N / 2
-        return delta**2 * (n_of_eta**2 / mu + n_of_eta / 2.0) \
-            + 2.0 * eta_bar * (1.0 - eta_bar) * n_of_eta
-    if kind == SPLIT_THERMAL:
-        return delta**2 * n_of_eta**2 / mu + 2.0 * eta_bar * n_of_eta
-    raise ValidationError(f"kind: expected twin_beam or split_thermal, got {kind!r}")
+def _check_budget(kind, mu):
+    if kind not in (TWIN_BEAM, SPLIT_THERMAL):
+        raise ValidationError(f"kind: expected twin_beam or split_thermal, got {kind!r}")
+    if int(mu) != mu or mu < 1:
+        raise ValidationError(f"mu: must be an integer >= 1, got {mu}")
 
 
 def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM,
                      window=0.2):
     """Efficiency-imbalance interval compatible with a measured variance.
 
-    Solves the unbalanced difference-variance model for |eta1 - eta2| with
-    the mean photon number tied to the detected means, N = (m1+m2)/(2 eta),
-    while the mean efficiency eta scans eta_nominal * (1 -+ window) (clamped
-    so both efficiencies stay <= 1).  The solution is monotone in the mean
-    efficiency, so the interval is spanned by the two endpoints.
+    Solves sigma2 = floor + delta**2 * curvature (markers._variance_terms)
+    for delta = |eta1 - eta2| with the mean photon number tied to the
+    detected means, N = (m1+m2)/(2 eta), while the mean efficiency eta scans
+    eta_nominal * (1 -+ window) (clamped so both efficiencies stay <= 1).
+    The solution is monotone in the mean efficiency, so the interval is
+    spanned by the two endpoints.
 
     Returns (0.0, 0.0) when the measurement does not exceed the balanced
     model at the nominal efficiency; raises InconsistentDataError when no
@@ -191,22 +189,17 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM,
         raise ValidationError("m1, m2: detected means must be > 0")
     if not (0.0 < eta_nominal <= 1.0):
         raise ValidationError(f"eta_nominal: must lie in (0, 1], got {eta_nominal}")
+    _check_budget(kind, mu)
     m_bar = 0.5 * (m1 + m2)
-    floor = _difference_variance_model(0.0, eta_nominal, m_bar / eta_nominal, mu, kind)
-    if sigma2_measured <= floor:
+    if sigma2_measured <= _variance_terms(eta_nominal, m_bar / eta_nominal, mu, kind)[0]:
         return (0.0, 0.0)
 
     def delta_at(eta_bar):
-        n = m_bar / eta_bar
-        if kind == TWIN_BEAM:
-            rhs = sigma2_measured - 2.0 * eta_bar * (1.0 - eta_bar) * n
-            den = n * n / mu + n / 2.0
-        else:
-            rhs = sigma2_measured - 2.0 * eta_bar * n
-            den = n * n / mu
+        floor, curvature = _variance_terms(eta_bar, m_bar / eta_bar, mu, kind)
+        rhs = sigma2_measured - floor
         if rhs <= 0.0:
             return None
-        return math.sqrt(rhs / den)
+        return math.sqrt(rhs / curvature)
 
     lo_eta = eta_nominal * (1.0 - window)
     hi_eta = min(eta_nominal * (1.0 + window), 1.0)
@@ -252,10 +245,9 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
 
         sigma2_measured = sigma2_model(eta1, eta2, N) + x**2 * coefficient
 
-    with N = mean of m_j / eta_j and per-beam excess terms
-
-        twin beam:  (N_j**2 / mu) arcsinh(sqrt(N_j / mu))**2,  N_j = m_j/eta_j
-        thermal:    2 N_j**2
+    with sigma2_model = markers._difference_variance_model at the mean N of
+    N_j = m_j / eta_j, and coefficient the sum over both beams of
+    montecarlo._pump_excess at N_j.
 
     Measurements at or below the x = 0 model return x = 0 with at_floor set.
     eta1 and eta2 may be arrays that broadcast against each other (e.g. a
@@ -267,17 +259,10 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
             raise ValidationError(f"{name}: must lie in (0, 1], got {eta}")
     if min(m1, m2) <= 0:
         raise ValidationError("m1, m2: detected means must be > 0")
+    _check_budget(kind, mu)
     n1, n2 = m1 / eta1, m2 / eta2
-    n_bar = 0.5 * (n1 + n2)
-    if kind == TWIN_BEAM:
-        base = (eta1 - eta2) ** 2 * n_bar**2 / mu \
-            + (eta1 + eta2 - 2.0 * eta1 * eta2) * n_bar
-        coef = sum(nj**2 / mu * np.arcsinh(np.sqrt(nj / mu)) ** 2 for nj in (n1, n2))
-    elif kind == SPLIT_THERMAL:
-        base = (eta1 - eta2) ** 2 * n_bar**2 / mu + (eta1 + eta2) * n_bar
-        coef = 2.0 * (n1**2 + n2**2)
-    else:
-        raise ValidationError(f"kind: expected twin_beam or split_thermal, got {kind!r}")
+    base = _difference_variance_model(eta1 - eta2, 0.5 * (eta1 + eta2), 0.5 * (n1 + n2), mu, kind)
+    coef = _pump_excess(kind, n1, mu) + _pump_excess(kind, n2, mu)
     at_floor = sigma2_measured <= base
     x = np.sqrt(np.maximum(sigma2_measured - base, 0.0) / coef)
     return PumpFit(x, at_floor, base, coef)

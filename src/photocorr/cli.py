@@ -74,6 +74,19 @@ def _integer(value):
     return int(value)
 
 
+def _size(value):
+    size = _integer(value)
+    if size < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return size
+
+
+def _flag(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _text(value):
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -136,12 +149,13 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
     eff = _eff_from(cfg)
     n_mean = _config_value(cfg, "n_mean", float, 1.0)
     mu = _config_value(cfg, "mu", _integer, 1)
+    with_joint = _config_value(cfg, "joint", _flag, False)
     report = {"sources": {}}
     for kind in (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL):
         dd = markers.difference_analytic(SourceSpec(kind, n_mean, mu), eff)
         seriesio.write_table(Path(out_dir) / f"diff_{kind}.tsv",
                              {"d": dd.d_values, "p": dd.probs}, fmt)
-        if cfg.get("joint", False):
+        if with_joint:
             # one mode pair carries n_mean / mu; the mu-fold convolution restores the total
             joint = multimode_convolve(
                 thin_joint(source_joint(SourceSpec(kind, n_mean / mu)), eff), mu)
@@ -176,7 +190,7 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
     if n_grid is None:
         n_grid = np.linspace(_config_value(cfg, "n_min", float, 0.0),
                              _config_value(cfg, "n_max", float, 25.0),
-                             _config_value(cfg, "n_points", _integer, 101))
+                             _config_value(cfg, "n_points", _size, 101))
     mu = _config_value(cfg, "mu", _integer, 1)
     table = {"n_mean": np.asarray(n_grid)}
     for name, kind in _SWEEP_KINDS:
@@ -199,33 +213,35 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
     return EXIT_OK
 
 
-def cmd_simulate(cfg, out_dir, seed_override=None):
+def cmd_simulate(cfg, out_dir, fmt="tsv"):
     """Generate a shot series and write it as CSV plus JSON sidecar."""
     src = _source_from(cfg)
     eff = _eff_from(cfg)
-    seed = _config_value(cfg, "seed", _integer, 0) if seed_override is None else seed_override
+    seed = _config_value(cfg, "seed", _integer, 0)
     sim = montecarlo.SimulationConfig(
         source=src,
         eff=eff,
         shots=_config_value(cfg, "shots", _integer, 10000),
         seed=seed,
         pump_x=_config_value(cfg, "pump_x", float, 0.0),
-        volts=bool(cfg.get("volts", False)),
+        volts=_config_value(cfg, "volts", _flag, False),
         conv=_config_value(cfg, "conv", _float_pair, (1.0, 1.0)),
         instrument_noise_var=_config_value(cfg, "instrument_noise_var", _float_pair, (0.0, 0.0)),
     )
     name = _config_value(cfg, "name", _text, "shots.csv")
     series = montecarlo.sample_series(sim)
-    resolved = dict(cfg)
-    resolved["seed"] = seed
-    seriesio.write_series(series, Path(out_dir) / name, extra_meta={"config": resolved})
+    seriesio.write_series(series, Path(out_dir) / name,
+                          extra_meta={"config": dict(cfg, seed=seed)})
     return EXIT_OK
 
 
-def cmd_analyze(cfg, out_dir):
+def cmd_analyze(cfg, out_dir, fmt="tsv"):
     """Reduce a CSV shot record to correlation, difference and fit statistics."""
     input_path = _config_value(cfg, "input", _text)
     lags = _config_value(cfg, "lags", lambda v: [_integer(lag) for lag in v], (0, 1, 2, 5))
+    fit = _config_value(cfg, "fit", _flag, False)
+    integer_mu = _config_value(cfg, "integer_mu", _flag, True)
+    name = _config_value(cfg, "name", _text, "analysis.json")
     series, meta = seriesio.read_series(input_path)
     gamma = {str(lag): analysis.correlation_function(series, lag) for lag in lags}
     report = {
@@ -237,18 +253,17 @@ def cmd_analyze(cfg, out_dir):
         "difference_histogram": _difference_histogram(series),
         "input_metadata": meta,
     }
-    if cfg.get("fit", False):
-        c1, c2 = series.counts()
-        for name, ch in (("channel1", c1), ("channel2", c2)):
-            fit = analysis.fit_multithermal(ch, integer_mu=bool(cfg.get("integer_mu", True)))
-            report[f"multithermal_fit_{name}"] = {
-                "mu": fit.mu_hat,
-                "v_mean": fit.v_mean_hat,
-                "chi2_per_bin": fit.goodness,
-                "n_clipped": fit.n_clipped,
-            }
-    _write_report(out_dir, _config_value(cfg, "name", _text, "analysis.json"), report, cfg)
+    if fit:
+        for channel, values in enumerate(series.counts(), start=1):
+            report[f"multithermal_fit_channel{channel}"] = _fit_entry(values, integer_mu)
+    _write_report(out_dir, name, report, cfg)
     return EXIT_OK
+
+
+def _fit_entry(values, integer_mu):
+    fit = analysis.fit_multithermal(values, integer_mu=integer_mu)
+    return {"mu": fit.mu_hat, "v_mean": fit.v_mean_hat, "chi2_per_bin": fit.goodness,
+            "n_clipped": fit.n_clipped}
 
 
 def _difference_histogram(series):
@@ -266,22 +281,17 @@ def _difference_histogram(series):
     return {f"{lo:.6g}": int(c) for lo, c in zip(edges[:-1], counts)}
 
 
-def cmd_fit(cfg, out_dir):
+def cmd_fit(cfg, out_dir, fmt="tsv"):
     """Multithermal fit of one channel of a CSV record."""
     input_path = _config_value(cfg, "input", _text)
     channel = _config_value(cfg, "channel", _integer, 1)
     if channel not in (1, 2):
         raise ValidationError(f"channel: must be 1 or 2, got {channel}")
+    integer_mu = _config_value(cfg, "integer_mu", _flag, True)
+    name = _config_value(cfg, "name", _text, "fit.json")
     series, _ = seriesio.read_series(input_path)
-    values = series.counts()[channel - 1]
-    fit = analysis.fit_multithermal(values, integer_mu=bool(cfg.get("integer_mu", True)))
-    _write_report(out_dir, _config_value(cfg, "name", _text, "fit.json"), {
-        "channel": channel,
-        "mu": fit.mu_hat,
-        "v_mean": fit.v_mean_hat,
-        "chi2_per_bin": fit.goodness,
-        "n_clipped": fit.n_clipped,
-    }, cfg)
+    entry = _fit_entry(series.counts()[channel - 1], integer_mu)
+    _write_report(out_dir, name, dict(entry, channel=channel), cfg)
     return EXIT_OK
 
 
@@ -295,7 +305,7 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     grid_cfg = _config_value(cfg, "eta_grid", _grid_spec, {})
     lo = _config_value(grid_cfg, "lo", float, 0.4)
     hi = _config_value(grid_cfg, "hi", float, 0.95)
-    points = _config_value(grid_cfg, "points", _integer, 12)
+    points = _config_value(grid_cfg, "points", _size, 12)
     eta1_grid = np.linspace(lo, hi, points)
     eta2_grid = np.linspace(lo, hi, points)
     eta_nominal = _config_value(cfg, "eta_nominal", float, None)
@@ -352,13 +362,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, seed_override=args.seed)
         if args.seed is not None:
             cfg = dict(cfg, seed=args.seed)
-        if args.command in ("analytic", "sweep", "noise-budget"):
-            return _COMMANDS[args.command](cfg, out_dir, fmt=args.format)
-        return _COMMANDS[args.command](cfg, out_dir)
+        return _COMMANDS[args.command](cfg, out_dir, args.format)
     except ValidationError as exc:
         print(f"photocorr {args.command}: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -18,7 +18,6 @@ from .sources import (
     COHERENT_PAIR,
     DEFAULT_TAIL_TOL,
     MAX_AUTO_CUTOFF,
-    SPLIT_THERMAL,
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
@@ -96,34 +95,38 @@ def detected_moments(dist: JointCountDistribution) -> MomentSet:
     return MomentSet(m1, m2, v1, v2, cov)
 
 
+def _pgf_coefficients(src: SourceSpec, eff: EfficiencyPair):
+    """Bose flag and coefficients (A, B, C) of a source's single-pair count pgf.
+
+    With u_j = z_j - 1, the detected-count pgf of one mode pair is exp(x)
+    (bose False) or 1/(1 - x) (bose True), x = A u1 + B u2 + C u1 u2.  With
+    a = 1 + eta1 u1 and b = 1 + eta2 u2 carrying the binomial thinning and
+    per-mode mean n (Mandel & Wolf, ch. 12-14):
+
+                       pgf                           A            B                C
+        twin beam      1/(1+n-n a b)                 n eta1       n eta2           n eta1 eta2
+        coherent pair  exp(n(a-1)+n(b-1))            n eta1       n eta2           0
+        split thermal  1/(1+2n-2n(tau a+(1-tau) b))  2n tau eta1  2n (1-tau) eta2  0
+    """
+    n, e1, e2 = src.per_mode_mean, eff.eta1, eff.eta2
+    if src.kind == TWIN_BEAM:
+        return True, n * e1, n * e2, n * e1 * e2
+    if src.kind == COHERENT_PAIR:
+        return False, n * e1, n * e2, 0.0
+    return True, 2.0 * n * src.tau * e1, 2.0 * n * (1.0 - src.tau) * e2, 0.0
+
+
 def analytic_moments(src: SourceSpec, eff: EfficiencyPair) -> MomentSet:
     """Closed-form detected moments for a source measured with efficiencies eff.
 
-    The mu mode pairs are independent and identically populated, so photon
-    moments are mu times the per-mode values; detection maps a photon-number
-    variance s2 and mean nb to eta**2 * s2 + eta * (1 - eta) * nb.
+    The cumulants of ln G**mu over mu independent mode pairs, at u = 0 (see
+    _pgf_coefficients): means mu A and mu B, factorial variances
+    mu bose A**2 and mu bose B**2, and covariance mu (bose A B + C).
     """
-    e1, e2 = eff.eta1, eff.eta2
-    n = src.per_mode_mean
+    bose, a, b, c = _pgf_coefficients(src, eff)
     mu = src.mu
-    if src.kind == TWIN_BEAM:
-        nb1 = nb2 = mu * n
-        s1 = s2 = mu * n * (1.0 + n)  # thermal marginal per mode, summed
-        cov_n = s1  # identical photon numbers per mode pair
-    elif src.kind == COHERENT_PAIR:
-        nb1 = nb2 = mu * n
-        s1 = s2 = mu * n
-        cov_n = 0.0
-    else:
-        a = 2.0 * n * src.tau
-        b = 2.0 * n * (1.0 - src.tau)
-        nb1, nb2 = mu * a, mu * b
-        s1 = mu * a * (1.0 + a)
-        s2 = mu * b * (1.0 + b)
-        cov_n = mu * 4.0 * n * n * src.tau * (1.0 - src.tau)
-    v1 = e1**2 * s1 + e1 * (1.0 - e1) * nb1
-    v2 = e2**2 * s2 + e2 * (1.0 - e2) * nb2
-    return MomentSet(e1 * nb1, e2 * nb2, v1, v2, e1 * e2 * cov_n)
+    return MomentSet(mu * a, mu * b, mu * (bose * a * a + a), mu * (bose * b * b + b),
+                     mu * (bose * a * b + c))
 
 
 def multimode_convolve(dist: JointCountDistribution, mu: int,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import EfficiencyPair, analytic_moments, detected_moments
+from .detection import EfficiencyPair, _pgf_coefficients, analytic_moments, detected_moments
 from .errors import TailToleranceError, UndefinedMarkerError, ValidationError
 from .sources import (
     COHERENT_PAIR,
@@ -111,30 +111,18 @@ def bessel_i(order: int, z: float, term_tol: float = 1e-15) -> float:
 
 
 def correlation_coefficient(src: SourceSpec, eff: EfficiencyPair) -> float:
-    """Correlation coefficient of the two detected photocurrents.
+    """Correlation coefficient cov / sqrt(var1 var2) of the two detected
+    photocurrents, from the closed-form moments (analytic_moments).
 
-    For a coherent pair this is exactly zero.  For twin-beam and balanced
-    split-thermal light, with per-mode mean n = N / mu,
-
-        twb:      (1 + n) sqrt(eta1 eta2) / sqrt((1 + eta1 n)(1 + eta2 n))
-        thermal:       n  sqrt(eta1 eta2) / sqrt((1 + eta1 n)(1 + eta2 n))
-
-    Summing over independent mode pairs scales covariance and variances by
-    the same factor mu, so the coefficient keeps the single-pair form at the
-    per-mode mean.  Raises UndefinedMarkerError when a beam's detected
+    A coherent pair is uncorrelated, so it returns exactly zero, also in
+    vacuum.  Otherwise raises UndefinedMarkerError when a beam's detected
     variance is zero (no photons, or zero efficiency).
     """
-    e1, e2 = eff.eta1, eff.eta2
     if src.kind == COHERENT_PAIR:
         return 0.0
     m = analytic_moments(src, eff)
     if m.var1 <= 0.0 or m.var2 <= 0.0:
         raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
-    n = src.per_mode_mean
-    if src.kind == TWIN_BEAM:
-        return (1.0 + n) * math.sqrt(e1 * e2) / math.sqrt((1.0 + e1 * n) * (1.0 + e2 * n))
-    if src.tau == 0.5:
-        return n * math.sqrt(e1 * e2) / math.sqrt((1.0 + e1 * n) * (1.0 + e2 * n))
     return m.cov / math.sqrt(m.var1 * m.var2)
 
 
@@ -156,31 +144,43 @@ def difference_from_joint(dist: JointCountDistribution) -> DifferenceDistributio
 def difference_variance(src: SourceSpec, eff: EfficiencyPair) -> VarianceReport:
     """Closed-form variance of the difference photocurrent.
 
-    With per-beam total mean N over mu modes (quadratic term scales as 1/mu):
-
-        coherent:  (eta1 + eta2) N
-        thermal:   (eta1 - eta2)**2 N**2 / mu + (eta1 + eta2) N
-        twb:       (eta1 - eta2)**2 N**2 / mu + (eta1 + eta2 - 2 eta1 eta2) N
-
-    The shot-noise benchmark is the coherent-pair value (eta1 + eta2) N.
+    The model is _difference_variance_model; a split-thermal source with
+    tau != 1/2 takes var1 + var2 - 2 cov of analytic_moments instead.  The
+    shot-noise benchmark is the coherent-pair value (eta1 + eta2) N.
     """
     e1, e2 = eff.eta1, eff.eta2
-    n_tot = src.n_mean
-    shot = (e1 + e2) * n_tot
-    if src.kind == COHERENT_PAIR:
-        s2 = shot
-    elif src.kind == SPLIT_THERMAL:
-        if src.tau == 0.5:
-            s2 = (e1 - e2) ** 2 * n_tot**2 / src.mu + (e1 + e2) * n_tot
-        else:
-            m = analytic_moments(src, eff)
-            s2 = m.var1 + m.var2 - 2.0 * m.cov
-    elif e1 == e2:
-        # balanced twin beam, kept in the textbook form so the identity is exact
-        s2 = 2.0 * e1 * (1.0 - e1) * n_tot
+    shot = (e1 + e2) * src.n_mean
+    if src.kind == SPLIT_THERMAL and src.tau != 0.5:
+        m = analytic_moments(src, eff)
+        s2 = m.var1 + m.var2 - 2.0 * m.cov
     else:
-        s2 = (e1 - e2) ** 2 * n_tot**2 / src.mu + (e1 + e2 - 2.0 * e1 * e2) * n_tot
+        s2 = _difference_variance_model(e1 - e2, 0.5 * (e1 + e2), src.n_mean, src.mu, src.kind)
     return VarianceReport(s2, shot, bool(s2 < shot))
+
+
+def _variance_terms(eta_bar, n, mu, kind):
+    """(floor, curvature) of sigma2(d) = floor + delta**2 * curvature.
+
+    For efficiencies eta_bar +- delta/2 and per-beam mean N = n over mu
+    modes (the split-thermal splitter balanced):
+
+        twin beam:      2 eta_bar (1 - eta_bar) N + delta**2 (N**2 / mu + N / 2)
+        split thermal:  2 eta_bar N               + delta**2 N**2 / mu
+        coherent pair:  2 eta_bar N
+
+    Arguments may be arrays that broadcast against each other.
+    """
+    if kind == TWIN_BEAM:
+        return 2.0 * eta_bar * (1.0 - eta_bar) * n, n**2 / mu + n / 2.0
+    if kind == SPLIT_THERMAL:
+        return 2.0 * eta_bar * n, n**2 / mu
+    return 2.0 * eta_bar * n, 0.0
+
+
+def _difference_variance_model(delta, eta_bar, n, mu, kind):
+    """sigma2(d) with efficiencies eta_bar +- delta/2 and N = n (see _variance_terms)."""
+    floor, curvature = _variance_terms(eta_bar, n, mu, kind)
+    return floor + delta**2 * curvature
 
 
 def variance_threshold(eff: EfficiencyPair):
@@ -207,29 +207,20 @@ _MAX_WINDOW = 1 << 24
 
 
 def _pgf_rates(src: SourceSpec, eff: EfficiencyPair):
-    """Rates (A, B) of the single-pair generating function of d = m1 - m2.
+    """Bose flag and rates (A - C, B - C) of the single-pair pgf of d = m1 - m2.
 
-    At z1 = z, z2 = 1/z each source's pgf depends on z only through
-    x = A (z - 1) + B (1/z - 1); with a = 1 - eta1 + eta1 z1,
-    b = 1 - eta2 + eta2 z2 and per-mode mean n:
-
-        twin beam      1/(1+n-n a b)                  = 1/(1-x), A = n eta1 (1-eta2), B = n eta2 (1-eta1)
-        coherent pair  exp(n(a-1)+n(b-1))             = exp(x),  A = n eta1,          B = n eta2
-        split thermal  1/(1+2n-2n(tau a+(1-tau) b))   = 1/(1-x), A = 2n tau eta1,     B = 2n (1-tau) eta2
-
-    A = 0 (B = 0) means d never exceeds (falls below) zero.
+    At z1 = z, z2 = 1/z the product u1 u2 of _pgf_coefficients equals
+    -(u1 + u2), so each source's pgf depends on z only through
+    x = (A - C)(z - 1) + (B - C)(1/z - 1).  A zero first (second) rate means
+    d never exceeds (falls below) zero.
     """
-    n, e1, e2 = src.per_mode_mean, eff.eta1, eff.eta2
-    if src.kind == TWIN_BEAM:
-        return n * e1 * (1.0 - e2), n * e2 * (1.0 - e1)
-    if src.kind == COHERENT_PAIR:
-        return n * e1, n * e2
-    return 2.0 * n * src.tau * e1, 2.0 * n * (1.0 - src.tau) * e2
+    bose, a, b, c = _pgf_coefficients(src, eff)
+    return bose, a - c, b - c
 
 
-def _log_pgf(kind, mu, x):
+def _log_pgf(bose, mu, x):
     """ln G**mu for mu mode pairs, G = exp(x) or 1/(1 - x); inf where 1/(1 - x) diverges."""
-    if kind == COHERENT_PAIR:
+    if not bose:
         return mu * x
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(np.real(x) < 1.0, -mu * np.log1p(-x), np.inf)
@@ -268,11 +259,11 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair, d_range=None,
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValidationError(f"tail_tol: must lie in (0, 1), got {tail_tol}")
-    a, b = _pgf_rates(src, eff)
-    kind, mu = src.kind, src.mu
+    bose, a, b = _pgf_rates(src, eff)
+    mu = src.mu
     # ln E[s**d] and ln E[s**-d] at s = e**u > 1
-    log_up = _log_pgf(kind, mu, a * np.expm1(_LN_S) + b * np.expm1(-_LN_S))
-    log_down = _log_pgf(kind, mu, b * np.expm1(_LN_S) + a * np.expm1(-_LN_S))
+    log_up = _log_pgf(bose, mu, a * np.expm1(_LN_S) + b * np.expm1(-_LN_S))
+    log_down = _log_pgf(bose, mu, b * np.expm1(_LN_S) + a * np.expm1(-_LN_S))
     log_tol = math.log(tail_tol / 2.0)
     lo = -_tail_edge(log_down, b, log_tol)
     hi = _tail_edge(log_up, a, log_tol)
@@ -289,7 +280,7 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair, d_range=None,
     start = lo - (m - (hi - lo + 1)) // 2
     theta = 2.0 * np.pi / m * np.arange(m // 2 + 1)
     x = -2.0 * (a + b) * np.sin(theta / 2.0) ** 2 - 1j * (a - b) * np.sin(theta)
-    probs = np.fft.irfft(np.exp(_log_pgf(kind, mu, x) + 1j * start * theta), m)
+    probs = np.fft.irfft(np.exp(_log_pgf(bose, mu, x) + 1j * start * theta), m)
     probs = np.maximum(probs[lo - start:hi - start + 1], 0.0)
     if a == b:
         probs = 0.5 * (probs + probs[::-1])

@@ -170,22 +170,31 @@ def sample_series(cfg: SimulationConfig) -> ShotSeries:
     return ShotSeries(v1, v2, "volts", cfg.conv, cfg.instrument_noise_var, truncations)
 
 
+def _pump_excess(kind, n, mu):
+    """Per-beam excess variance per unit pump_x**2 at per-beam mean n over mu modes.
+
+        twin beam:      (n**2 / mu) arcsinh(sqrt(n / mu))**2
+        split thermal:  2 n**2
+        coherent pair:  n**2
+
+    n may be an array.
+    """
+    if kind == TWIN_BEAM:
+        return n**2 / mu * np.arcsinh(np.sqrt(n / mu)) ** 2
+    if kind == SPLIT_THERMAL:
+        return 2.0 * n**2
+    return n**2
+
+
 def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
     """Per-beam variance in the bright-beam (multithermal) approximation.
 
-    twin beam:      (N**2/mu) (1 + x**2 arcsinh(sqrt(N/mu))**2)
-    split thermal:  N**2/mu + 2 x**2 N**2        (balanced splitter)
-    coherent pair:  N + x**2 N**2
-
-    The Bose linear term (+N) of the discrete thermal laws is dropped, as
-    appropriate when N >> mu.
+    N**2/mu for the thermal laws (N for a coherent pair) plus
+    pump_x**2 * _pump_excess.  The Bose linear term (+N) of the discrete
+    thermal laws is dropped, as appropriate when N >> mu.
     """
     if pump_x < 0:
         raise ValidationError(f"pump_x: must be >= 0, got {pump_x}")
     n_tot, mu = src.n_mean, src.mu
-    if src.kind == TWIN_BEAM:
-        amp = math.asinh(math.sqrt(n_tot / mu)) ** 2
-        return n_tot**2 / mu * (1.0 + pump_x**2 * amp)
-    if src.kind == SPLIT_THERMAL:
-        return n_tot**2 / mu + 2.0 * pump_x**2 * n_tot**2
-    return n_tot + pump_x**2 * n_tot**2
+    base = n_tot if src.kind == COHERENT_PAIR else n_tot**2 / mu
+    return float(base + pump_x**2 * _pump_excess(src.kind, n_tot, mu))

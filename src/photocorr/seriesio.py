@@ -57,8 +57,13 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
         raise DataError(f"{csv_path}: no such file")
     meta = {}
     if side.exists():
-        with open(side) as fh:
-            meta = json.load(fh)
+        try:
+            with open(side) as fh:
+                meta = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{side}: invalid JSON sidecar: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"{side}: expected a JSON object sidecar, got {type(meta).__name__}")
     unit = meta.get("unit", "counts")
     counts_mode = unit == "counts"
     dtype = np.int64 if counts_mode else float

@@ -22,7 +22,7 @@ from photocorr import (
     sample_series,
     solve_pump_noise,
 )
-from photocorr.analysis import _difference_variance_model
+from photocorr.markers import _difference_variance_model
 
 PAPER_TWB = dict(sigma2=2.124e11, m1=7.225e6, m2=7.212e6, mu=14, eta=0.67)
 PAPER_THERMAL = dict(sigma2=4.097e13, m1=2.22e8, m2=2.22e8, mu=15, eta=0.71)
@@ -234,6 +234,14 @@ class TestSolvePumpNoise:
             solve_pump_noise(1.0, 0.0, 0.5, 10.0, 10.0, 1)
         with pytest.raises(ValidationError):
             solve_pump_noise(1.0, 0.5, 0.5, 10.0, 10.0, 1, kind="coherent_pair")
+
+    @pytest.mark.parametrize("mu", [0, -3, 1.5])
+    def test_mode_count_validated(self, mu):
+        # the budget divides by mu; a bad count must not end in ZeroDivisionError
+        with pytest.raises(ValidationError, match="mu"):
+            solve_pump_noise(1.0, 0.5, 0.5, 10.0, 10.0, mu)
+        with pytest.raises(ValidationError, match="mu"):
+            imbalance_bounds(1e9, 10.0, 10.0, mu, 0.5)
 
 
 class TestNoiseSurface:

@@ -89,6 +89,17 @@ BUDGET = {"sigma2_measured": 1.0e6, "m1": 7.0e5, "m2": 7.0e5, "mu": 14}
     ("noise-budget", dict(BUDGET, eta_grid=[0.5, 0.9]), "eta_grid"),
     ("analyze", {"input": "shots.csv", "lags": ["x"]}, "lags"),
     ("simulate", [SIM], "JSON object"),
+    ("noise-budget", dict(BUDGET, eta_grid={"points": 0}), "points"),
+    ("noise-budget", dict(BUDGET, eta_grid={"points": -1}), "points"),
+    ("sweep", {"eta": [0.5, 0.5], "n_points": -1}, "n_points"),
+    ("sweep", {"eta": [0.5, 0.5], "n_points": 0}, "n_points"),
+    ("noise-budget", dict(BUDGET, mu=0), "mu"),
+    ("simulate", dict(SIM, volts="no"), "volts"),
+    ("simulate", dict(SIM, volts=1), "volts"),
+    ("analytic", {"eta": [0.5, 0.5], "joint": "yes"}, "joint"),
+    ("analyze", {"input": "shots.csv", "fit": "no"}, "fit"),
+    ("analyze", {"input": "shots.csv", "integer_mu": 0}, "integer_mu"),
+    ("fit", {"input": "shots.csv", "integer_mu": "false"}, "integer_mu"),
 ])
 def test_wrong_typed_config_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -134,6 +145,15 @@ class TestAnalyze:
         big.write_text("shot,m1,m2\n0,99999999999999999999,1\n")
         cfg = write_config(tmp_path, "ana.json", {"input": str(big)})
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+    def test_bad_sidecar_exits_3(self, tmp_path, capsys, sidecar):
+        csv = tmp_path / "s.csv"
+        csv.write_text("shot,m1,m2\n0,1,2\n")
+        (tmp_path / "s.json").write_text(sidecar)
+        cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+        assert "s.json" in capsys.readouterr().err
 
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -76,6 +76,15 @@ def test_empty_data_rejected(tmp_path):
         read_series(path)
 
 
+@pytest.mark.parametrize("sidecar", [b'{"unit": "counts"', b"[1, 2]", b'"counts"', b"\xff\xfe{}"])
+def test_bad_sidecar_names_the_sidecar(tmp_path, sidecar):
+    path = tmp_path / "s.csv"
+    path.write_text("shot,m1,m2\n0,1,2\n")
+    sidecar_path(path).write_bytes(sidecar)
+    with pytest.raises(DataError, match="s.json"):
+        read_series(path)
+
+
 def test_table_format(tmp_path):
     path = write_table(tmp_path / "t.tsv", {"d": [0, 1], "p": [0.5, 0.25]})
     lines = path.read_text().splitlines()
