@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -102,7 +103,9 @@ def _float_pair(value):
 
 def _number_list(value):
     arr = np.asarray(value)
-    if arr.ndim != 1 or arr.dtype.kind not in "biuf":
+    # np.asarray turns [1, true] into integers, so booleans are looked for by element
+    if (arr.ndim != 1 or arr.dtype.kind not in "iuf"
+            or any(isinstance(v, bool) for v in value)):
         raise ValueError(f"expected a list of numbers, got {value!r}")
     return arr
 
@@ -267,18 +270,28 @@ def _fit_entry(values, integer_mu):
 
 
 def _difference_histogram(series):
+    """Histogram of d = c1 - c2 with Freedman-Diaconis bins, in numeric order.
+
+    The bin width is 2 IQR / shots**(1/3).  For counts it is rounded up to an
+    integer >= 1 and the edges are integers, so each bin holds the integers
+    e_i <= d < e_(i+1).  For volts the range [min d, max d] is split into
+    ceil(range / width) equal bins (one bin when the width is 0).  Every
+    shot falls in one bin.
+    """
     c1, c2 = series.counts()
     d = c1 - c2
-    if series.unit == "counts":
-        values, counts = np.unique(d.astype(np.int64), return_counts=True)
-        return {str(int(v)): int(c) for v, c in zip(values, counts)}
     q75, q25 = np.percentile(d, [75, 25])
     width = 2.0 * (q75 - q25) * d.size ** (-1.0 / 3.0)
-    if width <= 0:
-        return {}
-    edges = np.arange(d.min(), d.max() + width, width)
-    counts, edges = np.histogram(d, bins=edges)
-    return {f"{lo:.6g}": int(c) for lo, c in zip(edges[:-1], counts)}
+    lo, hi = d.min(), d.max()
+    if series.unit == "counts":
+        width = max(1, math.ceil(width))
+        index = ((d - lo) // width).astype(np.intp)
+        counts = np.bincount(index)
+        edges = int(lo) + width * np.arange(counts.size + 1)
+    else:
+        bins = math.ceil((hi - lo) / width) if width > 0 else 1
+        counts, edges = np.histogram(d, bins=bins, range=(lo, hi))
+    return {"edges": edges, "counts": counts}
 
 
 def cmd_fit(cfg, out_dir, fmt="tsv"):

@@ -1,27 +1,44 @@
 """Monte Carlo generation of per-shot detected counts and voltages.
 
-Each laser shot produces mu independent mode pairs.  Per shot the chain is:
-draw photon numbers for every mode pair, thin each beam binomially with its
-quantum efficiency, sum over modes, and optionally convert the totals to
-boxcar voltages v = alpha * m plus additive Gaussian instrument noise.
+Each laser shot produces mu independent mode pairs.  Per shot the detected
+counts (m1, m2) are drawn from their exact law, with as few variates as that
+law allows and only (shots,) arrays, and are optionally converted to boxcar
+voltages v = alpha * m plus additive Gaussian instrument noise.  With a
+per-shot pump scale u (1 without pump noise) and per-mode mean n = N / mu:
 
-Pump-laser excess noise (fraction pump_x of the mean) jitters the per-mode
-means from shot to shot.  The jitter is injected so that the per-beam
-detected-count excess matches the error-propagation budget used by the
-analysis module:
+* split thermal: the photon total of the mu modes, before the splitter, is
+  T ~ NegBin(mu, 1 / (1 + 2 n u)), drawn as Poisson(2 n u g) with g a
+  standard Gamma(mu) variate.  Each photon is detected in beam 1 with
+  probability tau eta1 and in beam 2 with probability (1-tau) eta2, so
+  m1 ~ Bin(T, tau eta1) and m2 | m1 ~ Bin(T - m1, (1-tau) eta2 / (1 - tau eta1))
+  (probability 0 when tau eta1 = 1).  Three variates per shot, and u.
+* coherent pair: a thinned Poisson law is Poisson, so
+  m_j ~ Poisson(N u eta_j), independently.
+* twin beam without pump noise: both beams carry the same photon number
+  n1 = n2 ~ NegBin(mu, 1 / (1 + n)), drawn as Poisson(n g), thinned by two
+  independent binomials.
+* twin beam with pump noise: drawn mode by mode (see below), then thinned.
+
+Pump-laser excess noise (fraction pump_x of the mean) jitters the means from
+shot to shot.  The jitter is injected so that the per-beam detected-count
+excess matches the error-propagation budget used by the analysis module:
 
 * twin beam: the squeezing gain maps a pump scale u to a per-mode mean
-  sinh(G sqrt(u))**2 with G = arcsinh(sqrt(N/mu)).  Scales are drawn
+  a = sinh(G sqrt(u))**2 with G = arcsinh(sqrt(N/mu)).  Scales are drawn
   independently per shot, per mode and per beam with standard deviation
   pump_x / (eta_j * sqrt(2)); the 1/eta_j factor compensates the thinning
   attenuation and the 1/sqrt(2) the fact that a thermal law turns mean
   jitter into variance twice (once through the mean, once through the
   mean-squared term of its own variance).  The two beams of a pair stay
-  maximally correlated through a shared uniform.
+  maximally correlated through one shared Exp(1) variate E per mode: beam j
+  counts floor(E / log1p(1 / a_j)) photons, the geometric inverse cdf.
+  Independent per-beam scales are a model choice made to match the budget
+  that solve_pump_noise inverts, not physics derived from the source paper:
+  a real pump scales both beams of a pair together.
 * split thermal / coherent pair: the mean scales linearly with a per-shot
-  scale common to both beams, with standard deviation sqrt(2) * pump_x
-  (thermal, matching an excess of 2 x**2 N**2 per beam) or pump_x
-  (coherent, excess x**2 N**2).
+  scale common to all modes and both beams, with standard deviation
+  sqrt(2) * pump_x (thermal, matching an excess of 2 x**2 N**2 per beam) or
+  pump_x (coherent, excess x**2 N**2).
 
 Negative Gaussian scales are truncated at zero and counted, not redrawn.
 """
@@ -93,72 +110,38 @@ class ShotSeries:
         return self.ch1 / self.conv[0], self.ch2 / self.conv[1]
 
 
-def _thermal_inverse(u, mean):
-    """Comonotone thermal draw: inverse cdf of the geometric law at u."""
-    out = np.zeros_like(u)
-    pos = mean > 0
-    if np.any(pos):
-        log_r = -np.log1p(1.0 / mean[pos])  # log(mean/(1+mean)), no cancellation
-        out[pos] = np.floor(np.log1p(-u[pos]) / log_r)
-    return out.astype(np.int64)
-
-
 def sample_series(cfg: SimulationConfig) -> ShotSeries:
     """Simulate a shot series for the configured source and detection chain.
 
     Deterministic for a fixed config: all randomness comes from one
     counter-based generator seeded with cfg.seed, consumed in a fixed order
-    (pump scales, photon draws, thinning for channel 1 then 2, instrument
-    noise).
+    (pump scales and photon numbers, thinning, instrument noise).  Each
+    source draws the law of the module docstring with (shots,) vectors only.
     """
     src, eff = cfg.source, cfg.eff
-    k, mu = cfg.shots, src.mu
+    k = cfg.shots
     n = src.per_mode_mean
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    truncations = 0
 
     if src.kind == TWIN_BEAM:
-        gain = math.asinh(math.sqrt(n))
         if cfg.pump_x > 0:
-            s1 = cfg.pump_x / (eff.eta1 * math.sqrt(2.0)) if eff.eta1 > 0 else 0.0
-            s2 = cfg.pump_x / (eff.eta2 * math.sqrt(2.0)) if eff.eta2 > 0 else 0.0
-            u1 = rng.normal(1.0, s1, (k, mu))
-            u2 = rng.normal(1.0, s2, (k, mu))
-            truncations = int((u1 < 0).sum() + (u2 < 0).sum())
-            np.clip(u1, 0.0, None, out=u1)
-            np.clip(u2, 0.0, None, out=u2)
-            mean1 = np.sinh(gain * np.sqrt(u1)) ** 2
-            mean2 = np.sinh(gain * np.sqrt(u2)) ** 2
+            n1, n2, truncations = _pumped_twin_beam(rng, cfg)
         else:
-            mean1 = mean2 = np.full((k, mu), n)
-        shared = rng.random((k, mu))
-        n1 = _thermal_inverse(shared, mean1).sum(axis=1)
-        n2 = _thermal_inverse(shared, mean2).sum(axis=1)
+            n1 = n2 = rng.poisson(n * rng.standard_gamma(src.mu, k))
+            truncations = 0
+        m1, m2 = _thin(rng, n1, eff.eta1), _thin(rng, n2, eff.eta2)
     elif src.kind == SPLIT_THERMAL:
-        if cfg.pump_x > 0:
-            u = rng.normal(1.0, cfg.pump_x * math.sqrt(2.0), k)
-            truncations = int((u < 0).sum())
-            np.clip(u, 0.0, None, out=u)
-        else:
-            u = np.ones(k)
-        total_mean = 2.0 * n * u[:, None] * np.ones((1, mu))
-        totals = _thermal_inverse(rng.random((k, mu)), total_mean)
-        n1 = rng.binomial(totals, src.tau).sum(axis=1)
-        n2 = (totals.sum(axis=1) - n1).astype(np.int64)
-        n1 = n1.astype(np.int64)
+        u, truncations = _pump_scales(rng, math.sqrt(2.0) * cfg.pump_x, k)
+        total = rng.poisson(2.0 * n * u * rng.standard_gamma(src.mu, k))
+        # each photon of the total lands in beam 1, in beam 2 or nowhere
+        p1 = src.tau * eff.eta1
+        p2 = min((1.0 - src.tau) * eff.eta2 / (1.0 - p1), 1.0) if p1 < 1.0 else 0.0
+        m1 = _thin(rng, total, p1)
+        m2 = _thin(rng, total - m1, p2)
     else:
-        if cfg.pump_x > 0:
-            u = rng.normal(1.0, cfg.pump_x, k)
-            truncations = int((u < 0).sum())
-            np.clip(u, 0.0, None, out=u)
-        else:
-            u = np.ones(k)
-        lam = src.n_mean * u
-        n1 = rng.poisson(lam)
-        n2 = rng.poisson(lam)
-
-    m1 = rng.binomial(n1, eff.eta1) if eff.eta1 < 1.0 else n1
-    m2 = rng.binomial(n2, eff.eta2) if eff.eta2 < 1.0 else n2
+        u, truncations = _pump_scales(rng, cfg.pump_x, k)
+        m1 = rng.poisson(src.n_mean * eff.eta1 * u)
+        m2 = rng.poisson(src.n_mean * eff.eta2 * u)
 
     if not cfg.volts:
         return ShotSeries(m1.astype(np.int64), m2.astype(np.int64), "counts",
@@ -168,6 +151,47 @@ def sample_series(cfg: SimulationConfig) -> ShotSeries:
     v1 = a1 * m1 + (rng.normal(0.0, math.sqrt(nv1), k) if nv1 > 0 else 0.0)
     v2 = a2 * m2 + (rng.normal(0.0, math.sqrt(nv2), k) if nv2 > 0 else 0.0)
     return ShotSeries(v1, v2, "volts", cfg.conv, cfg.instrument_noise_var, truncations)
+
+
+def _pump_scales(rng, sd, size):
+    """Pump scales N(1, sd**2) truncated at zero, and the number truncated."""
+    if sd == 0:
+        return np.ones(size), 0
+    u = rng.normal(1.0, sd, size)
+    truncations = int(np.count_nonzero(u < 0))
+    np.clip(u, 0.0, None, out=u)
+    return u, truncations
+
+
+def _thin(rng, counts, eta):
+    """Binomial thinning of each count with success probability eta."""
+    return rng.binomial(counts, eta) if eta < 1.0 else counts
+
+
+def _pumped_twin_beam(rng, cfg):
+    """Photon totals (n1, n2) of a pump-noisy twin beam, summed mode by mode.
+
+    Per mode pair, one Exp(1) variate E is shared by both beams and beam j
+    counts floor(E / log1p(1 / a_j)) photons, a geometric law of mean a_j
+    (the inverse cdf at the uniform 1 - exp(-E)).  a_j = sinh(G sqrt(u_j))**2
+    with its own pump scale u_j per mode and beam.
+    """
+    k, mu = cfg.shots, cfg.source.mu
+    gain = math.asinh(math.sqrt(cfg.source.per_mode_mean))
+    sds = [cfg.pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0
+           for eta in (cfg.eff.eta1, cfg.eff.eta2)]
+    totals = np.zeros((2, k), dtype=np.int64)
+    truncations = 0
+    with np.errstate(divide="ignore"):
+        for _ in range(mu):
+            e = rng.standard_exponential(k)
+            for total, sd in zip(totals, sds):
+                u, cut = _pump_scales(rng, sd, k)
+                truncations += cut
+                mean = np.sinh(gain * np.sqrt(u)) ** 2
+                # a zero mean gives log1p(inf) = inf and a draw of 0
+                total += np.floor(e / np.log1p(1.0 / mean)).astype(np.int64)
+    return totals[0], totals[1], truncations
 
 
 def _pump_excess(kind, n, mu):

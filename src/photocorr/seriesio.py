@@ -66,19 +66,10 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
             raise DataError(f"{side}: expected a JSON object sidecar, got {type(meta).__name__}")
     unit = meta.get("unit", "counts")
     counts_mode = unit == "counts"
-    dtype = np.int64 if counts_mode else float
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        expected = "shot,m1,m2" if counts_mode else "shot,v1,v2"
-        if header != expected:
-            raise DataError(f"{csv_path}: line 1: expected header {expected!r}, got {header!r}")
-        rows = _load_rows(fh, dtype)
-        if rows is None:
-            fh.seek(0)
-            fh.readline()
-            ch1, ch2 = _scan_rows(fh, csv_path, dtype)
-        else:
-            ch1, ch2 = np.ascontiguousarray(rows[:, 1:].T)
+    try:
+        ch1, ch2 = _read_rows(csv_path, counts_mode)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{csv_path}: not UTF-8 text: {exc}") from None
     series = ShotSeries(
         ch1,
         ch2,
@@ -88,6 +79,22 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
         meta.get("pump_truncations", 0),
     )
     return series, meta
+
+
+def _read_rows(csv_path, counts_mode):
+    """The two channel columns of the record, after its header is checked."""
+    dtype = np.int64 if counts_mode else float
+    with open(csv_path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        expected = "shot,m1,m2" if counts_mode else "shot,v1,v2"
+        if header != expected:
+            raise DataError(f"{csv_path}: line 1: expected header {expected!r}, got {header!r}")
+        rows = _load_rows(fh, dtype)
+        if rows is None:
+            fh.seek(0)
+            fh.readline()
+            return _scan_rows(fh, csv_path, dtype)
+        return np.ascontiguousarray(rows[:, 1:].T)
 
 
 def _load_rows(fh, dtype):

@@ -19,16 +19,21 @@ def run(args):
 
 
 class TestSimulate:
-    def test_reruns_are_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, "sim.json", {
-            "source": "twin_beam", "n_mean": 2.0, "mu": 2,
-            "eta": [0.6, 0.7], "shots": 5, "seed": 9,
-        })
+    @pytest.mark.parametrize("unit", ["counts", "volts"])
+    @pytest.mark.parametrize("pump", ["quiet", "pump"])
+    @pytest.mark.parametrize("source", ["twin_beam", "coherent_pair", "split_thermal"])
+    def test_reruns_are_byte_identical(self, tmp_path, source, pump, unit):
+        payload = {"source": source, "n_mean": 2.0, "mu": 2,
+                   "eta": [0.6, 0.7], "shots": 50, "seed": 9}
+        if pump == "pump":
+            payload["pump_x"] = 0.3
+        if unit == "volts":
+            payload.update(volts=True, conv=[0.5, 0.25], instrument_noise_var=[0.01, 0.02])
+        cfg = write_config(tmp_path, "sim.json", payload)
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "a"]) == EXIT_OK
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "b"]) == EXIT_OK
-        a = (tmp_path / "a" / "shots.csv").read_bytes()
-        b = (tmp_path / "b" / "shots.csv").read_bytes()
-        assert a == b
+        for name in ("shots.csv", "shots.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", {
@@ -100,6 +105,9 @@ BUDGET = {"sigma2_measured": 1.0e6, "m1": 7.0e5, "m2": 7.0e5, "mu": 14}
     ("analyze", {"input": "shots.csv", "fit": "no"}, "fit"),
     ("analyze", {"input": "shots.csv", "integer_mu": 0}, "integer_mu"),
     ("fit", {"input": "shots.csv", "integer_mu": "false"}, "integer_mu"),
+    ("sweep", {"eta": [0.5, 0.5], "n_grid": [True, False]}, "n_grid"),
+    ("sweep", {"eta": [0.5, 0.5], "n_grid": [1.0, True]}, "n_grid"),
+    ("sweep", {"eta": [0.5, 0.5], "eta_grid": [0.5, False]}, "eta_grid"),
 ])
 def test_wrong_typed_config_exits_2(tmp_path, capsys, command, payload, key):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -154,6 +162,46 @@ class TestAnalyze:
         cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
         assert "s.json" in capsys.readouterr().err
+
+    def test_non_utf8_record_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"shot,m1,m2\n0,1,2\n1,\xff,3\n")
+        cfg = write_config(tmp_path, "ana.json", {"input": str(bad)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+        assert "bad.csv" in capsys.readouterr().err
+
+    def analyze(self, tmp_path, csv):
+        cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        return json.loads((tmp_path / "analysis.json").read_text())
+
+    def test_count_histogram_has_integer_edges(self, tmp_path):
+        csv = self.make_series(tmp_path, source="twin_beam", n_mean=400.0, mu=3,
+                               eta=[0.6, 0.7], shots=20000)
+        hist = self.analyze(tmp_path, csv)["difference_histogram"]
+        edges, counts = np.array(hist["edges"]), np.array(hist["counts"])
+        assert all(isinstance(e, int) for e in hist["edges"])
+        assert np.all(np.diff(edges) == edges[1] - edges[0]) and edges[1] > edges[0]
+        assert len(counts) == len(edges) - 1 and counts.sum() == 20000
+        # each bin holds the differences e_i <= d < e_(i+1)
+        m = np.loadtxt(csv, delimiter=",", skiprows=1, dtype=np.int64)
+        d = m[:, 1] - m[:, 2]
+        assert np.array_equal(counts, np.histogram(d, edges - 0.5)[0])
+        # Freedman-Diaconis width, rounded up to an integer
+        q75, q25 = np.percentile(d, [75, 25])
+        assert edges[1] - edges[0] == math.ceil(2.0 * (q75 - q25) / 20000 ** (1 / 3))
+
+    def test_volt_histogram_covers_every_shot(self, tmp_path):
+        csv = self.make_series(tmp_path, volts=True, conv=[0.5, 0.25], shots=5000)
+        hist = self.analyze(tmp_path, csv)["difference_histogram"]
+        assert np.all(np.diff(hist["edges"]) > 0)
+        assert len(hist["counts"]) == len(hist["edges"]) - 1
+        assert sum(hist["counts"]) == 5000
+
+    def test_constant_difference_is_one_bin(self, tmp_path):
+        csv = self.make_series(tmp_path, source="twin_beam", eta=[1.0, 1.0], shots=300)
+        hist = self.analyze(tmp_path, csv)["difference_histogram"]
+        assert hist == {"edges": [0, 1], "counts": [300]}
 
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

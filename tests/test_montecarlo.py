@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from photocorr import (
     EfficiencyPair,
     SimulationConfig,
     SourceSpec,
     ValidationError,
+    analytic_moments,
     correlation_coefficient,
     difference_variance,
+    multimode_convolve,
     predicted_beam_variance,
     sample_series,
     solve_pump_noise,
+    source_joint,
+    thin_joint,
 )
 
 
@@ -101,6 +106,51 @@ class TestAgainstAnalytic:
             assert abs(m - eta * 10.0) < 3 * se
 
 
+class TestExactLaw:
+    """Sampled (m1, m2) against the exact mu-mode law of the detected counts."""
+
+    @pytest.mark.parametrize("kind,tau,eta", [
+        ("twin_beam", 0.5, (0.6, 0.7)),
+        ("coherent_pair", 0.5, (0.6, 0.7)),
+        ("split_thermal", 0.5, (0.6, 0.7)),
+        ("split_thermal", 0.3, (0.9, 0.5)),
+        ("split_thermal", 1.0, (1.0, 0.7)),
+    ])
+    def test_joint_counts_chi2(self, kind, tau, eta):
+        n_mean, mu, shots = 2.0, 3, 200_000
+        eff = EfficiencyPair(*eta)
+        one_pair = source_joint(SourceSpec(kind, n_mean / mu, 1, tau))
+        expected = multimode_convolve(thin_joint(one_pair, eff), mu).probs * shots
+        s = sample_series(SimulationConfig(SourceSpec(kind, n_mean, mu, tau), eff,
+                                           shots=shots, seed=11))
+        observed = np.zeros(expected.shape)
+        inside = (s.ch1 < expected.shape[0]) & (s.ch2 < expected.shape[1])
+        np.add.at(observed, (s.ch1[inside], s.ch2[inside]), 1.0)
+        # cells expecting fewer than 5 shots are pooled with the window's tail
+        cells = expected >= 5
+        obs = np.append(observed[cells], shots - observed[cells].sum())
+        exp = np.append(expected[cells], shots - expected[cells].sum())
+        chi2 = float(((obs - exp) ** 2 / exp).sum())
+        assert stats.chi2.sf(chi2, obs.size - 1) > 1e-3
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_bright_moments(self, kind):
+        cfg = cfg_for(kind, 1.0e6, 14, (0.66, 0.68), shots=100_000, seed=41)
+        s = sample_series(cfg)
+        want = analytic_moments(cfg.source, cfg.eff)
+        c1, c2 = s.ch1.astype(float), s.ch2.astype(float)
+        x1, x2 = c1 - c1.mean(), c2 - c2.mean()
+        k = len(s)
+        for got, se, ref in [
+            (c1.mean(), x1.std() / math.sqrt(k), want.mean1),
+            (c2.mean(), x2.std() / math.sqrt(k), want.mean2),
+            (*var_and_se(c1), want.var1),
+            (*var_and_se(c2), want.var2),
+            ((x1 * x2).mean(), (x1 * x2).std() / math.sqrt(k), want.cov),
+        ]:
+            assert abs(got - ref) < 4 * se
+
+
 class TestShotIndependence:
     @pytest.mark.parametrize("kind", SOURCES)
     def test_lag_one_uncorrelated(self, kind):
@@ -129,6 +179,26 @@ class TestPumpNoise:
         fit = solve_pump_noise(1.0, 0.6, 0.7, 600.0, 700.0, 14)  # for base and coefficient
         want = fit.base_sigma2 + x**2 * fit.excess_coefficient
         assert abs(v - want) < 3 * se + 0.02 * want
+
+    def test_pumped_twin_beam_marginals(self):
+        # Per mode, beam j draws a geometric count of mean a_j = sinh(G sqrt(u_j))**2 with
+        # u_j ~ N(1, sd_j**2): E[n] = E[a] and Var n = E[a] + 2 E[a**2] - E[a]**2 exactly.
+        # The expectations over u_j use Gauss-Hermite quadrature; u_j is truncated at 0
+        # as in the sampler, which happens with probability below 1e-5 here.
+        n_mean, mu, eta, x = 20.0, 3, (0.6, 0.7), 0.2
+        s = sample_series(cfg_for("twin_beam", n_mean, mu, eta, seed=17, pump_x=x))
+        z, w = np.polynomial.hermite_e.hermegauss(96)
+        w = w / w.sum()
+        gain = math.asinh(math.sqrt(n_mean / mu))
+        for ch, e in ((s.ch1, eta[0]), (s.ch2, eta[1])):
+            u = np.clip(1.0 + x / (e * math.sqrt(2.0)) * z, 0.0, None)
+            a = np.sinh(gain * np.sqrt(u)) ** 2
+            ea, ea2 = w @ a, w @ (a * a)
+            mean_n, var_n = mu * ea, mu * (ea + 2.0 * ea2 - ea * ea)
+            c = ch.astype(float)
+            assert abs(c.mean() - e * mean_n) < 4 * c.std() / math.sqrt(len(c))
+            v, se = var_and_se(c)
+            assert abs(v - (e * e * var_n + e * (1.0 - e) * mean_n)) < 4 * se
 
     def test_truncation_counter(self):
         cfg = cfg_for("twin_beam", 10.0, 2, (0.5, 0.5), shots=2000, seed=2, pump_x=0.8)

@@ -85,6 +85,14 @@ def test_bad_sidecar_names_the_sidecar(tmp_path, sidecar):
         read_series(path)
 
 
+@pytest.mark.parametrize("body", [b"shot,m1,m2\n0,1,2\n1,\xff,3\n", b"shot,m\xe91,m2\n0,1,2\n"])
+def test_non_utf8_record_names_the_record(tmp_path, body):
+    path = tmp_path / "s.csv"
+    path.write_bytes(body)
+    with pytest.raises(DataError, match="s.csv"):
+        read_series(path)
+
+
 def test_table_format(tmp_path):
     path = write_table(tmp_path / "t.tsv", {"d": [0, 1], "p": [0.5, 0.25]})
     lines = path.read_text().splitlines()
