@@ -39,7 +39,6 @@ from .errors import (
 from .markers import (
     DifferenceDistribution,
     VarianceReport,
-    bessel_i,
     correlation_coefficient,
     correlation_from_joint,
     difference_analytic,
@@ -94,7 +93,6 @@ __all__ = [
     "ValidationError",
     "VarianceReport",
     "analytic_moments",
-    "bessel_i",
     "coherent_pair_joint",
     "correlation_coefficient",
     "correlation_from_joint",

@@ -105,14 +105,20 @@ class MultithermalFit:
     n_clipped: int = 0
 
 
-def fit_multithermal(values, integer_mu: bool = True, mu_max: int = 200) -> MultithermalFit:
+_MU_MAX = 200  # largest mode count fit_multithermal considers
+_ETA_WINDOW = 0.2  # imbalance_bounds scans eta_nominal * (1 -+ _ETA_WINDOW)
+
+
+def fit_multithermal(values, integer_mu: bool = True) -> MultithermalFit:
     """Fit the mode count and mean of a multithermal (Gamma-shaped) channel.
 
     The mean is the maximum-likelihood estimate for every fixed mode count,
-    so only the shape is searched: over the integers 1..mu_max when
-    integer_mu, else by continuous one-dimensional maximization.  Values at
-    or below zero (possible in voltage records) are clipped to zero, counted,
-    and excluded from the likelihood.
+    so only the shape mu is searched, over [1, _MU_MAX]: on the integers when
+    integer_mu, else by bisection (_bisect, to 1e-9) on the sign of the
+    profile log-likelihood's central difference ll(mu (1 + 1e-4)) -
+    ll(mu (1 - 1e-4)), which moves the root by about 3e-9 relative.  Values
+    at or below zero (possible in voltage records) are clipped to zero,
+    counted, and excluded from the likelihood.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 1000:
@@ -124,24 +130,34 @@ def fit_multithermal(values, integer_mu: bool = True, mu_max: int = 200) -> Mult
     v_mean = v.mean()
     mean_log = np.log(v).mean()
 
-    def mean_loglik(mu):
+    def mean_loglik(mu, log_gamma_mu):
         # profile log-likelihood per sample at the ML mean
-        return ((mu - 1.0) * mean_log - mu - math.lgamma(mu)
-                - mu * math.log(v_mean / mu))
+        return (mu - 1.0) * mean_log - mu - log_gamma_mu - mu * np.log(v_mean / mu)
 
     if integer_mu:
-        grid = np.arange(1, mu_max + 1, dtype=float)
-        log_gamma = _log_factorial(mu_max - 1)  # lgamma(mu) = log((mu - 1)!)
-        ll = (grid - 1.0) * mean_log - grid - log_gamma - grid * np.log(v_mean / grid)
-        mu_hat = float(grid[np.argmax(ll)])
+        grid = np.arange(1, _MU_MAX + 1, dtype=float)
+        # lgamma(mu) = log((mu - 1)!)
+        mu_hat = float(grid[np.argmax(mean_loglik(grid, _log_factorial(_MU_MAX - 1)))])
     else:
-        from scipy.optimize import minimize_scalar
+        def rising(mu):
+            up, down = mu * (1.0 + 1e-4), mu * (1.0 - 1e-4)
+            return mean_loglik(up, math.lgamma(up)) > mean_loglik(down, math.lgamma(down))
 
-        res = minimize_scalar(lambda m: -mean_loglik(m), bounds=(1.0, float(mu_max)),
-                              method="bounded", options={"xatol": 1e-8})
-        mu_hat = float(res.x)
+        mu_hat = _bisect(rising, 1.0, float(_MU_MAX), 1e-9)
     goodness = _chi2_per_bin(v, mu_hat, v_mean)
     return MultithermalFit(mu_hat, float(v_mean), goodness, clipped)
+
+
+def _bisect(holds, lo, hi, tol):
+    """Last point of [lo, hi], to within tol, where holds, a predicate true up
+    to some point and false after it, is still true; lo if it never holds.
+    tol must exceed the float spacing at hi, or the halving never ends."""
+    if holds(hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
 
 
 def _chi2_per_bin(v, mu, v_mean):
@@ -170,16 +186,16 @@ def _check_budget(kind, mu):
         raise ValidationError(f"mu: must be an integer >= 1, got {mu}")
 
 
-def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM,
-                     window=0.2):
+def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
     """Efficiency-imbalance interval compatible with a measured variance.
 
     Solves sigma2 = floor + delta**2 * curvature (markers._variance_terms)
     for delta = |eta1 - eta2| with the mean photon number tied to the
     detected means, N = (m1+m2)/(2 eta), while the mean efficiency eta scans
-    eta_nominal * (1 -+ window) (clamped so both efficiencies stay <= 1).
-    The solution is monotone in the mean efficiency, so the interval is
-    spanned by the two endpoints.
+    eta_nominal * (1 -+ _ETA_WINDOW).  The solution grows with the mean
+    efficiency, so the interval is spanned by the two endpoints; the upper
+    one is clamped by bisection (_bisect, to 1e-14 in eta) to the last
+    efficiency with eta + delta/2 <= 1.
 
     Returns (0.0, 0.0) when the measurement does not exceed the balanced
     model at the nominal efficiency; raises InconsistentDataError when no
@@ -197,31 +213,23 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM,
     def delta_at(eta_bar):
         floor, curvature = _variance_terms(eta_bar, m_bar / eta_bar, mu, kind)
         rhs = sigma2_measured - floor
-        if rhs <= 0.0:
-            return None
-        return math.sqrt(rhs / curvature)
+        return math.sqrt(rhs / curvature) if rhs > 0.0 else None
 
-    lo_eta = eta_nominal * (1.0 - window)
-    hi_eta = min(eta_nominal * (1.0 + window), 1.0)
+    lo_eta = eta_nominal * (1.0 - _ETA_WINDOW)
+    hi_eta = min(eta_nominal * (1.0 + _ETA_WINDOW), 1.0)
 
-    def overshoot(eta_bar):
+    def admissible(eta_bar):
         d = delta_at(eta_bar)
-        return (eta_bar + d / 2.0) - 1.0 if d is not None else -1.0
+        return d is None or eta_bar + d / 2.0 <= 1.0
 
     # keep eta_bar + delta/2 <= 1 at the upper end of the scan
-    if overshoot(hi_eta) > 0.0:
-        if overshoot(lo_eta) > 0.0:
-            raise InconsistentDataError(
-                "no admissible efficiency pair reproduces the measured variance")
-        from scipy.optimize import brentq
-
-        hi_eta = brentq(overshoot, lo_eta, hi_eta, xtol=1e-12)
-
-    candidates = [d for d in (delta_at(lo_eta), delta_at(hi_eta)) if d is not None]
-    if not candidates:
+    if not admissible(hi_eta):
+        hi_eta = _bisect(admissible, lo_eta, hi_eta, 1e-14)
+    hi = delta_at(hi_eta)
+    if hi is None or not admissible(hi_eta):
         raise InconsistentDataError(
             "no admissible efficiency pair reproduces the measured variance")
-    return (min(candidates) if len(candidates) == 2 else 0.0, max(candidates))
+    return (delta_at(lo_eta) or 0.0, hi)
 
 
 @dataclass(frozen=True)

@@ -88,28 +88,6 @@ class VarianceReport:
     below_shot_noise: bool
 
 
-def bessel_i(order: int, z: float, term_tol: float = 1e-15) -> float:
-    """Modified Bessel function of the first kind, by its ascending series.
-
-    Accurate for the moderate arguments that occur here (z up to a few tens);
-    terms are added until they fall below term_tol relative to the sum.
-    """
-    if order < 0:
-        order = -order
-    if z == 0.0:
-        return 1.0 if order == 0 else 0.0
-    half = z / 2.0
-    term = math.exp(order * math.log(half) - math.lgamma(order + 1))
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= half * half / (k * (order + k))
-        total += term
-        if term < term_tol * total:
-            return total
-
-
 def correlation_coefficient(src: SourceSpec, eff: EfficiencyPair) -> float:
     """Correlation coefficient cov / sqrt(var1 var2) of the two detected
     photocurrents, from the closed-form moments (analytic_moments).

@@ -55,6 +55,11 @@ from .errors import ValidationError
 from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec
 
 
+#: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
+#: and pump scale), and numpy's Poisson sampler and int64 counts end near 9.2e18.
+_MAX_N_MEAN = 1e15
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     source: SourceSpec
@@ -70,6 +75,9 @@ class SimulationConfig:
         if int(self.shots) != self.shots or self.shots < 1:
             raise ValidationError(f"shots: must be an integer >= 1, got {self.shots}")
         object.__setattr__(self, "shots", int(self.shots))
+        if self.source.n_mean > _MAX_N_MEAN:
+            raise ValidationError(f"n_mean: must be <= {_MAX_N_MEAN:g} to simulate, "
+                                  f"so that counts fit in int64, got {self.source.n_mean:g}")
         if self.pump_x < 0:
             raise ValidationError(f"pump_x: must be >= 0, got {self.pump_x}")
         if self.volts and (self.conv[0] <= 0 or self.conv[1] <= 0):

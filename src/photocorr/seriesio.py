@@ -101,8 +101,8 @@ def _load_rows(fh, dtype):
     """Parse the data rows in one numpy call; None if they are not plain rows.
 
     Anything numpy rejects or warns about (a malformed field, a row of the
-    wrong width, an empty body) returns None, so the caller can rescan the
-    rows with _scan_rows to name the offending line.
+    wrong width, an empty body) or a nan or inf channel value returns None,
+    so the caller can rescan the rows with _scan_rows to name the line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -110,14 +110,14 @@ def _load_rows(fh, dtype):
             rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=2)
         except (ValueError, OverflowError, Warning):
             return None
-    if rows.shape[0] < 1 or rows.shape[1] != 3:
+    if rows.shape[0] < 1 or rows.shape[1] != 3 or not np.isfinite(rows[:, 1:]).all():
         return None
     return rows
 
 
 def _scan_rows(fh, csv_path, dtype):
     """Line-by-line parse of the data rows; raises DataError at the first bad line."""
-    parse = _parse_count if dtype is np.int64 else float
+    parse = _parse_count if dtype is np.int64 else _parse_volts
     ch1, ch2 = [], []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
@@ -140,6 +140,13 @@ def _parse_count(text):
     value = int(text)
     if not _INT64.min <= value <= _INT64.max:
         raise ValueError(f"count {value} is outside the int64 range")
+    return value
+
+
+def _parse_volts(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"voltage {text.strip()!r} is not finite")
     return value
 
 

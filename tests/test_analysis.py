@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import digamma, polygamma
 
 from photocorr import (
     EfficiencyPair,
@@ -22,7 +24,7 @@ from photocorr import (
     sample_series,
     solve_pump_noise,
 )
-from photocorr.markers import _difference_variance_model
+from photocorr.markers import _difference_variance_model, _variance_terms
 
 PAPER_TWB = dict(sigma2=2.124e11, m1=7.225e6, m2=7.212e6, mu=14, eta=0.67)
 PAPER_THERMAL = dict(sigma2=4.097e13, m1=2.22e8, m2=2.22e8, mu=15, eta=0.71)
@@ -141,6 +143,19 @@ class TestFitMultithermal:
         fit = fit_multithermal(v, integer_mu=False)
         assert fit.mu_hat == pytest.approx(14.0, rel=0.05)
 
+    @pytest.mark.parametrize("scale", [1.0, 7.2e6])
+    @pytest.mark.parametrize("mu", [0.8, 1.2, 5.5, 14.3, 150.0])
+    def test_continuous_mode_is_the_exact_mle(self, mu, scale):
+        # the Gamma-shape MLE solves ln mu - psi(mu) = ln mean(v) - mean(ln v)
+        rng = np.random.Generator(np.random.Philox(int(mu * 10)))
+        v = rng.gamma(mu, scale / mu, 200000)
+        s = math.log(v.mean()) - np.log(v).mean()
+        want = 0.5 / s
+        for _ in range(50):
+            want -= (math.log(want) - digamma(want) - s) / (1.0 / want - polygamma(1, want))
+        fit = fit_multithermal(v, integer_mu=False)
+        assert fit.mu_hat == pytest.approx(max(want, 1.0), rel=1e-7)
+
     def test_clipping_counter(self):
         rng = np.random.Generator(np.random.Philox(100))
         v = rng.gamma(5.0, 0.2, 50000)
@@ -191,7 +206,30 @@ class TestImbalanceBounds:
     def test_no_solution_raises(self):
         with pytest.raises(InconsistentDataError):
             # far too large for any efficiency pair below one
-            imbalance_bounds(1e9, 100.0, 100.0, 1, 0.9, window=0.05)
+            imbalance_bounds(1e9, 100.0, 100.0, 1, 0.9)
+
+    @pytest.mark.parametrize("eta_nominal", [0.85, 0.9])
+    @pytest.mark.parametrize("p, kind", [(PAPER_TWB, "twin_beam"),
+                                         (PAPER_THERMAL, "split_thermal")])
+    def test_clamped_upper_end_matches_root_search(self, p, kind, eta_nominal):
+        m_bar = 0.5 * (p["m1"] + p["m2"])
+
+        def delta(eta_bar):
+            floor, curvature = _variance_terms(eta_bar, m_bar / eta_bar, p["mu"], kind)
+            return math.sqrt((p["sigma2"] - floor) / curvature)
+
+        def overshoot(eta_bar):
+            return eta_bar + delta(eta_bar) / 2.0 - 1.0
+
+        assert overshoot(min(1.2 * eta_nominal, 1.0)) > 0.0  # the clamp is reached
+        root = brentq(overshoot, 0.8 * eta_nominal, 1.0, xtol=1e-15)
+        while overshoot(root) > 0.0:  # the last admissible efficiency
+            root = np.nextafter(root, 0.0)
+        lo, hi = imbalance_bounds(p["sigma2"], p["m1"], p["m2"], p["mu"], eta_nominal, kind)
+        assert lo == pytest.approx(delta(0.8 * eta_nominal), rel=1e-14)
+        # delta grows with eta_bar, so hi <= delta(root), up to the rounding of
+        # delta, means eta_bar + hi/2 <= 1 at the returned end
+        assert -4 * np.spacing(hi) <= delta(root) - hi <= 1e-11
 
     def test_validation(self):
         with pytest.raises(ValidationError):

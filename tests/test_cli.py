@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +71,14 @@ class TestSimulate:
         cfg.write_text('{"source": "twin_beam", "n_mean": Infinity, "eta": [0.5, 0.5], '
                        '"shots": 10}')
         assert run([command, "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("source", ["twin_beam", "coherent_pair", "split_thermal"])
+    def test_mean_beyond_int64_counts_exits_2(self, tmp_path, capsys, source):
+        cfg = write_config(tmp_path, "sim.json", {
+            "source": source, "n_mean": 1e20, "mu": 14, "eta": [0.6, 0.7], "shots": 10,
+        })
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+        assert "n_mean" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "none.json", "--out", tmp_path]) == EXIT_VALIDATION
@@ -202,6 +212,16 @@ class TestAnalyze:
         csv = self.make_series(tmp_path, source="twin_beam", eta=[1.0, 1.0], shots=300)
         hist = self.analyze(tmp_path, csv)["difference_histogram"]
         assert hist == {"edges": [0, 1], "counts": [300]}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_volts_exit_3(self, tmp_path, capsys, value):
+        csv = tmp_path / "v.csv"
+        rows = "".join(f"{i},{0.5 * i},3.0\n" for i in range(20))
+        csv.write_text("shot,v1,v2\n" + rows.replace("4,2.0,3.0", f"4,{value},3.0"))
+        (tmp_path / "v.json").write_text('{"unit": "volts"}')
+        cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+        assert "line 6" in capsys.readouterr().err
 
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -416,3 +436,35 @@ class TestNoiseBudget:
     def test_missing_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "nb.json", {"sigma2_measured": 1.0})
         assert run(["noise-budget", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+
+
+_SCIPY_BLOCKED = {
+    "analytic": {"n_mean": 2.0, "mu": 2, "eta": [0.6, 0.7], "joint": True},
+    "sweep": {"eta": [0.6, 0.7], "n_points": 5},
+    "simulate": {"source": "split_thermal", "n_mean": 50.0, "mu": 3, "eta": [0.6, 0.7],
+                 "shots": 100, "pump_x": 0.1, "volts": True},
+    "analyze": {"input": "shots.csv", "fit": True, "integer_mu": False},
+    "fit": {"input": "shots.csv", "integer_mu": False},
+    # eta_nominal 0.85 puts the upper end of the imbalance scan past eta + delta/2 = 1
+    "noise-budget": {"sigma2_measured": 2.124e11, "m1": 7.225e6, "m2": 7.212e6, "mu": 14,
+                     "source": "twin_beam", "eta_nominal": 0.85,
+                     "eta_grid": {"lo": 0.6, "hi": 0.9, "points": 3}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SCIPY_BLOCKED))
+def test_runs_with_scipy_blocked(tmp_path, command):
+    # a None entry in sys.modules makes every import of scipy fail
+    sim = write_config(tmp_path, "sim.json", {
+        "source": "split_thermal", "n_mean": 200.0, "mu": 14, "eta": [0.7, 0.7],
+        "shots": 5000, "seed": 6, "name": "shots.csv"})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == EXIT_OK
+    cfg = dict(_SCIPY_BLOCKED[command])
+    if "input" in cfg:
+        cfg["input"] = str(tmp_path / cfg["input"])
+    code = ('import sys; sys.modules["scipy"] = None; from photocorr.cli import main; '
+            'sys.exit(main(sys.argv[1:]))')
+    args = [command, "--config", write_config(tmp_path, "cfg.json", cfg),
+            "--out", str(tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert out.returncode == EXIT_OK, out.stderr

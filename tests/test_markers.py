@@ -13,7 +13,6 @@ from photocorr import (
     UndefinedMarkerError,
     ValidationError,
     analytic_moments,
-    bessel_i,
     correlation_coefficient,
     correlation_from_joint,
     difference_analytic,
@@ -35,20 +34,6 @@ def total_variation(dd_a, dd_b):
     lo = min(dd_a.support[0], dd_b.support[0])
     hi = max(dd_a.support[1], dd_b.support[1])
     return 0.5 * sum(abs(dd_a.prob(d) - dd_b.prob(d)) for d in range(lo, hi + 1))
-
-
-class TestBesselI:
-    @pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
-    @pytest.mark.parametrize("z", [0.1, 1.0, 2.0, 10.0, 30.0])
-    def test_against_scipy(self, order, z):
-        assert bessel_i(order, z) == pytest.approx(iv(order, z), rel=1e-13)
-
-    def test_zero_argument(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(3, 0.0) == 0.0
-
-    def test_negative_order_symmetric(self):
-        assert bessel_i(-2, 1.5) == bessel_i(2, 1.5)
 
 
 class TestCorrelationCoefficient:

@@ -64,6 +64,16 @@ def test_count_outside_int64_reports_line_number(tmp_path):
         read_series(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_volts_report_line_number(tmp_path, value):
+    path = tmp_path / "v.csv"
+    rows = "".join(f"{i},{0.5 * i},3.0\n" for i in range(20))
+    path.write_text("shot,v1,v2\n" + rows + f"20,4.0,{value}\n")
+    sidecar_path(path).write_text('{"unit": "volts"}')
+    with pytest.raises(DataError, match=f"line 22: voltage '{value}' is not finite"):
+        read_series(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="no such file"):
         read_series(tmp_path / "nope.csv")
