@@ -59,6 +59,11 @@ from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec
 #: and pump scale), and numpy's Poisson sampler and int64 counts end near 9.2e18.
 _MAX_N_MEAN = 1e15
 
+#: A pumped twin beam must keep its mean within _MAX_N_MEAN up to this many
+#: standard deviations of the pump scale above 1 (a draw beyond it has
+#: probability below 1e-23).  The mean grows as exp(2 G sqrt(u)) in the scale u.
+_PUMP_SDS = 10.0
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -80,6 +85,15 @@ class SimulationConfig:
                                   f"so that counts fit in int64, got {self.source.n_mean:g}")
         if self.pump_x < 0:
             raise ValidationError(f"pump_x: must be >= 0, got {self.pump_x}")
+        if self.source.kind == TWIN_BEAM and self.pump_x > 0:
+            gain = math.asinh(math.sqrt(self.source.per_mode_mean))
+            top = 1.0 + _PUMP_SDS * max(_twin_beam_pump_sds(self.pump_x, self.eff))
+            if gain * math.sqrt(top) > math.asinh(math.sqrt(_MAX_N_MEAN / self.source.mu)):
+                raise ValidationError(
+                    f"pump_x: {self.pump_x:g} is too large for a twin beam of n_mean "
+                    f"{self.source.n_mean:g} at eta {self.eff.eta1:g}, {self.eff.eta2:g}: a pump "
+                    f"scale {_PUMP_SDS:g} standard deviations up would make the mean exceed "
+                    f"{_MAX_N_MEAN:g}, and counts overflow int64")
         if self.volts and (self.conv[0] <= 0 or self.conv[1] <= 0):
             raise ValidationError(f"conv: must be > 0 for voltage output, got {self.conv}")
         if min(self.instrument_noise_var) < 0:
@@ -186,8 +200,7 @@ def _pumped_twin_beam(rng, cfg):
     """
     k, mu = cfg.shots, cfg.source.mu
     gain = math.asinh(math.sqrt(cfg.source.per_mode_mean))
-    sds = [cfg.pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0
-           for eta in (cfg.eff.eta1, cfg.eff.eta2)]
+    sds = _twin_beam_pump_sds(cfg.pump_x, cfg.eff)
     totals = np.zeros((2, k), dtype=np.int64)
     truncations = 0
     with np.errstate(divide="ignore"):
@@ -200,6 +213,11 @@ def _pumped_twin_beam(rng, cfg):
                 # a zero mean gives log1p(inf) = inf and a draw of 0
                 total += np.floor(e / np.log1p(1.0 / mean)).astype(np.int64)
     return totals[0], totals[1], truncations
+
+
+def _twin_beam_pump_sds(pump_x, eff):
+    """Standard deviations of the twin beam's per-beam pump scales (0 where eta is 0)."""
+    return [pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0 for eta in (eff.eta1, eff.eta2)]
 
 
 def _pump_excess(kind, n, mu):

@@ -5,11 +5,18 @@ A series is stored as a CSV file with header ``shot,m1,m2`` (counts) or
 same stem carrying the calibration metadata (conversion coefficients,
 instrument-noise variances, unit) and any extra provenance the writer adds.
 Counts round-trip exactly; voltages are written with 12 significant digits.
+
+Records and tables are formatted block-wise in numpy, a fixed number of rows
+at a time, with the exact bytes of C ``%d``, ``%.12g`` and ``%.12e``.  An
+element whose digits the numpy path cannot prove correctly rounded (a
+near-tie, nan, inf, a magnitude outside about 1e-296..1e308) is formatted by
+Python's ``%`` for that element alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -29,10 +36,10 @@ def write_series(series: ShotSeries, csv_path, extra_meta=None) -> Path:
     csv_path = Path(csv_path)
     counts_mode = series.unit == "counts"
     names = ("m1", "m2") if counts_mode else ("v1", "v2")
-    row = "%d,%d,%d\n" if counts_mode else "%d,%.12g,%.12g\n"
+    value = "%d" if counts_mode else "%.12g"
     with open(csv_path, "w") as fh:
         fh.write(f"shot,{names[0]},{names[1]}\n")
-        _write_rows(fh, row, (range(len(series.ch1)), series.ch1, series.ch2))
+        _write_rows(fh, ("%d", value, value), (range(len(series.ch1)), series.ch1, series.ch2))
     meta = {
         "unit": series.unit,
         "alpha1": series.conv[0],
@@ -70,15 +77,25 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
         ch1, ch2 = _read_rows(csv_path, counts_mode)
     except UnicodeDecodeError as exc:
         raise DataError(f"{csv_path}: not UTF-8 text: {exc}") from None
-    series = ShotSeries(
-        ch1,
-        ch2,
-        unit,
-        (meta.get("alpha1", 1.0), meta.get("alpha2", 1.0)),
-        (meta.get("noise_var1", 0.0), meta.get("noise_var2", 0.0)),
-        meta.get("pump_truncations", 0),
-    )
+    conv = (meta.get("alpha1", 1.0), meta.get("alpha2", 1.0))
+    if not counts_mode:  # the coefficients divide the voltages; counts never use them
+        conv = tuple(_calibration(meta, side, key, 1.0, positive=True) for key in ("alpha1", "alpha2"))
+    noise = tuple(_calibration(meta, side, key, 0.0) for key in ("noise_var1", "noise_var2"))
+    series = ShotSeries(ch1, ch2, unit, conv, noise, meta.get("pump_truncations", 0))
     return series, meta
+
+
+def _calibration(meta, side, key, default, positive=False):
+    """The sidecar's value of key: a finite number >= 0, and > 0 where positive."""
+    value = meta.get(key, default)
+    try:
+        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+    except OverflowError:  # an integer beyond the double range
+        number = None
+    if number is None or not math.isfinite(number) or number < 0 or (positive and number == 0):
+        need = "a positive finite number" if positive else "a finite number >= 0"
+        raise DataError(f"{side}: {key}: must be {need}, got {value!r}")
+    return value
 
 
 def _read_rows(csv_path, counts_mode):
@@ -168,13 +185,210 @@ def write_table(path, columns, fmt="tsv") -> Path:
             fh.write("\n")
         return path
     sep = {"tsv": "\t", "csv": ","}[fmt]
-    row = sep.join("%d" if np.issubdtype(c.dtype, np.integer) else "%.12e" for c in cols)
+    specs = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.12e" for c in cols]
     with open(path, "w") as fh:
         fh.write(sep.join(columns) + "\n")
-        _write_rows(fh, row + "\n", cols)
+        _write_rows(fh, specs, cols, sep)
     return path
 
 
-def _write_rows(fh, row, columns):
-    """Write row % values for each row of values read across the columns."""
-    fh.writelines(row % r for r in zip(*columns))
+# Rows formatted per block: a block of a five-column table holds about 0.4 MB
+# while it is built, however long the table.
+_BLOCK_ROWS = 1024
+
+# Fields are rows of little-endian uint64 words: byte i of a word is bits
+# 8i..8i+7.  NUL bytes pad a field anywhere and are dropped before writing.
+_ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
+
+
+def _words(texts):
+    """Each ASCII string of up to 8 bytes as one NUL-padded word."""
+    return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), "<u8").astype(np.uint64)
+
+
+# The four zero-padded digits of every integer below 10**4 ("0042") as a word,
+# and the number of their trailing zeros (4 for 0).
+_digit_bytes = np.zeros((10, 10, 10, 10, 8), np.uint8)
+for _k in range(4):
+    _digit_bytes[..., _k] = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8).reshape((10,) + (1,) * (3 - _k))
+_FOUR_DIGITS = _digit_bytes.view("<u8").ravel().astype(np.uint64)
+_TRAILING_ZEROS = np.zeros(10_000, np.int8)
+for _k in range(1, 5):
+    _TRAILING_ZEROS.reshape(-1, 10**_k)[:, 0] += 1
+del _digit_bytes, _k
+
+# 'e' and the signed exponent, at least two digits, for -330..330; the last entry is empty.
+_EXP_MIN = -330
+_EXPONENTS = _words([f"e{k:+03d}" for k in range(_EXP_MIN, -_EXP_MIN + 1)] + [""])
+
+# What %.12e prints after the sign: the lead digit and the point.
+_LEAD_DIGIT = _words([f"\0{d}." for d in range(10)])
+
+# What %g prints before the digits of a value below 1e-1, indexed by -exponent (0 for none).
+_SMALL_PREFIX = _words(["", "0.", "0.0", "0.00", "0.000"])
+
+_POW10_INT = np.array([10**k for k in range(20)], dtype=np.uint64)
+_BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # low k bytes
+
+# Correctly rounded doubles 10**k (Python's float parse rounds correctly), so
+# each is within a relative 2**-53 of the power.
+_POW10_MIN, _POW10_MAX = -300, 308
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, _POW10_MAX + 1)])
+
+
+def _write_rows(fh, specs, columns, sep=","):
+    """Write the rows read across the columns, spec % value per field.
+
+    Byte for byte the text of sep.join(specs) % row + "\\n" for each row of
+    zip(*columns), built a block of rows at a time: every column becomes a
+    NUL-padded field matrix ending in its separator (a newline for the last
+    column), the fields are joined, and the NUL bytes are dropped before the
+    block is written to the text handle fh.
+    """
+    n = min((len(c) for c in columns), default=0)
+    tails = [ord(sep)] * (len(columns) - 1) + [ord("\n")]
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        text = np.concatenate([_format_column(spec, _block(col, lo, hi), tail)
+                               for spec, col, tail in zip(specs, columns, tails)], axis=1).tobytes()
+        text = text.translate(None, b"\0")
+        fh.write(text.decode("ascii"))
+
+
+def _block(col, lo, hi):
+    """Rows lo:hi of a column; a range (the shot index) becomes an integer array."""
+    part = col[lo:hi]
+    return np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
+
+
+def _format_column(spec, values, tail):
+    """Words of spec % v for each v, one NUL-padded row each, ending in tail.
+
+    Integer and boolean values take the %d path; integers, booleans and
+    floats take the %.12e / %.12g path as doubles (the conversion Python's %
+    makes).  Any other dtype, %d of a float, and the
+    values the float path cannot prove correctly rounded, are formatted by
+    Python's % value by value.
+    """
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if spec == "%d" and kind in "biu":
+        return _format_d(arr, tail)
+    if spec in ("%.12e", "%.12g") and kind in "biuf":
+        x = arr.astype(np.float64, copy=False)
+        words, ok = _format_float(x, spec == "%.12e", tail)
+        redo = np.flatnonzero(~ok)
+        if redo.size:
+            words[redo] = _python_fields(spec, x[redo].tolist(), tail, words.shape[1])
+        return words
+    return _python_fields(spec, values, tail)
+
+
+def _python_fields(spec, values, tail, n_words=1):
+    """spec % v by Python for each v, as rows of at least n_words words."""
+    raw = np.array([spec % v for v in values], dtype="S")
+    words = np.zeros((len(raw), max(n_words, raw.itemsize // 8 + 1)), np.uint64)
+    fields = words.view(np.uint8)
+    fields[:, :raw.itemsize] = raw.view(np.uint8).reshape(len(raw), -1)
+    fields[:, -1] = tail
+    return words
+
+
+def _quads(v, n):
+    """The n four-digit groups of each integer 0 <= v < 10**(4 n), most significant first."""
+    groups = []
+    for _ in range(n):
+        v, q = np.divmod(v, 10_000)
+        groups.insert(0, q)
+    return groups
+
+
+def _format_d(v, tail):
+    """%d of integers of any width, signed or not, and of booleans."""
+    mag = v.astype(np.uint64)
+    neg = v < 0
+    np.negative(mag, out=mag, where=neg)  # two's complement: |int64 min| is 2**63
+    n_digits = np.maximum(np.searchsorted(_POW10_INT, mag, side="right"), 1)
+    # 8 * n_words digits, zero-padded so that each row has a leading zero to hold its sign
+    n_words = int(n_digits.max()) // 8 + 1
+    n_lead = 8 * n_words - n_digits
+    quads = _quads(mag, 2 * n_words)
+    words = np.empty((len(v), n_words + 1), np.uint64)
+    for j in range(n_words):
+        words[:, j] = (_FOUR_DIGITS[quads[2 * j]] | _FOUR_DIGITS[quads[2 * j + 1]] << 32) \
+            & ~_BYTE_MASK[np.minimum(np.maximum(n_lead - 8 * j, 0), 8)]
+    words[:, 0] |= neg.astype(np.uint64) * _MINUS
+    words[:, -1] = tail
+    return words
+
+
+def _round_significant(x, n):
+    """|x| rounded to n significant digits: (m, e, ok), |x| ~ m * 10**(e - n + 1).
+
+    m has exactly n digits (m = 0 and e = 0 for x = 0).  Where ok is False
+    the digits could not be proven correctly rounded (nan, inf, a magnitude
+    outside the power table, a near-tie), and m = e = 0.
+
+    The proof: p = |x| * fl(10**s) lies within 2 * 2**-53 relative of the
+    exact t = |x| * 10**s (two correct roundings), so |p - t| < p * 2**-51.
+    Where p is farther than that from every half-integer, rint(p) = round(t).
+    s comes from floor(log10|x|), which may be off by one next to a power of
+    ten; so p is accepted anywhere in [10**(n-1) - 0.04, 10**n + 4).  The
+    values within 0.04 below 10**(n-1) round to 10**(n-1) at either exponent,
+    and those from 10**n - 0.5 up carry to (10**(n-1), e + 1) at either, so
+    no exact comparison with a power of ten is needed.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (n - 1) - np.floor(np.log10(a))
+        k = np.fmin(np.fmax(s, _POW10_MIN), _POW10_MAX).astype(np.int64)  # nan -> _POW10_MIN
+        p = a * _POW10[k - _POW10_MIN]
+        ok = ((s == k) & (p >= 10.0 ** (n - 1) - 0.04) & (p < 10.0**n + 4.0)
+              & (np.abs(p - np.floor(p) - 0.5) > p * 2.0**-51))
+    m = np.rint(np.where(ok, p, 0.0)).astype(np.int64)
+    carry = m >= 10**n
+    m[carry] = 10 ** (n - 1)
+    return m, np.where(ok, (n - 1) - k + carry, 0), ok | (a == 0)
+
+
+def _format_float(x, e_form, tail):
+    """%.12e (e_form) or %.12g words of doubles, and where they are right.
+
+    %.12e is the lead digit, the point, 12 digits and the exponent.  For
+    %.12g, with X the exponent after rounding to 12 digits, -4 <= X < 12
+    prints fixed-point (X < 0 as '0.' and -X - 1 zeros before the digits),
+    any other X in exponent form; trailing zeros of the fraction are dropped,
+    and the point with them when no fraction digit is left.
+    """
+    m, exp, ok = _round_significant(x, 13 if e_form else 12)
+    sign = np.signbit(x).astype(np.uint64) * _MINUS
+    words = np.empty((len(x), 4), np.uint64)  # sign and what precedes the 12 digits; 8; 4; exponent
+    if e_form:
+        lead = m // 10**12
+        m = m - lead * 10**12
+        words[:, 0] = sign | _LEAD_DIGIT[lead]
+        words[:, 3] = _EXPONENTS[exp - _EXP_MIN] | tail << 56
+    high, mid, low = _quads(m, 3)
+    a = _FOUR_DIGITS[high] | _FOUR_DIGITS[mid] << 32
+    b = _FOUR_DIGITS[low]
+    if not e_form:
+        # keep the significant digits and every integer digit
+        n_sig = np.where(low != 0, 12 - _TRAILING_ZEROS[low],
+                         np.where(mid != 0, 8 - _TRAILING_ZEROS[mid], 4 - _TRAILING_ZEROS[high]))
+        fixed = (exp >= -4) & (exp < 12)
+        n_int = np.where(fixed, np.maximum(exp + 1, 0), 1)
+        n_kept = np.maximum(n_sig, n_int)
+        a &= _BYTE_MASK[np.minimum(n_kept, 8)]
+        b &= _BYTE_MASK[np.maximum(n_kept - 8, 0)]
+        # insert the point after n_int digits (a NUL where the point is dropped)
+        point = ((n_kept > n_int) & (n_int > 0)).astype(np.uint64) * _POINT
+        in_a = n_int < 8
+        at = (n_int % 8).astype(np.uint64)
+        word = np.where(in_a, a, b)
+        word = word & _BYTE_MASK[at] | point << 8 * at | (word & ~_BYTE_MASK[at]) << 8
+        a, b = np.where(in_a, word, a), np.where(in_a, b << 8 | a >> 56, word)
+        words[:, 0] = sign | _SMALL_PREFIX[np.where(fixed & (exp < 0), -exp, 0)] << 8
+        words[:, 3] = _EXPONENTS[np.where(fixed, -1, exp - _EXP_MIN)] | tail << 56
+    words[:, 1] = a
+    words[:, 2] = b
+    return words, ok

@@ -80,6 +80,15 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
         assert "n_mean" in capsys.readouterr().err
 
+    def test_pump_beyond_int64_counts_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sim.json", {
+            "source": "twin_beam", "n_mean": 1e6, "mu": 1, "eta": [0.5, 0.5], "pump_x": 100,
+            "shots": 1000,
+        })
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+        assert "pump_x" in capsys.readouterr().err
+        assert not (tmp_path / "shots.csv").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "none.json", "--out", tmp_path]) == EXIT_VALIDATION
 
@@ -222,6 +231,18 @@ class TestAnalyze:
         cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
         assert "line 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("alpha1", "x"), ("alpha1", 0), ("alpha2", -2.0),
+                                            ("alpha2", None), ("noise_var1", -1.0),
+                                            ("noise_var2", "0.1")])
+    def test_bad_calibration_exits_3(self, tmp_path, capsys, key, value):
+        csv = tmp_path / "v.csv"
+        csv.write_text("shot,v1,v2\n" + "".join(f"{i},{0.5 * i},{3.0 - 0.1 * i}\n" for i in range(31)))
+        (tmp_path / "v.json").write_text(json.dumps({"unit": "volts", key: value}))
+        cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "v.json" in err and key in err
 
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -162,7 +162,7 @@ class TestMultimodeConvolve:
 
 
 def test_import_leaves_scipy_stats_and_signal_unloaded():
-    # no scipy module at all: scipy is imported lazily, and only by the fits that need it
+    # no scipy module at all: the package does not import scipy
     for module in ("photocorr", "photocorr.cli"):
         code = (f"import sys, {module}; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

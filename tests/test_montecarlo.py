@@ -200,6 +200,20 @@ class TestPumpNoise:
             v, se = var_and_se(c)
             assert abs(v - (e * e * var_n + e * (1.0 - e) * mean_n)) < 4 * se
 
+    @pytest.mark.parametrize("eta", [(0.5, 0.5), (0.9, 0.05)])
+    def test_pump_bound_keeps_counts_in_int64(self, eta):
+        # a pump scale 10 sd up must keep the mean of mu modes within 1e15; the last
+        # accepted pump_x samples without overflow, the next one is refused before sampling
+        gain = math.asinh(math.sqrt(1e6))
+        top = (math.asinh(math.sqrt(1e15)) / gain) ** 2
+        x_max = (top - 1.0) / 10.0 * min(eta) * math.sqrt(2.0)
+        s = sample_series(cfg_for("twin_beam", 1e6, 1, eta, shots=2000, pump_x=0.999 * x_max))
+        assert s.ch1.min() >= 0 and s.ch2.min() >= 0
+        with pytest.raises(ValidationError, match="pump_x"):
+            cfg_for("twin_beam", 1e6, 1, eta, pump_x=1.001 * x_max)
+        with pytest.raises(ValidationError, match="pump_x"):
+            cfg_for("twin_beam", 1e6, 1, eta, pump_x=100.0)
+
     def test_truncation_counter(self):
         cfg = cfg_for("twin_beam", 10.0, 2, (0.5, 0.5), shots=2000, seed=2, pump_x=0.8)
         assert sample_series(cfg).pump_truncations > 0

@@ -1,11 +1,24 @@
+import io
 import json
+import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photocorr import DataError, ShotSeries, read_series, write_series
-from photocorr.seriesio import _load_rows, _scan_rows, sidecar_path, write_table
+from photocorr.seriesio import (
+    _BLOCK_ROWS,
+    _load_rows,
+    _scan_rows,
+    _write_rows,
+    sidecar_path,
+    write_table,
+)
 
 
 def test_counts_round_trip_exact(tmp_path):
@@ -72,6 +85,29 @@ def test_non_finite_volts_report_line_number(tmp_path, value):
     sidecar_path(path).write_text('{"unit": "volts"}')
     with pytest.raises(DataError, match=f"line 22: voltage '{value}' is not finite"):
         read_series(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha1", "x"), ("alpha1", 0), ("alpha2", -1e-8), ("alpha1", True), ("alpha2", [1.0]),
+    ("alpha1", 10**400), ("noise_var1", -1.0), ("noise_var2", "x"), ("noise_var1", None),
+])
+@pytest.mark.parametrize("bad", ["value", "nan", "inf"])
+def test_bad_calibration_names_sidecar_and_key(tmp_path, key, value, bad):
+    path = tmp_path / "v.csv"
+    path.write_text("shot,v1,v2\n0,1.0,2.0\n1,1.5,2.5\n")
+    value = {"value": value, "nan": math.nan, "inf": math.inf}[bad]
+    sidecar_path(path).write_text(json.dumps({"unit": "volts", key: value}))
+    with pytest.raises(DataError, match=f"v.json: {key}: must be a"):
+        read_series(path)
+
+
+def test_calibration_defaults_and_counts_alphas(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("shot,m1,m2\n0,1,2\n")
+    sidecar_path(path).write_text('{"unit": "counts", "alpha1": 0, "noise_var2": 3}')
+    series, _ = read_series(path)  # counts never divide by the alphas
+    assert series.conv == (0, 1.0)
+    assert series.instrument_noise_var == (0.0, 3)
 
 
 def test_missing_file(tmp_path):
@@ -210,3 +246,221 @@ def test_plain_rows_take_the_numpy_parse(tmp_path):
         fh.readline()
         rows = _load_rows(fh, np.int64)
     assert rows.tolist() == [[0, 1, 2], [1, 3, 4]]
+
+
+# The block formatter against the per-row writer it replaced: one Python %
+# per row.  Every case must match it byte for byte.
+
+def _oracle(specs, columns, sep=","):
+    row = sep.join(specs) + "\n"
+    return "".join(row % r for r in zip(*columns))
+
+
+def _blockwise(specs, columns, sep=","):
+    fh = io.StringIO()
+    _write_rows(fh, specs, columns, sep)
+    return fh.getvalue()
+
+
+def _assert_same(specs, columns, sep=","):
+    want, got = _oracle(specs, columns, sep), _blockwise(specs, columns, sep)
+    if got != want:  # name the first differing row, not a megabyte of text
+        for i, (w, g) in enumerate(zip(want.splitlines(), got.splitlines())):
+            assert g == w, f"row {i}"
+        assert got == want
+
+
+INT64 = np.iinfo(np.int64)
+SPECS = ("%d", "%.12g", "%.12e")
+
+
+def _doubles(rng, size):
+    """Doubles with uniformly random bits: every exponent, sign, nan and inf."""
+    return rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+
+
+def _powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-320, 301)])
+    return np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+
+
+SPECIAL = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                    1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 1e-300, 1e-296, 1e-297, 1e308, 0.5, 1.0, 0.1, 1e-4, 1e-5,
+                    123456.0, 1e11, 1e12, 1e13])
+
+# rounding carries at 12 and 13 significant digits, and the values next to them
+CARRIES = np.array([9.9999999999995, 9.99999999999949, 9.99999999999951, 999999999999.5,
+                    99999999999.95, 9999999999999.5, 99999999999.5, 0.99999999999995,
+                    0.999999999999995, 9.999999999995e-5, 9.99999999995e-5, 9.99999999995e11,
+                    9.999999999995e-300, 9.99999999999e307])
+CARRIES = np.concatenate([CARRIES, np.nextafter(CARRIES, np.inf), np.nextafter(CARRIES, -np.inf)])
+
+# exact ties at the rounding digit of %.12g (12 digits) and %.12e (13 digits)
+TIES = np.concatenate([np.arange(-2000, 2000) + 0.5,
+                       10.0**11 + np.arange(2000) + 0.5, 10.0**12 + np.arange(2000) + 0.5,
+                       (10.0**12 + np.arange(2000) + 0.5) * 10, 9 * 10.0**12 + np.arange(2000) + 0.5])
+TIES = np.concatenate([TIES, -TIES])
+
+
+@pytest.mark.parametrize("sep", [",", "\t"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_each_spec_and_separator(sep, spec):
+    rng = np.random.default_rng(1)
+    ints = rng.integers(-10**12, 10**12, 3000)
+    floats = rng.standard_normal(3000) * 10.0 ** rng.integers(-20, 20, 3000)
+    _assert_same([spec] * 3, [ints, floats, np.arange(3000)], sep)
+    _assert_same(SPECS, [ints, floats, floats], sep)
+
+
+def test_a_million_random_doubles():
+    x = _doubles(np.random.default_rng(2), 1_000_000)
+    half = len(x) // 2
+    _assert_same(("%.12e", "%.12g"), [x[:half], x[half:]])
+    _assert_same(("%.12g", "%.12e"), [x[:half], x[half:]])
+
+
+@pytest.mark.parametrize("name, values", [
+    ("special", SPECIAL),
+    ("subnormals", np.random.default_rng(3).integers(1, 2**52, 5000, dtype=np.uint64).view(np.float64)),
+    ("powers_of_ten", _powers_of_ten_and_neighbours()),
+    ("carries", CARRIES),
+    ("ties", TIES),
+])
+@pytest.mark.parametrize("spec", ["%.12g", "%.12e"])
+def test_hard_doubles(spec, name, values):
+    _assert_same([spec, spec], [values, -values])
+
+
+@pytest.mark.parametrize("values", [
+    np.array([INT64.min, INT64.max, INT64.min + 1, -1, 0, 1, 9999, 10**4, -10**8, 10**16, -10**18]),
+    np.random.default_rng(4).integers(INT64.min, INT64.max, 5000, endpoint=True),
+    np.array([0, 1, 2**63, 2**64 - 1, 10**19], dtype=np.uint64),
+    np.arange(-128, 128, dtype=np.int8),
+    np.array([0, 65535, 1234], dtype=np.uint16),
+    np.array([True, False, True]),
+    [3, -7, 2**40],
+    [10**30, -(10**40), 5],  # beyond int64: an object column, formatted value by value
+], ids=["int64_limits", "int64_random", "uint64", "int8", "uint16", "bool", "list", "big_ints"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_integer_columns(spec, values):
+    _assert_same([spec], [values])
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(5).standard_normal(2000).astype(np.float32) * np.float32(1e30),
+    np.array([0.1, -0.0, 65504, 6e-8, np.inf, np.nan], dtype=np.float16),
+    np.array([1.0, -2.5, 1e-300], dtype=np.longdouble),
+    [0.1, 2, -3.5, 1e300, True],
+    np.array([1.5, Fraction(1, 3), 2**70], dtype=object),
+], ids=["float32", "float16", "longdouble", "list", "object"])
+@pytest.mark.parametrize("spec", ["%.12g", "%.12e"])
+def test_float_columns(spec, values):
+    _assert_same([spec], [values])
+
+
+def test_complex_column_prints_the_real_part_like_python():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        _assert_same(["%.12e", "%.12g"], [np.array([1 + 2j, -0.5j]), np.array([3.25 - 1j, 1e-300j])])
+
+
+@pytest.mark.parametrize("shift", [-3e-13, 3e-13])
+def test_an_exponent_estimate_off_by_one_is_caught(monkeypatch, shift):
+    # floor(log10|x|) may be off by one next to a power of ten; values within
+    # about 1e-12 of one must still print right if it is
+    near = np.array([10.0**k * (1 + j * 1e-14) for k in range(-20, 20) for j in range(-80, 81)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    _assert_same(["%.12e", "%.12g"], [near, -near])
+
+
+def test_percent_d_of_floats_truncates_like_python():
+    _assert_same(["%d"], [np.array([2.7, -2.7, 1e18, -0.0])])
+
+
+def test_zero_rows():
+    assert _blockwise(SPECS, [np.array([], dtype=np.int64), np.array([]), np.array([])]) == ""
+
+
+def test_columns_of_unequal_length_stop_at_the_shortest():
+    _assert_same(SPECS, [np.arange(10), np.ones(7), np.ones(12)])
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+def test_block_boundaries(rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+    # values that take the per-element route, on both sides of each block boundary
+    for b in range(_BLOCK_ROWS, rows, _BLOCK_ROWS):
+        x[b - 1], x[b] = math.nan, 5e-324
+    x[0], x[-1] = -math.inf, 1e-310
+    _assert_same(SPECS, [range(rows), x, x[::-1]], "\t")
+
+
+PROPERTY = settings(max_examples=300, derandomize=True, deadline=None, database=None)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(INT64.min, INT64.max), st.floats(), st.floats()),
+                min_size=1, max_size=40))
+def test_property_matches_the_per_row_writer(rows):
+    ints, g, e = zip(*rows)
+    columns = [np.array(ints, dtype=np.int64), np.array(g), np.array(e)]
+    _assert_same(SPECS, columns)
+
+
+@pytest.mark.parametrize("unit", ["counts", "volts"])
+def test_write_series_bytes(tmp_path, unit):
+    rng = np.random.default_rng(6)
+    if unit == "counts":
+        ch1, ch2 = rng.integers(0, 10**7, 5000), rng.integers(0, 10**7, 5000)
+        spec = "%d"
+    else:
+        ch1, ch2 = rng.standard_normal(5000) + 1.4, rng.standard_normal(5000) * 1e-9
+        ch1[[0, 7, 2500]] = [-0.0, 1e-320, 123456789012.5]
+        spec = "%.12g"
+    path = write_series(ShotSeries(ch1, ch2, unit), tmp_path / "s.csv")
+    head = "shot,m1,m2\n" if unit == "counts" else "shot,v1,v2\n"
+    want = head + _oracle(("%d", spec, spec), (range(5000), ch1, ch2))
+    with open(tmp_path / "want.csv", "w") as fh:  # through a text handle, as the writer does
+        fh.write(want)
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "csv"])
+def test_write_table_bytes(tmp_path, fmt):
+    rng = np.random.default_rng(7)
+    columns = {"d": np.arange(-3000, 3000), "p": rng.random(6000) ** 40,
+               "f32": rng.random(6000).astype(np.float32), "flag": rng.random(6000) > 0.5,
+               "list": [float(v) for v in rng.standard_normal(6000)]}
+    path = write_table(tmp_path / "t", columns, fmt)
+    sep = "\t" if fmt == "tsv" else ","
+    cols = [np.asarray(c) for c in columns.values()]
+    want = sep.join(columns) + "\n" + _oracle(("%d", "%.12e", "%.12e", "%.12e", "%.12e"), cols, sep)
+    assert path.read_text() == want
+
+
+def _peak_bytes(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("what", ["table", "volts"])
+def test_writer_memory_does_not_grow_with_the_rows(tmp_path, what):
+    rng = np.random.default_rng(8)
+    peaks = {}
+    for rows in (90_000, 20_000, 200_000) if what == "table" else (200_000, 20_000):
+        if what == "table":  # the shape of a 300x300 noise surface
+            columns = {name: rng.random(rows) * 10.0**k for k, name in enumerate("abcde")}
+            peaks[rows] = _peak_bytes(lambda: write_table(tmp_path / "t.tsv", columns))
+        else:
+            series = ShotSeries(rng.standard_normal(rows) + 1.4, rng.standard_normal(rows) + 1.4,
+                                "volts")
+            peaks[rows] = _peak_bytes(lambda: write_series(series, tmp_path / "v.csv"))
+    assert max(peaks.values()) < 1e6, peaks
+    assert abs(peaks[200_000] - peaks[20_000]) < 0.2e6, peaks
