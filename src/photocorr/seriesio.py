@@ -243,14 +243,24 @@ def _write_rows(fh, specs, columns, sep=","):
     zip(*columns), built a block of rows at a time: every column becomes a
     NUL-padded field matrix ending in its separator (a newline for the last
     column), the fields are joined, and the NUL bytes are dropped before the
-    block is written to the text handle fh.
+    block is written to the text handle fh.  Adjacent columns of one spec and
+    dtype on a numpy path are formatted in one call.
     """
     n = min((len(c) for c in columns), default=0)
     tails = [ord(sep)] * (len(columns) - 1) + [ord("\n")]
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        text = np.concatenate([_format_column(spec, _block(col, lo, hi), tail)
-                               for spec, col, tail in zip(specs, columns, tails)], axis=1).tobytes()
+        runs = []  # (spec, dtype), the column blocks, their tails
+        for spec, col, tail in zip(specs, columns, tails):
+            values = _block(col, lo, hi)
+            key = (spec, np.asarray(values).dtype)
+            if runs and runs[-1][0] == key and _numpy_path(*key):
+                runs[-1][1].append(values)
+                runs[-1][2].append(tail)
+            else:
+                runs.append((key, [values], [tail]))
+        text = np.concatenate([_format_run(spec, parts, run_tails)
+                               for (spec, _), parts, run_tails in runs], axis=1).tobytes()
         text = text.translate(None, b"\0")
         fh.write(text.decode("ascii"))
 
@@ -261,36 +271,46 @@ def _block(col, lo, hi):
     return np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
 
 
-def _format_column(spec, values, tail):
-    """Words of spec % v for each v, one NUL-padded row each, ending in tail.
+def _numpy_path(spec, dtype):
+    """Whether values of dtype are formatted by numpy under spec (as doubles for floats)."""
+    return dtype.kind in ("biu" if spec == "%d" else "biuf") and spec in ("%d", "%.12e", "%.12g")
+
+
+def _format_run(spec, parts, tails):
+    """The fields of adjacent column blocks, one row of words per row."""
+    rows = len(parts[0])
+    values = parts[0] if len(parts) == 1 else np.stack(parts, axis=1).ravel()
+    return _format_column(spec, values, np.tile(np.array(tails, np.uint64), rows)).reshape(rows, -1)
+
+
+def _format_column(spec, values, tails):
+    """Words of spec % v for each v, one NUL-padded row each, ending in its tail byte.
 
     Integer and boolean values take the %d path; integers, booleans and
     floats take the %.12e / %.12g path as doubles (the conversion Python's %
-    makes).  Any other dtype, %d of a float, and the
-    values the float path cannot prove correctly rounded, are formatted by
-    Python's % value by value.
+    makes).  Any other dtype, %d of a float, and the values the float path
+    cannot prove correctly rounded, are formatted by Python's % value by value.
     """
     arr = np.asarray(values)
-    kind = arr.dtype.kind
-    if spec == "%d" and kind in "biu":
-        return _format_d(arr, tail)
-    if spec in ("%.12e", "%.12g") and kind in "biuf":
-        x = arr.astype(np.float64, copy=False)
-        words, ok = _format_float(x, spec == "%.12e", tail)
-        redo = np.flatnonzero(~ok)
-        if redo.size:
-            words[redo] = _python_fields(spec, x[redo].tolist(), tail, words.shape[1])
-        return words
-    return _python_fields(spec, values, tail)
+    if not _numpy_path(spec, arr.dtype):
+        return _python_fields(spec, values, tails)
+    if spec == "%d":
+        return _format_d(arr, tails)
+    x = arr.astype(np.float64, copy=False)
+    words, ok = _format_float(x, spec == "%.12e", tails)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        words[redo] = _python_fields(spec, x[redo].tolist(), tails[redo], words.shape[1])
+    return words
 
 
-def _python_fields(spec, values, tail, n_words=1):
+def _python_fields(spec, values, tails, n_words=1):
     """spec % v by Python for each v, as rows of at least n_words words."""
     raw = np.array([spec % v for v in values], dtype="S")
     words = np.zeros((len(raw), max(n_words, raw.itemsize // 8 + 1)), np.uint64)
     fields = words.view(np.uint8)
     fields[:, :raw.itemsize] = raw.view(np.uint8).reshape(len(raw), -1)
-    fields[:, -1] = tail
+    fields[:, -1] = tails
     return words
 
 
@@ -303,7 +323,7 @@ def _quads(v, n):
     return groups
 
 
-def _format_d(v, tail):
+def _format_d(v, tails):
     """%d of integers of any width, signed or not, and of booleans."""
     mag = v.astype(np.uint64)
     neg = v < 0
@@ -318,7 +338,7 @@ def _format_d(v, tail):
         words[:, j] = (_FOUR_DIGITS[quads[2 * j]] | _FOUR_DIGITS[quads[2 * j + 1]] << 32) \
             & ~_BYTE_MASK[np.minimum(np.maximum(n_lead - 8 * j, 0), 8)]
     words[:, 0] |= neg.astype(np.uint64) * _MINUS
-    words[:, -1] = tail
+    words[:, -1] = tails
     return words
 
 
@@ -351,7 +371,7 @@ def _round_significant(x, n):
     return m, np.where(ok, (n - 1) - k + carry, 0), ok | (a == 0)
 
 
-def _format_float(x, e_form, tail):
+def _format_float(x, e_form, tails):
     """%.12e (e_form) or %.12g words of doubles, and where they are right.
 
     %.12e is the lead digit, the point, 12 digits and the exponent.  For
@@ -367,7 +387,7 @@ def _format_float(x, e_form, tail):
         lead = m // 10**12
         m = m - lead * 10**12
         words[:, 0] = sign | _LEAD_DIGIT[lead]
-        words[:, 3] = _EXPONENTS[exp - _EXP_MIN] | tail << 56
+        words[:, 3] = _EXPONENTS[exp - _EXP_MIN] | tails << 56
     high, mid, low = _quads(m, 3)
     a = _FOUR_DIGITS[high] | _FOUR_DIGITS[mid] << 32
     b = _FOUR_DIGITS[low]
@@ -388,7 +408,7 @@ def _format_float(x, e_form, tail):
         word = word & _BYTE_MASK[at] | point << 8 * at | (word & ~_BYTE_MASK[at]) << 8
         a, b = np.where(in_a, word, a), np.where(in_a, b << 8 | a >> 56, word)
         words[:, 0] = sign | _SMALL_PREFIX[np.where(fixed & (exp < 0), -exp, 0)] << 8
-        words[:, 3] = _EXPONENTS[np.where(fixed, -1, exp - _EXP_MIN)] | tail << 56
+        words[:, 3] = _EXPONENTS[np.where(fixed, -1, exp - _EXP_MIN)] | tails << 56
     words[:, 1] = a
     words[:, 2] = b
     return words, ok

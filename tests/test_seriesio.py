@@ -379,6 +379,20 @@ def test_percent_d_of_floats_truncates_like_python():
     _assert_same(["%d"], [np.array([2.7, -2.7, 1e18, -0.0])])
 
 
+@pytest.mark.parametrize("sep", [",", "\t"])
+def test_adjacent_columns_of_one_spec(sep):
+    # adjacent columns of one spec and dtype are formatted together; a change of dtype
+    # (int64 to uint64, float64 to float32) must not merge them
+    rng = np.random.default_rng(9)
+    x = _doubles(rng, 3000)
+    y = rng.standard_normal(3000)
+    y[::7] = math.nan
+    big = np.full(3000, INT64.max - 1)
+    ubig = np.full(3000, 2**64 - 1, dtype=np.uint64)
+    _assert_same(["%.12g"] * 3 + ["%.12e"] * 2, [x, y, y.astype(np.float32), x, y], sep)
+    _assert_same(["%d"] * 4, [big, -big, ubig, ubig - np.uint64(1)], sep)
+
+
 def test_zero_rows():
     assert _blockwise(SPECS, [np.array([], dtype=np.int64), np.array([]), np.array([])]) == ""
 
