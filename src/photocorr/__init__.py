@@ -44,7 +44,6 @@ from .markers import (
     difference_analytic,
     difference_from_joint,
     difference_variance,
-    multimode_difference,
     variance_threshold,
 )
 from .montecarlo import (
@@ -106,7 +105,6 @@ __all__ = [
     "measured_correlation",
     "measured_difference_variance",
     "multimode_convolve",
-    "multimode_difference",
     "multithermal_pdf",
     "noise_surface",
     "predicted_beam_variance",

@@ -179,7 +179,12 @@ def _chi2_per_bin(v, mu, v_mean):
     return float(chi2 / keep.sum())
 
 
-def _check_budget(kind, mu):
+def _check_budget(sigma2_measured, m1, m2, mu, kind):
+    """The measurement and model arguments shared by the two noise-budget inversions."""
+    if not math.isfinite(sigma2_measured):
+        raise ValidationError(f"sigma2_measured: must be finite, got {sigma2_measured}")
+    if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf):
+        raise ValidationError(f"m1, m2: detected means must be finite and > 0, got {m1}, {m2}")
     if kind not in (TWIN_BEAM, SPLIT_THERMAL):
         raise ValidationError(f"kind: expected twin_beam or split_thermal, got {kind!r}")
     if int(mu) != mu or mu < 1:
@@ -201,11 +206,9 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
     model at the nominal efficiency; raises InconsistentDataError when no
     admissible solution exists anywhere in the scan.
     """
-    if min(m1, m2) <= 0:
-        raise ValidationError("m1, m2: detected means must be > 0")
+    _check_budget(sigma2_measured, m1, m2, mu, kind)
     if not (0.0 < eta_nominal <= 1.0):
         raise ValidationError(f"eta_nominal: must lie in (0, 1], got {eta_nominal}")
-    _check_budget(kind, mu)
     m_bar = 0.5 * (m1 + m2)
     if sigma2_measured <= _variance_terms(eta_nominal, m_bar / eta_nominal, mu, kind)[0]:
         return (0.0, 0.0)
@@ -265,9 +268,7 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
         if not np.all((0.0 < eta) & (eta <= 1.0)):
             raise ValidationError(f"{name}: must lie in (0, 1], got {eta}")
-    if min(m1, m2) <= 0:
-        raise ValidationError("m1, m2: detected means must be > 0")
-    _check_budget(kind, mu)
+    _check_budget(sigma2_measured, m1, m2, mu, kind)
     n1, n2 = m1 / eta1, m2 / eta2
     base = _difference_variance_model(eta1 - eta2, 0.5 * (eta1 + eta2), 0.5 * (n1 + n2), mu, kind)
     coef = _pump_excess(kind, n1, mu) + _pump_excess(kind, n2, mu)

@@ -21,6 +21,7 @@ from .sources import (
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
+    _log_binomial,
     _log_factorial,
 )
 
@@ -52,19 +53,12 @@ class MomentSet:
 def loss_matrix(eta, cutoff):
     """L[m, n] = Binomial(n, eta) pmf at m, for m, n = 0..cutoff.
 
-    Evaluated as a log-binomial; the power terms are taken as 0 where their
-    exponent is 0 (0 * log 0 = 0), so the matrix is exact at eta = 0 and
-    eta = 1.
+    Evaluated as a log-binomial (sources._log_binomial), exact at eta = 0
+    and eta = 1.
     """
     m = np.arange(cutoff + 1)[:, None]
     n = np.arange(cutoff + 1)[None, :]
-    k = np.maximum(n - m, 0)
-    log_fact = _log_factorial(cutoff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pmf = (log_fact[n] - log_fact[m] - log_fact[k]
-                   + np.where(m > 0, m * np.log(eta), 0.0)
-                   + np.where(k > 0, k * np.log1p(-eta), 0.0))
-    return np.where(m <= n, np.exp(log_pmf), 0.0)
+    return np.where(m <= n, np.exp(_log_binomial(m, n, eta, _log_factorial(cutoff))), 0.0)
 
 
 def thin_joint(dist: JointCountDistribution, eff: EfficiencyPair) -> JointCountDistribution:

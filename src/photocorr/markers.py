@@ -31,6 +31,7 @@ from .sources import (
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
+    _checked_pmf,
 )
 
 
@@ -47,15 +48,10 @@ class DifferenceDistribution:
     tail_mass: float = field(default=0.0)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _checked_pmf(self.probs, self.tail_mass)
         if p.ndim != 1:
             raise ValidationError("probs: expected a 1-d array")
-        if p.min() < -1e-14:
-            raise ValidationError(f"probs: negative entry {p.min()}")
         object.__setattr__(self, "probs", p)
-        total = p.sum() + self.tail_mass
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"probs + tail_mass sum to {total}, expected 1")
 
     @property
     def support(self) -> tuple[int, int]:
@@ -98,15 +94,16 @@ def correlation_coefficient(src: SourceSpec, eff: EfficiencyPair) -> float:
     """
     if src.kind == COHERENT_PAIR:
         return 0.0
-    m = analytic_moments(src, eff)
-    if m.var1 <= 0.0 or m.var2 <= 0.0:
-        raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
-    return m.cov / math.sqrt(m.var1 * m.var2)
+    return _correlation(analytic_moments(src, eff))
 
 
 def correlation_from_joint(dist: JointCountDistribution) -> float:
     """Correlation coefficient computed from a joint count distribution."""
-    m = detected_moments(dist)
+    return _correlation(detected_moments(dist))
+
+
+def _correlation(m) -> float:
+    """cov / sqrt(var1 var2) of a MomentSet; UndefinedMarkerError if a variance is zero."""
     if m.var1 <= 0.0 or m.var2 <= 0.0:
         raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
     return m.cov / math.sqrt(m.var1 * m.var2)
@@ -215,7 +212,7 @@ def _tail_edge(log_mgf, rate, log_tol):
     return max(0, math.ceil(k) - 1) if k < _MAX_WINDOW else _MAX_WINDOW
 
 
-def difference_analytic(src: SourceSpec, eff: EfficiencyPair, d_range=None,
+def difference_analytic(src: SourceSpec, eff: EfficiencyPair,
                         tail_tol: float = DEFAULT_TAIL_TOL) -> DifferenceDistribution:
     """Distribution of the difference photocurrent over all mu mode pairs.
 
@@ -229,11 +226,7 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair, d_range=None,
     edges.
     When the law is symmetric (A = B) the window is symmetric too and the
     result is averaged with its mirror image, so p(d) == p(-d) exactly.
-
-    d_range may be a (d_min, d_max) pair; the law is then computed on a
-    window that covers both d_range and the automatic window, and cut to
-    d_range.  tail_mass is the mass outside the returned window,
-    1 - probs.sum().
+    tail_mass is the mass outside the returned window, 1 - probs.sum().
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValidationError(f"tail_tol: must lie in (0, 1), got {tail_tol}")
@@ -245,8 +238,6 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair, d_range=None,
     log_tol = math.log(tail_tol / 2.0)
     lo = -_tail_edge(log_down, b, log_tol)
     hi = _tail_edge(log_up, a, log_tol)
-    if d_range is not None:
-        lo, hi = min(lo, int(d_range[0])), max(hi, int(d_range[1]))
     if a == b:
         lo = min(lo, -hi)
         hi = -lo
@@ -262,44 +253,5 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair, d_range=None,
     probs = np.maximum(probs[lo - start:hi - start + 1], 0.0)
     if a == b:
         probs = 0.5 * (probs + probs[::-1])
-    if d_range is not None:
-        probs = probs[int(d_range[0]) - lo:int(d_range[1]) - lo + 1]
-        lo = int(d_range[0])
     return DifferenceDistribution(probs, lo, max(0.0, 1.0 - probs.sum()))
 
-
-def multimode_difference(dd: DifferenceDistribution, mu: int,
-                         tail_tol: float = DEFAULT_TAIL_TOL) -> DifferenceDistribution:
-    """Difference distribution for mu independent mode pairs.
-
-    The total difference is the sum of the per-pair differences, so this is
-    the mu-fold self-convolution of the single-pair law, taken as the mu-th
-    power of its FFT zero-padded to the full support mu * (len - 1) + 1 (so
-    nothing wraps around).  The ends are then trimmed while the discarded
-    mass stays within tail_tol / 2.
-    """
-    if int(mu) != mu or mu < 1:
-        raise ValidationError(f"mu: must be an integer >= 1, got {mu}")
-    if mu == 1:
-        return dd
-    size = mu * (len(dd.probs) - 1) + 1
-    probs = np.fft.irfft(np.fft.rfft(dd.probs, size) ** mu, size)
-    np.maximum(probs, 0.0, out=probs)
-    probs, d_min = _trim_ends(probs, mu * dd.d_min, tail_tol / 2)
-    return DifferenceDistribution(probs, d_min, max(0.0, 1.0 - probs.sum()))
-
-
-def _trim_ends(p, d_min, budget):
-    lo, hi = 0, len(p)
-    dropped = 0.0
-    while hi - lo > 1:
-        head, tail = p[lo], p[hi - 1]
-        nxt = min(head, tail)
-        if dropped + nxt > budget:
-            break
-        if head <= tail:
-            lo += 1
-        else:
-            hi -= 1
-        dropped += nxt
-    return np.ascontiguousarray(p[lo:hi]), d_min + lo

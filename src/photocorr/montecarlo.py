@@ -83,8 +83,8 @@ class SimulationConfig:
         if self.source.n_mean > _MAX_N_MEAN:
             raise ValidationError(f"n_mean: must be <= {_MAX_N_MEAN:g} to simulate, "
                                   f"so that counts fit in int64, got {self.source.n_mean:g}")
-        if self.pump_x < 0:
-            raise ValidationError(f"pump_x: must be >= 0, got {self.pump_x}")
+        if not 0.0 <= self.pump_x < math.inf:
+            raise ValidationError(f"pump_x: must be finite and >= 0, got {self.pump_x}")
         if self.source.kind == TWIN_BEAM and self.pump_x > 0:
             gain = math.asinh(math.sqrt(self.source.per_mode_mean))
             top = 1.0 + _PUMP_SDS * max(_twin_beam_pump_sds(self.pump_x, self.eff))
@@ -94,10 +94,11 @@ class SimulationConfig:
                     f"{self.source.n_mean:g} at eta {self.eff.eta1:g}, {self.eff.eta2:g}: a pump "
                     f"scale {_PUMP_SDS:g} standard deviations up would make the mean exceed "
                     f"{_MAX_N_MEAN:g}, and counts overflow int64")
-        if self.volts and (self.conv[0] <= 0 or self.conv[1] <= 0):
-            raise ValidationError(f"conv: must be > 0 for voltage output, got {self.conv}")
-        if min(self.instrument_noise_var) < 0:
-            raise ValidationError("instrument_noise_var: must be >= 0")
+        if self.volts and not all(0.0 < a < math.inf for a in self.conv):
+            raise ValidationError(f"conv: must be finite and > 0 for voltage output, got {self.conv}")
+        if not all(0.0 <= v < math.inf for v in self.instrument_noise_var):
+            raise ValidationError(
+                f"instrument_noise_var: must be finite and >= 0, got {self.instrument_noise_var}")
 
 
 @dataclass(frozen=True)

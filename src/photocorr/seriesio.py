@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ValidationError
 from .montecarlo import ShotSeries
 
 _INT64 = np.iinfo(np.int64)
@@ -170,7 +170,8 @@ def _parse_volts(text):
 def write_table(path, columns, fmt="tsv") -> Path:
     """Tabular output written column-wise, with one format per column.
 
-    columns maps each header name to a 1-d array, all of one length.  The
+    columns maps each header name to a 1-d array, all of one length
+    (ValidationError otherwise, before anything is written).  The
     dtype of a column picks its format: integer columns are written as
     integers, all others in 12-significant-digit scientific form.  fmt
     selects the container: "tsv" (default), "csv", or "json" (a list of row
@@ -178,6 +179,9 @@ def write_table(path, columns, fmt="tsv") -> Path:
     """
     path = Path(path).with_suffix(f".{fmt}")
     cols = [np.asarray(c) for c in columns.values()]
+    lengths = {name: len(c) for name, c in zip(columns, cols)}
+    if len(set(lengths.values())) > 1:
+        raise ValidationError(f"columns: expected equal lengths, got {lengths}")
     if fmt == "json":
         rows = zip(*(c.tolist() for c in cols))
         with open(path, "w") as fh:

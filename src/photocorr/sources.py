@@ -90,15 +90,10 @@ class JointCountDistribution:
     tail_mass: float = field(default=0.0)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _checked_pmf(self.probs, self.tail_mass)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValidationError(f"probs: expected a square matrix, got shape {p.shape}")
-        if p.min() < -1e-14:
-            raise ValidationError(f"probs: negative entry {p.min()}")
         object.__setattr__(self, "probs", p)
-        total = p.sum() + self.tail_mass
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"probs + tail_mass sum to {total}, expected 1")
 
     @property
     def cutoff(self) -> int:
@@ -108,6 +103,19 @@ class JointCountDistribution:
         if beam not in (1, 2):
             raise ValidationError("beam: must be 1 or 2")
         return self.probs.sum(axis=2 - beam)
+
+
+def _checked_pmf(probs, tail_mass):
+    """probs as a float array, checked to be non-negative and to sum to 1 with tail_mass."""
+    p = np.asarray(probs, dtype=float)
+    if p.size == 0:
+        raise ValidationError("probs: empty")
+    if p.min() < -1e-14:
+        raise ValidationError(f"probs: negative entry {p.min()}")
+    total = p.sum() + tail_mass
+    if abs(total - 1.0) > 1e-12:
+        raise ValidationError(f"probs + tail_mass sum to {total}, expected 1")
+    return p
 
 
 def thermal_pmf(k, mean):
@@ -131,6 +139,8 @@ def _geometric_cutoff(mean, tail_tol):
 
 def _check_cutoff(required, cutoff, tail_tol):
     if cutoff is not None:
+        if not cutoff >= 0 or cutoff % 1 != 0:
+            raise ValidationError(f"cutoff: must be an integer >= 0, got {cutoff}")
         return int(cutoff)
     if required > MAX_AUTO_CUTOFF:
         raise TailToleranceError(
@@ -196,25 +206,12 @@ def split_thermal_joint(n_mean, tau=0.5, cutoff=None, tail_tol=DEFAULT_TAIL_TOL)
     n1 = np.arange(c + 1)[:, None]
     n2 = np.arange(c + 1)[None, :]
     tot = n1 + n2
-    log_fact = _log_factorial(2 * c)
-    with np.errstate(divide="ignore"):
-        log_split = (
-            log_fact[tot] - log_fact[n1] - log_fact[n2]
-            + n1 * np.log(tau if tau > 0 else 1.0)
-            + n2 * np.log1p(-tau if tau < 1 else 0.0)
-        )
     if n_mean == 0.0:
         probs = np.zeros((c + 1, c + 1))
         probs[0, 0] = 1.0
     else:
         log_nu = tot * (math.log(2 * n_mean) - math.log1p(2 * n_mean)) - math.log1p(2 * n_mean)
-        probs = np.exp(log_split + log_nu)
-        if tau == 0.0:
-            probs[1:, :] = 0.0
-            probs[0, :] = thermal_pmf(np.arange(c + 1), m2)
-        elif tau == 1.0:
-            probs[:, 1:] = 0.0
-            probs[:, 0] = thermal_pmf(np.arange(c + 1), m1)
+        probs = np.exp(_log_binomial(n1, tot, tau, _log_factorial(2 * c)) + log_nu)
     return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
 
 
@@ -259,6 +256,19 @@ def multithermal_pdf(v, mu, v_mean):
 def _log_factorial(top):
     """log(k!) for k = 0..top, as a table to index with integer arrays."""
     return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+
+
+def _log_binomial(k, n, p, log_fact):
+    """log of the Binomial(n, p) pmf at k, for integer arrays 0 <= k <= n.
+
+    log_fact is a _log_factorial table reaching max(n).  The power terms are
+    taken as 0 where their exponent is 0 (0 * log 0 = 0), so the pmf is exact
+    at p = 0 and p = 1.  Entries with k > n are meaningless; callers mask them.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (log_fact[n] - log_fact[k] - log_fact[np.maximum(n - k, 0)]
+                + np.where(k > 0, k * np.log(p), 0.0)
+                + np.where(n - k > 0, (n - k) * np.log1p(-p), 0.0))
 
 
 def _poisson_pmf(k, lam):

@@ -30,7 +30,6 @@ from photocorr import (
     imbalance_bounds,
     measured_difference_variance,
     multimode_convolve,
-    multimode_difference,
     sample_series,
     solve_pump_noise,
     source_joint,
@@ -195,7 +194,7 @@ def test_criterion_06_multimode_equivalence():
                     want_diff[dd] = want_diff.get(dd, 0.0) + p
     tv_joint = 0.5 * np.abs(
         conv.probs - want_joint[: conv.cutoff + 1, : conv.cutoff + 1]).sum()
-    two_mode = multimode_difference(difference_from_joint(joint), 2, tail_tol=1e-15)
+    two_mode = difference_from_joint(conv)
     tv_diff = 0.5 * sum(abs(two_mode.prob(d) - want_diff.get(d, 0.0))
                         for d in range(-2 * c, 2 * c + 1))
     ok = tv_joint <= 1e-9 and tv_diff <= 1e-9

@@ -134,6 +134,22 @@ def test_wrong_typed_config_exits_2(tmp_path, capsys, command, payload, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", dict(SIM, instrument_noise_var=[math.nan, 0.0]), "instrument_noise_var"),
+    ("simulate", dict(SIM, volts=True, conv=[math.nan, 1.0]), "conv"),
+    ("simulate", dict(SIM, source="split_thermal", pump_x=math.nan), "pump_x"),
+    ("simulate", dict(SIM, source="coherent_pair", pump_x=math.inf), "pump_x"),
+    ("simulate", dict(SIM, pump_x=math.nan), "pump_x"),
+    ("noise-budget", dict(BUDGET, sigma2_measured=math.nan), "sigma2_measured"),
+    ("noise-budget", dict(BUDGET, m1=math.nan), "m1"),
+])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, payload, key):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert run([command, "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "shots.csv").exists()
+
+
 class TestAnalyze:
     def make_series(self, tmp_path, **overrides):
         payload = {

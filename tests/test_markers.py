@@ -18,10 +18,9 @@ from photocorr import (
     difference_analytic,
     difference_from_joint,
     difference_variance,
-    multimode_difference,
+    multimode_convolve,
     source_joint,
     thin_joint,
-    twin_beam_joint,
     variance_threshold,
 )
 
@@ -169,12 +168,6 @@ class TestDifferenceAnalytic:
         assert dd.tail_mass <= 1e-10
         assert dd.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_explicit_range(self):
-        dd = difference_analytic(SourceSpec.coherent_pair(1.0), EfficiencyPair(1.0, 1.0),
-                                 d_range=(-2, 2))
-        assert dd.support == (-2, 2)
-        assert dd.tail_mass > 0.0
-
     def test_vacuum_is_delta(self):
         dd = difference_analytic(SourceSpec.twin_beam(0.0), EfficiencyPair(0.5, 0.7))
         assert dd.prob(0) == 1.0
@@ -232,8 +225,9 @@ class TestManyModesAndBrightBeams:
     def test_mu_modes_match_convolved_single_pair(self, kind):
         eff = EfficiencyPair(0.6, 0.7)
         got = difference_analytic(SourceSpec(kind, 10.0, 14), eff)
-        want = multimode_difference(difference_analytic(SourceSpec(kind, 10.0 / 14), eff), 14)
-        assert total_variation(got, want) < 1e-9
+        # the 2-D route: the 14-fold convolution of the thinned single-pair joint table
+        joint = multimode_convolve(thinned(SourceSpec(kind, 10.0 / 14), eff), 14, tail_tol=1e-12)
+        assert total_variation(got, difference_from_joint(joint)) < 1e-9
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bright_beam_moments(self, kind):
@@ -263,15 +257,12 @@ class TestManyModesAndBrightBeams:
         oracle = difference_from_joint(thinned(SourceSpec.twin_beam(2.0), EfficiencyPair(1.0, 0.6)))
         assert total_variation(dd, oracle) < 1e-9
 
-
-    @pytest.mark.parametrize("d_range", [(-90, 0), (-3, 60), (20, 40)])
-    def test_balanced_law_asymmetric_range(self, d_range):
-        # A = B: the window is mirrored, and must still cover a one-sided d_range
+    def test_balanced_law_matches_oracle_pointwise(self):
+        # A = B: the window is mirrored and the law averaged with its mirror image
         src, eff = SourceSpec.twin_beam(1.0), EfficiencyPair(0.6, 0.6)
-        dd = difference_analytic(src, eff, d_range=d_range)
-        assert dd.support == d_range
+        dd = difference_analytic(src, eff)
         oracle = difference_from_joint(thinned(src, eff))
-        for d in range(d_range[0], d_range[1] + 1):
+        for d in range(dd.support[0], dd.support[1] + 1):
             assert dd.prob(d) == pytest.approx(oracle.prob(d), abs=1e-12)
 
 
@@ -330,50 +321,6 @@ class TestDifferenceVariance:
     def test_multimode_quadratic_term(self):
         rep = difference_variance(SourceSpec.twin_beam(10.0, mu=5), EfficiencyPair(0.5, 0.7))
         assert rep.sigma2_d == pytest.approx(0.04 * 100.0 / 5 + 0.5 * 10.0, rel=1e-12)
-
-
-class TestMultimodeDifference:
-    def test_identity(self):
-        dd = difference_analytic(SourceSpec.twin_beam(1.0), EfficiencyPair(0.5, 0.5))
-        assert multimode_difference(dd, 1) is dd
-
-    def test_variance_scales(self):
-        dd = difference_analytic(SourceSpec.twin_beam(1.0), EfficiencyPair(0.5, 0.7))
-        for mu in (2, 4):
-            got = multimode_difference(dd, mu, tail_tol=1e-12)
-            assert got.variance() == pytest.approx(mu * dd.variance(), rel=1e-8)
-            assert got.mean() == pytest.approx(mu * dd.mean(), rel=1e-8)
-
-    def test_nested_sum_oracle(self):
-        # enumerate both mode pairs outright on a cutoff-10 support
-        j = thin_joint(twin_beam_joint(1.0, cutoff=10), EfficiencyPair(0.5, 0.7))
-        single = difference_from_joint(j)
-        got = multimode_difference(single, 2, tail_tol=1e-15)
-        c = j.cutoff
-        want = {}
-        for q1 in range(c + 1):
-            for r1 in range(c + 1):
-                if j.probs[q1, r1] == 0.0:
-                    continue
-                for q2 in range(c + 1):
-                    for r2 in range(c + 1):
-                        d = (q1 + q2) - (r1 + r2)
-                        want[d] = want.get(d, 0.0) + j.probs[q1, r1] * j.probs[q2, r2]
-        tv = 0.5 * sum(abs(got.prob(d) - want.get(d, 0.0)) for d in range(-2 * c, 2 * c + 1))
-        assert tv < 1e-12
-
-
-class TestMultimodeDifferenceLoopReference:
-    def test_matches_repeated_direct_convolution(self):
-        dd = difference_analytic(SourceSpec.split_thermal(1.0), EfficiencyPair(0.5, 0.7))
-        want = dd.probs
-        for _ in range(4):
-            want = np.convolve(want, dd.probs)
-        got = multimode_difference(dd, 5, tail_tol=1e-300)
-        # only rounding-level entries (exact zeros after clipping) may be trimmed
-        i = got.d_min - 5 * dd.d_min
-        assert np.all(want[:i] < 1e-15) and np.all(want[i + len(got.probs):] < 1e-15)
-        assert np.max(np.abs(got.probs - want[i:i + len(got.probs)])) < 1e-15
 
 
 class TestDifferenceDistributionType:

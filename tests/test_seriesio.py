@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photocorr import DataError, ShotSeries, read_series, write_series
+from photocorr import DataError, ShotSeries, ValidationError, read_series, write_series
 from photocorr.seriesio import (
     _BLOCK_ROWS,
     _load_rows,
@@ -144,6 +144,13 @@ def test_table_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "d\tp"
     assert lines[1] == "0\t5.000000000000e-01"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "csv", "json"])
+def test_table_of_unequal_columns_rejected(tmp_path, fmt):
+    with pytest.raises(ValidationError, match=r"'a': 3, 'b': 1"):
+        write_table(tmp_path / "t", {"a": [1, 2, 3], "b": np.array([0.5])}, fmt)
+    assert not (tmp_path / f"t.{fmt}").exists()
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "csv", "json"])

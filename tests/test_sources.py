@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from photocorr import (
+    DifferenceDistribution,
     JointCountDistribution,
     SourceSpec,
     TailToleranceError,
@@ -105,6 +106,12 @@ class TestSplitThermalJoint:
         k = np.arange(j.cutoff + 1)
         assert np.allclose(j.probs[:, 0], thermal_pmf(k, 2.0), atol=1e-12)
 
+    def test_opaque_splitter_is_exactly_thermal(self):
+        # 0 * log 0 = 0 in the log-binomial: beam 1 is empty, beam 2 carries the thermal law
+        j = split_thermal_joint(1.0, tau=0.0)
+        assert np.all(j.probs[1:, :] == 0.0)
+        assert np.array_equal(j.probs[0, :], thermal_pmf(np.arange(j.cutoff + 1), 2.0))
+
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
     def test_marginals_thermal(self, n_mean, tau):
@@ -170,6 +177,13 @@ class TestSourceSpec:
             assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("joint", [twin_beam_joint, coherent_pair_joint, split_thermal_joint])
+@pytest.mark.parametrize("cutoff", [-3, 2.5, math.nan])
+def test_bad_explicit_cutoff_rejected(joint, cutoff):
+    with pytest.raises(ValidationError, match="cutoff"):
+        joint(1.0, cutoff=cutoff)
+
+
 class TestJointCountDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
@@ -181,6 +195,14 @@ class TestJointCountDistribution:
         p[1, 1] = -0.5
         with pytest.raises(ValidationError):
             JointCountDistribution(p, 0.0)
+
+    @pytest.mark.parametrize("make", [lambda: JointCountDistribution(np.zeros((0, 0)), 1.0),
+                                      lambda: DifferenceDistribution(np.zeros(0), 0, 1.0)],
+                             ids=["joint", "difference"])
+    def test_rejects_empty(self, make):
+        # the pmf check both distribution types share
+        with pytest.raises(ValidationError, match="empty"):
+            make()
 
 
 class TestLogFactorial:
