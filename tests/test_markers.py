@@ -257,12 +257,15 @@ class TestManyModesAndBrightBeams:
         oracle = difference_from_joint(thinned(SourceSpec.twin_beam(2.0), EfficiencyPair(1.0, 0.6)))
         assert total_variation(dd, oracle) < 1e-9
 
-    def test_balanced_law_matches_oracle_pointwise(self):
-        # A = B: the window is mirrored and the law averaged with its mirror image
+    @pytest.mark.parametrize("d_range", [(-90, 0), (-3, 60), (20, 40)])
+    def test_balanced_law_asymmetric_range(self, d_range):
+        # A = B: the window is mirrored and the law averaged with its mirror image;
+        # it must match the oracle pointwise over one-sided ranges too
         src, eff = SourceSpec.twin_beam(1.0), EfficiencyPair(0.6, 0.6)
         dd = difference_analytic(src, eff)
+        assert dd.support[0] == -dd.support[1]
         oracle = difference_from_joint(thinned(src, eff))
-        for d in range(dd.support[0], dd.support[1] + 1):
+        for d in range(d_range[0], d_range[1] + 1):
             assert dd.prob(d) == pytest.approx(oracle.prob(d), abs=1e-12)
 
 
