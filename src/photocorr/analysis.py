@@ -160,10 +160,15 @@ def _bisect(holds, lo, hi, tol):
     return lo
 
 
+def _fd_width(v):
+    """Freedman-Diaconis bin width 2 IQR / n**(1/3) of a sample."""
+    q75, q25 = np.percentile(v, [75, 25])
+    return 2.0 * (q75 - q25) * v.size ** (-1.0 / 3.0)
+
+
 def _chi2_per_bin(v, mu, v_mean):
     """Chi-square per bin against the fitted density, Freedman-Diaconis bins."""
-    q75, q25 = np.percentile(v, [75, 25])
-    width = 2.0 * (q75 - q25) * v.size ** (-1.0 / 3.0)
+    width = _fd_width(v)
     if width <= 0.0:
         return float("nan")
     edges = np.arange(0.0, v.max() + width, width)

@@ -280,8 +280,7 @@ def _difference_histogram(series):
     """
     c1, c2 = series.counts()
     d = c1 - c2
-    q75, q25 = np.percentile(d, [75, 25])
-    width = 2.0 * (q75 - q25) * d.size ** (-1.0 / 3.0)
+    width = analysis._fd_width(d)
     lo, hi = d.min(), d.max()
     if series.unit == "counts":
         width = max(1, math.ceil(width))

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TailToleranceError, ValidationError
+from .errors import ValidationError
 from .sources import (
     COHERENT_PAIR,
     DEFAULT_TAIL_TOL,
-    MAX_AUTO_CUTOFF,
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
+    _check_table,
     _log_binomial,
     _log_factorial,
 )
@@ -54,8 +54,9 @@ def loss_matrix(eta, cutoff):
     """L[m, n] = Binomial(n, eta) pmf at m, for m, n = 0..cutoff.
 
     Evaluated as a log-binomial (sources._log_binomial), exact at eta = 0
-    and eta = 1.
+    and eta = 1.  A matrix above the table budget raises TailToleranceError.
     """
+    _check_table((cutoff + 1) ** 2, f"a loss matrix of cutoff {cutoff}", cutoff)
     m = np.arange(cutoff + 1)[:, None]
     n = np.arange(cutoff + 1)[None, :]
     return np.where(m <= n, np.exp(_log_binomial(m, n, eta, _log_factorial(cutoff))), 0.0)
@@ -137,11 +138,8 @@ def multimode_convolve(dist: JointCountDistribution, mu: int,
         raise ValidationError(f"mu: must be an integer >= 1, got {mu}")
     if mu == 1:
         return dist
-    if mu * dist.cutoff > MAX_AUTO_CUTOFF:
-        raise TailToleranceError(
-            f"convolved support {mu * dist.cutoff} exceeds the cap {MAX_AUTO_CUTOFF}",
-            required_cutoff=mu * dist.cutoff,
-        )
+    _check_table((mu * dist.cutoff + 1) ** 2, f"the {mu}-mode convolution of a joint table "
+                 f"of cutoff {dist.cutoff}", mu * dist.cutoff)
     size = (mu * dist.cutoff + 1,) * 2
     out = np.fft.irfftn(np.fft.rfftn(dist.probs, size, (0, 1)) ** mu, size, (0, 1))
     np.maximum(out, 0.0, out=out)

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sources
 from .detection import EfficiencyPair, _pgf_coefficients, analytic_moments, detected_moments
-from .errors import TailToleranceError, UndefinedMarkerError, ValidationError
+from .errors import UndefinedMarkerError, ValidationError
 from .sources import (
     COHERENT_PAIR,
     DEFAULT_TAIL_TOL,
@@ -31,6 +32,7 @@ from .sources import (
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
+    _check_table,
     _checked_pmf,
 )
 
@@ -176,10 +178,6 @@ def variance_threshold(eff: EfficiencyPair):
 #: it for faint beams.
 _LN_S = np.geomspace(1e-9, 40.0, 400)
 
-#: Largest p(d) window (points); wider ones raise TailToleranceError instead
-#: of allocating gigabytes.
-_MAX_WINDOW = 1 << 24
-
 
 def _pgf_rates(src: SourceSpec, eff: EfficiencyPair):
     """Bose flag and rates (A - C, B - C) of the single-pair pgf of d = m1 - m2.
@@ -204,12 +202,13 @@ def _log_pgf(bose, mu, x):
 def _tail_edge(log_mgf, rate, log_tol):
     """Smallest k >= 0 whose Chernoff bound min_u exp(log_mgf - (k+1) u) on
     P(d > k) is at most exp(log_tol); log_mgf is ln E[e**(u d)] on u = _LN_S.
-    A zero rate means d never exceeds 0; _MAX_WINDOW stands for any k that
-    large or not found on the grid."""
+    A zero rate means d never exceeds 0; the table budget in points stands
+    for any k that large or not found on the grid."""
     if rate == 0.0:
         return 0
+    cap = sources._TABLE_BYTES // 8
     k = np.min((log_mgf - log_tol) / _LN_S)
-    return max(0, math.ceil(k) - 1) if k < _MAX_WINDOW else _MAX_WINDOW
+    return max(0, math.ceil(k) - 1) if k < cap else cap
 
 
 def difference_analytic(src: SourceSpec, eff: EfficiencyPair,
@@ -243,8 +242,7 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair,
         hi = -lo
     # a power of two: pocketfft is ~10x slower on lengths with large prime factors
     m = 1 << (2 * (hi - lo) + 1).bit_length()
-    if m > _MAX_WINDOW:
-        raise TailToleranceError(f"p(d) FFT of {m} points exceeds {_MAX_WINDOW}")
+    _check_table(m, "the p(d) FFT")
     # x at z = exp(-i theta), the points irfft inverts; z**-start puts d = start at index 0
     start = lo - (m - (hi - lo + 1)) // 2
     theta = 2.0 * np.pi / m * np.arange(m // 2 + 1)

@@ -94,8 +94,8 @@ class SimulationConfig:
                     f"{self.source.n_mean:g} at eta {self.eff.eta1:g}, {self.eff.eta2:g}: a pump "
                     f"scale {_PUMP_SDS:g} standard deviations up would make the mean exceed "
                     f"{_MAX_N_MEAN:g}, and counts overflow int64")
-        if self.volts and not all(0.0 < a < math.inf for a in self.conv):
-            raise ValidationError(f"conv: must be finite and > 0 for voltage output, got {self.conv}")
+        if not all(0.0 <= a < math.inf and (a > 0.0 or not self.volts) for a in self.conv):
+            raise ValidationError(f"conv: must be finite, >= 0, and > 0 for volts, got {self.conv}")
         if not all(0.0 <= v < math.inf for v in self.instrument_noise_var):
             raise ValidationError(
                 f"instrument_noise_var: must be finite and >= 0, got {self.instrument_noise_var}")

@@ -10,7 +10,9 @@ photon number N (the total over all populated modes):
   transmissivity tau (classically correlated outputs).
 
 Joint distributions are exact but truncated; every constructor records the
-probability mass left outside the truncation window.
+probability mass left outside the truncation window.  _check_table refuses any
+float64 table above _TABLE_BYTES (128 MiB: cutoff 4095, or a p(d) FFT of 2**24
+points) with TailToleranceError before it is allocated, in every exact layer.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ _KINDS = (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL)
 #: Default bound on the probability mass allowed outside the truncation window.
 DEFAULT_TAIL_TOL = 1e-10
 
-#: Hard cap on automatically chosen cutoffs; larger requirements raise
-#: TailToleranceError instead of allocating huge matrices.
-MAX_AUTO_CUTOFF = 20000
+#: Largest float64 array, in bytes, that a joint table, loss matrix,
+#: multimode convolution or p(d) FFT may allocate.
+_TABLE_BYTES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -137,17 +139,22 @@ def _geometric_cutoff(mean, tail_tol):
     return max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1)
 
 
+def _check_table(points, what, required_cutoff=None):
+    """Raise TailToleranceError, before anything is allocated, when a float64
+    array of `points` entries would exceed the table budget _TABLE_BYTES."""
+    if 8 * points > _TABLE_BYTES:
+        raise TailToleranceError(f"{what} has {points} float64 entries, above the "
+                                 f"{_TABLE_BYTES / 2**20:g} MiB table budget", required_cutoff)
+
+
 def _check_cutoff(required, cutoff, tail_tol):
+    """The explicit cutoff, or else the required one, checked against the table budget."""
+    what = f"{required} (for tail tolerance {tail_tol:g})"
     if cutoff is not None:
         if not cutoff >= 0 or cutoff % 1 != 0:
             raise ValidationError(f"cutoff: must be an integer >= 0, got {cutoff}")
-        return int(cutoff)
-    if required > MAX_AUTO_CUTOFF:
-        raise TailToleranceError(
-            f"cutoff {required} needed for tail tolerance {tail_tol:g} "
-            f"exceeds the cap {MAX_AUTO_CUTOFF}",
-            required_cutoff=required,
-        )
+        required = what = int(cutoff)
+    _check_table((required + 1) ** 2, f"a joint table of cutoff {what}", required)
     return required
 
 
@@ -158,32 +165,25 @@ def twin_beam_joint(n_mean, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
     distributed thermally with mean n_mean.  If cutoff is omitted it is
     chosen so the recorded tail mass is at most tail_tol.
     """
-    if n_mean < 0:
-        raise ValidationError(f"n_mean: must be >= 0, got {n_mean}")
+    if not 0.0 <= n_mean < math.inf:
+        raise ValidationError(f"n_mean: must be finite and >= 0, got {n_mean}")
     c = _check_cutoff(_geometric_cutoff(n_mean, tail_tol), cutoff, tail_tol)
     n = np.arange(c + 1)
     probs = np.zeros((c + 1, c + 1))
     probs[n, n] = thermal_pmf(n, n_mean)
-    if n_mean == 0.0:
-        tail = 0.0
-    else:
-        r = n_mean / (1.0 + n_mean)
-        tail = r ** (c + 1)
-    return JointCountDistribution(probs, tail)
+    return JointCountDistribution(probs, (n_mean / (1.0 + n_mean)) ** (c + 1))
 
 
 def coherent_pair_joint(n_mean, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
     """Joint distribution of two independent coherent beams of mean n_mean."""
-    if n_mean < 0:
-        raise ValidationError(f"n_mean: must be >= 0, got {n_mean}")
-    if n_mean == 0.0:
-        required = 0
-    elif cutoff is None and n_mean > MAX_AUTO_CUTOFF:
-        required = int(n_mean)  # already over the cap; skip the cdf walk
-    else:
+    if not 0.0 <= n_mean < math.inf:
+        raise ValidationError(f"n_mean: must be finite and >= 0, got {n_mean}")
+    # floor(n_mean) bounds the walk below (tail_tol < 1): an oversized table never walks
+    c = _check_cutoff(int(n_mean), cutoff, tail_tol)
+    if cutoff is None and n_mean > 0.0:
         # Poisson tail bound via Chernoff is loose; walk the cdf directly.
         required = int(np.searchsorted(_poisson_cdf_grid(n_mean), 1.0 - tail_tol / 2) + 1)
-    c = _check_cutoff(required, cutoff, tail_tol)
+        c = _check_cutoff(required, None, tail_tol)
     k = np.arange(c + 1)
     pk = _poisson_pmf(k, n_mean)
     probs = np.outer(pk, pk)
@@ -196,8 +196,8 @@ def split_thermal_joint(n_mean, tau=0.5, cutoff=None, tail_tol=DEFAULT_TAIL_TOL)
     probs[n1, n2] = Binom(n1+n2, n1; tau) * thermal_pmf(n1+n2, 2*n_mean).
     Each marginal is thermal, with means 2*n_mean*tau and 2*n_mean*(1-tau).
     """
-    if n_mean < 0:
-        raise ValidationError(f"n_mean: must be >= 0, got {n_mean}")
+    if not 0.0 <= n_mean < math.inf:
+        raise ValidationError(f"n_mean: must be finite and >= 0, got {n_mean}")
     if not (0.0 <= tau <= 1.0):
         raise ValidationError(f"tau: must lie in [0, 1], got {tau}")
     m1, m2 = 2.0 * n_mean * tau, 2.0 * n_mean * (1.0 - tau)

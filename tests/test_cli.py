@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from photocorr import EfficiencyPair, SourceSpec, noise_surface, source_joint, thin_joint
-from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
+from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 
 
 def write_config(tmp_path, name, payload):
@@ -88,6 +88,15 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
         assert "pump_x" in capsys.readouterr().err
         assert not (tmp_path / "shots.csv").exists()
+
+    def test_counts_conv_must_be_finite_and_may_be_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "nan.json", dict(SIM, conv=[math.nan, 1.0]))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "nan"]) == EXIT_VALIDATION
+        assert "conv" in capsys.readouterr().err
+        assert not (tmp_path / "nan" / "shots.json").exists()
+        cfg = write_config(tmp_path, "zero.json", dict(SIM, conv=[0.0, 1.0]))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "zero"]) == EXIT_OK
+        assert json.loads((tmp_path / "zero" / "shots.json").read_text())["alpha1"] == 0.0
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "none.json", "--out", tmp_path]) == EXIT_VALIDATION
@@ -367,6 +376,14 @@ class TestAnalytic:
             d = n1 - n2
             var = (d - d @ p) ** 2 @ p
             assert var == pytest.approx(report["sources"][kind]["sigma2_d"], rel=1e-6)
+
+    def test_joint_table_above_the_budget_exits_4(self, tmp_path, capsys):
+        # a twin-beam cutoff of 18432: 2.7 GB per matrix, refused before it is allocated
+        cfg = write_config(tmp_path, "an.json", {"eta": [0.66, 0.68], "n_mean": 800.0, "mu": 1,
+                                                 "joint": True})
+        assert run(["analytic", "--config", cfg, "--out", tmp_path]) == EXIT_TOLERANCE
+        assert "table budget" in capsys.readouterr().err
+        assert not (tmp_path / "joint_twin_beam.tsv").exists()
 
     def test_format_selector(self, tmp_path):
         cfg = write_config(tmp_path, "an.json", {"eta": [0.6, 0.6], "n_mean": 1.0})

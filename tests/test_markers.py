@@ -23,6 +23,7 @@ from photocorr import (
     thin_joint,
     variance_threshold,
 )
+from photocorr.markers import _pgf_rates
 
 
 def thinned(src, eff, tail_tol=1e-13):
@@ -239,6 +240,35 @@ class TestManyModesAndBrightBeams:
         assert dd.tail_mass <= 1e-10
         assert dd.mean() == pytest.approx(m.mean1 - m.mean2, rel=1e-6)
         assert dd.variance() == pytest.approx(difference_variance(src, eff).sigma2_d, rel=1e-6)
+
+    @pytest.mark.parametrize("n_mean", [1e3, 1e5, 1e7])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cumulants_match_closed_forms(self, kind, n_mean):
+        # kappa_1..4 of d from the derivatives of ln G(e**t, e**-t)**mu at t = 0: no FFT,
+        # no window, no Chernoff bound; N = 1e7 also shows the table budget admits it
+        src, eff = SourceSpec(kind, n_mean, 14), EfficiencyPair(0.66, 0.68)
+        dd = difference_analytic(src, eff)
+        bose, a, b = _pgf_rates(src, eff)
+        x1, x2, mu = a - b, a + b, src.mu
+        if bose:
+            want = [mu * x1, mu * (x2 + x1**2), mu * (x1 + 3 * x1 * x2 + 2 * x1**3),
+                    mu * (x2 + 4 * x1**2 + 3 * x2**2 + 12 * x1**2 * x2 + 6 * x1**4)]
+        else:
+            want = [mu * x1, mu * x2, mu * x1, mu * x2]
+        p = dd.probs / dd.probs.sum()
+        mean = p @ dd.d_values
+        c = dd.d_values - mean
+        m2, m3, m4 = p @ c**2, p @ c**3, p @ c**4
+        got = [mean, m2, m3, m4 - 3.0 * m2**2]
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+        assert got[1] == pytest.approx(want[1], rel=1e-9)
+        if bose:
+            assert got[2] == pytest.approx(want[2], rel=5e-8)
+            assert got[3] == pytest.approx(want[3], rel=1e-6)
+        else:  # kappa_3 and kappa_4 are tiny against sigma**3 and sigma**4
+            sigma = math.sqrt(want[1])
+            assert abs(got[2] - want[2]) / sigma**3 <= 1e-7
+            assert abs(got[3] - want[3]) / sigma**4 <= 1e-7
 
     def test_oversized_window_rejected(self):
         with pytest.raises(TailToleranceError):

@@ -1,4 +1,7 @@
 import math
+import time
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,20 +10,27 @@ from scipy.special import gammaln
 
 from photocorr import (
     DifferenceDistribution,
+    EfficiencyPair,
     JointCountDistribution,
     SourceSpec,
     TailToleranceError,
     ValidationError,
     coherent_pair_joint,
+    difference_analytic,
+    multimode_convolve,
     multithermal_pdf,
     source_joint,
     split_thermal_joint,
     thermal_pmf,
+    thin_joint,
     twin_beam_joint,
 )
-from photocorr.sources import _log_factorial
+from photocorr import sources
+from photocorr.detection import loss_matrix
+from photocorr.sources import _check_cutoff, _log_factorial
 
 N_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
+EFF = EfficiencyPair(0.6, 0.7)
 
 
 class TestTwinBeamJoint:
@@ -182,6 +192,75 @@ class TestSourceSpec:
 def test_bad_explicit_cutoff_rejected(joint, cutoff):
     with pytest.raises(ValidationError, match="cutoff"):
         joint(1.0, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("joint", [twin_beam_joint, coherent_pair_joint, split_thermal_joint])
+@pytest.mark.parametrize("n_mean", [math.inf, math.nan])
+def test_non_finite_mean_rejected_by_joints(joint, n_mean):
+    with pytest.raises(ValidationError, match="n_mean"):
+        joint(n_mean)
+
+
+class TestTableBudget:
+    """One float64 table budget, sources._TABLE_BYTES, guards every exact layer."""
+
+    SMALL = 1 << 16  # 8192 points: a joint table of cutoff 89
+    AUTO = "auto"  # an automatic cutoff, above the 89 the small budget admits
+
+    # each case builds its call at the real budget; the call runs under the small one
+    @pytest.mark.parametrize("prepare, cutoff", [
+        (lambda: partial(twin_beam_joint, 1.0, cutoff=100), 100),
+        (lambda: partial(twin_beam_joint, 50.0), AUTO),
+        (lambda: partial(coherent_pair_joint, 1.0, cutoff=100), 100),
+        (lambda: partial(coherent_pair_joint, 1e5), 100000),  # floor(n_mean), no cdf walk
+        (lambda: partial(coherent_pair_joint, 80.0), AUTO),  # refused after the walk
+        (lambda: partial(split_thermal_joint, 1.0, cutoff=100), 100),
+        (lambda: partial(split_thermal_joint, 50.0, 0.3), AUTO),
+        (lambda: partial(loss_matrix, 0.5, 100), 100),
+        (lambda: partial(thin_joint, twin_beam_joint(1.0, cutoff=100), EFF), 100),
+        (lambda: partial(multimode_convolve, twin_beam_joint(1.0, cutoff=10), 14), 140),
+        (lambda: partial(difference_analytic, SourceSpec.twin_beam(1e6, 14), EFF), None),
+    ], ids=["twin-explicit", "twin-auto", "coherent-explicit", "coherent-auto-bound",
+            "coherent-auto-walk", "split-explicit", "split-auto", "loss_matrix", "thin_joint",
+            "multimode_convolve", "difference_analytic"])
+    def test_refused_before_allocating(self, monkeypatch, prepare, cutoff):
+        call = prepare()
+        monkeypatch.setattr(sources, "_TABLE_BYTES", self.SMALL)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TailToleranceError, match="table budget") as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.SMALL
+        if cutoff == self.AUTO:
+            assert err.value.required_cutoff > 89
+        else:
+            assert err.value.required_cutoff == cutoff
+
+    def test_edge_of_the_budget(self, monkeypatch):
+        monkeypatch.setattr(sources, "_TABLE_BYTES", self.SMALL)
+        assert twin_beam_joint(1.0, cutoff=89).cutoff == 89
+        with pytest.raises(TailToleranceError):
+            twin_beam_joint(1.0, cutoff=90)
+
+    def test_real_budget(self):
+        # 2**27 bytes are 2**24 points: a joint table of cutoff 4095 or the widest p(d) FFT
+        assert _check_cutoff(4095, None, 1e-10) == 4095
+        with pytest.raises(TailToleranceError) as err:
+            _check_cutoff(4096, None, 1e-10)
+        assert err.value.required_cutoff == 4096
+        for call in (partial(twin_beam_joint, 1.0, cutoff=10**6), partial(loss_matrix, 0.5, 10**6)):
+            with pytest.raises(TailToleranceError, match="128 MiB table budget"):
+                call()
+
+    def test_explicit_coherent_cutoff_skips_the_cdf_walk(self, monkeypatch):
+        monkeypatch.setattr(sources, "_poisson_cdf_grid", None)  # calling it would fail
+        start = time.perf_counter()
+        j = coherent_pair_joint(1e8, cutoff=10)
+        assert time.perf_counter() - start < 1.0
+        assert j.cutoff == 10 and j.tail_mass == 1.0
 
 
 class TestJointCountDistribution:
