@@ -28,7 +28,7 @@ from .errors import (
 )
 from .markers import _difference_variance_model, _variance_terms
 from .montecarlo import ShotSeries, _pump_excess
-from .sources import SPLIT_THERMAL, TWIN_BEAM, _log_factorial, multithermal_pdf
+from .sources import SPLIT_THERMAL, TWIN_BEAM, _check_table, multithermal_pdf
 
 
 def correlation_function(series: ShotSeries, lag: int) -> float:
@@ -113,12 +113,14 @@ def fit_multithermal(values, integer_mu: bool = True) -> MultithermalFit:
     """Fit the mode count and mean of a multithermal (Gamma-shaped) channel.
 
     The mean is the maximum-likelihood estimate for every fixed mode count,
-    so only the shape mu is searched, over [1, _MU_MAX]: on the integers when
-    integer_mu, else by bisection (_bisect, to 1e-9) on the sign of the
-    profile log-likelihood's central difference ll(mu (1 + 1e-4)) -
-    ll(mu (1 - 1e-4)), which moves the root by about 3e-9 relative.  Values
-    at or below zero (possible in voltage records) are clipped to zero,
-    counted, and excluded from the likelihood.
+    so only the shape mu is searched, over [1, _MU_MAX], by bisection
+    (_bisect, to 1e-9) on the sign of the profile log-likelihood's central
+    difference ll(mu (1 + 1e-4)) - ll(mu (1 - 1e-4)), which moves the root by
+    about 3e-9 relative.  With integer_mu the estimate is whichever of
+    floor(mu) and floor(mu) + 1, within [1, _MU_MAX], has the larger ll (the
+    lower on a tie): ll is strictly concave in mu, so that is the integer
+    maximum.  Values at or below zero (possible in voltage records) are
+    clipped to zero, counted, and excluded from the likelihood.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 1000:
@@ -130,20 +132,18 @@ def fit_multithermal(values, integer_mu: bool = True) -> MultithermalFit:
     v_mean = v.mean()
     mean_log = np.log(v).mean()
 
-    def mean_loglik(mu, log_gamma_mu):
+    def mean_loglik(mu):
         # profile log-likelihood per sample at the ML mean
-        return (mu - 1.0) * mean_log - mu - log_gamma_mu - mu * np.log(v_mean / mu)
+        return (mu - 1.0) * mean_log - mu - math.lgamma(mu) - mu * np.log(v_mean / mu)
 
+    def rising(mu):
+        return mean_loglik(mu * (1.0 + 1e-4)) > mean_loglik(mu * (1.0 - 1e-4))
+
+    mu_hat = _bisect(rising, 1.0, float(_MU_MAX), 1e-9)
     if integer_mu:
-        grid = np.arange(1, _MU_MAX + 1, dtype=float)
-        # lgamma(mu) = log((mu - 1)!)
-        mu_hat = float(grid[np.argmax(mean_loglik(grid, _log_factorial(_MU_MAX - 1)))])
-    else:
-        def rising(mu):
-            up, down = mu * (1.0 + 1e-4), mu * (1.0 - 1e-4)
-            return mean_loglik(up, math.lgamma(up)) > mean_loglik(down, math.lgamma(down))
-
-        mu_hat = _bisect(rising, 1.0, float(_MU_MAX), 1e-9)
+        low = float(math.floor(mu_hat))
+        high = min(low + 1.0, float(_MU_MAX))
+        mu_hat = high if mean_loglik(high) > mean_loglik(low) else low
     goodness = _chi2_per_bin(v, mu_hat, v_mean)
     return MultithermalFit(mu_hat, float(v_mean), goodness, clipped)
 
@@ -309,6 +309,7 @@ def noise_surface(sigma2_measured, m1, m2, mu, eta1_grid, eta2_grid,
     e2 = np.asarray(eta2_grid, dtype=float)
     if e1.min() <= 0 or e1.max() > 1 or e2.min() <= 0 or e2.max() > 1:
         raise ValidationError("efficiency grids must lie in (0, 1]")
+    _check_table(e1.size * e2.size, f"a {e1.size} x {e2.size} noise surface")
     fit = solve_pump_noise(sigma2_measured, e1[:, None], e2[None, :], m1, m2, mu, kind)
     corrected = np.where(fit.at_floor, sigma2_measured, fit.base_sigma2)
     if eta_nominal is None:

@@ -28,7 +28,7 @@ from .errors import (
     UndefinedMarkerError,
     ValidationError,
 )
-from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, source_joint
+from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_table, source_joint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -191,9 +191,10 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
     eff = _eff_from(cfg)
     n_grid = _config_value(cfg, "n_grid", _number_list, None)
     if n_grid is None:
+        n_points = _config_value(cfg, "n_points", _size, 101)
+        _check_table(n_points, f"a sweep of {n_points} points")
         n_grid = np.linspace(_config_value(cfg, "n_min", float, 0.0),
-                             _config_value(cfg, "n_max", float, 25.0),
-                             _config_value(cfg, "n_points", _size, 101))
+                             _config_value(cfg, "n_max", float, 25.0), n_points)
     mu = _config_value(cfg, "mu", _integer, 1)
     table = {"n_mean": np.asarray(n_grid)}
     for name, kind in _SWEEP_KINDS:
@@ -318,6 +319,7 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     lo = _config_value(grid_cfg, "lo", float, 0.4)
     hi = _config_value(grid_cfg, "hi", float, 0.95)
     points = _config_value(grid_cfg, "points", _size, 12)
+    _check_table(points, f"an efficiency grid of {points} points")
     eta1_grid = np.linspace(lo, hi, points)
     eta2_grid = np.linspace(lo, hi, points)
     eta_nominal = _config_value(cfg, "eta_nominal", float, None)

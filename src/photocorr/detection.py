@@ -21,6 +21,7 @@ from .sources import (
     JointCountDistribution,
     SourceSpec,
     _check_table,
+    _explicit_cutoff,
     _log_binomial,
     _log_factorial,
 )
@@ -54,8 +55,13 @@ def loss_matrix(eta, cutoff):
     """L[m, n] = Binomial(n, eta) pmf at m, for m, n = 0..cutoff.
 
     Evaluated as a log-binomial (sources._log_binomial), exact at eta = 0
-    and eta = 1.  A matrix above the table budget raises TailToleranceError.
+    and eta = 1.  An eta outside [0, 1] (nan included) or a cutoff that is
+    not an integer >= 0 raises ValidationError; a matrix above the table
+    budget raises TailToleranceError.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"eta: must lie in [0, 1], got {eta}")
+    cutoff = _explicit_cutoff(cutoff)
     _check_table((cutoff + 1) ** 2, f"a loss matrix of cutoff {cutoff}", cutoff)
     m = np.arange(cutoff + 1)[:, None]
     n = np.arange(cutoff + 1)[None, :]

@@ -1,23 +1,20 @@
 """Monte Carlo generation of per-shot detected counts and voltages.
 
 Each laser shot produces mu independent mode pairs.  Per shot the detected
-counts (m1, m2) are drawn from their exact law, with as few variates as that
-law allows and only (shots,) arrays, and are optionally converted to boxcar
-voltages v = alpha * m plus additive Gaussian instrument noise.  With a
-per-shot pump scale u (1 without pump noise) and per-mode mean n = N / mu:
+counts (m1, m2) are drawn from their exact law with (shots,) arrays only, and
+are optionally converted to boxcar voltages v = alpha * m plus additive
+Gaussian instrument noise.
 
-* split thermal: the photon total of the mu modes, before the splitter, is
-  T ~ NegBin(mu, 1 / (1 + 2 n u)), drawn as Poisson(2 n u g) with g a
-  standard Gamma(mu) variate.  Each photon is detected in beam 1 with
-  probability tau eta1 and in beam 2 with probability (1-tau) eta2, so
-  m1 ~ Bin(T, tau eta1) and m2 | m1 ~ Bin(T - m1, (1-tau) eta2 / (1 - tau eta1))
-  (probability 0 when tau eta1 = 1).  Three variates per shot, and u.
-* coherent pair: a thinned Poisson law is Poisson, so
-  m_j ~ Poisson(N u eta_j), independently.
-* twin beam without pump noise: both beams carry the same photon number
-  n1 = n2 ~ NegBin(mu, 1 / (1 + n)), drawn as Poisson(n g), thinned by two
-  independent binomials.
-* twin beam with pump noise: drawn mode by mode (see below), then thinned.
+Every source except the pumped twin beam is drawn from its generating
+function.  With u_j = z_j - 1, the mu-pair count pgf is exp(mu x) (coherent
+pair) or (1 - x)**-mu (thermal sources), x = A u1 + B u2 + C u1 u2, with
+(A, B, C) from detection._pgf_coefficients and C <= A, B.  Both equal
+E_g[exp(g x)] for g = mu or g ~ Gamma(mu), and exp(g x) factorises into the
+pgfs of three independent Poisson counts: Z of mean g C, common to both beams,
+and X_j of mean g (A_j - C).  So, per shot, m_j = X_j + Z, with g scaled by
+the pump scale u (1 without pump noise).  Z is drawn only when C > 0 (the
+twin beam).  The pumped twin beam is drawn mode by mode (see below), then
+thinned.
 
 Pump-laser excess noise (fraction pump_x of the mean) jitters the means from
 shot to shot.  The jitter is injected so that the per-beam detected-count
@@ -50,9 +47,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import EfficiencyPair
+from .detection import EfficiencyPair, _pgf_coefficients
 from .errors import ValidationError
-from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec
+from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_table
 
 
 #: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
@@ -80,6 +77,7 @@ class SimulationConfig:
         if int(self.shots) != self.shots or self.shots < 1:
             raise ValidationError(f"shots: must be an integer >= 1, got {self.shots}")
         object.__setattr__(self, "shots", int(self.shots))
+        _check_table(self.shots, f"a series of {self.shots} shots")
         if self.source.n_mean > _MAX_N_MEAN:
             raise ValidationError(f"n_mean: must be <= {_MAX_N_MEAN:g} to simulate, "
                                   f"so that counts fit in int64, got {self.source.n_mean:g}")
@@ -137,34 +135,27 @@ def sample_series(cfg: SimulationConfig) -> ShotSeries:
     """Simulate a shot series for the configured source and detection chain.
 
     Deterministic for a fixed config: all randomness comes from one
-    counter-based generator seeded with cfg.seed, consumed in a fixed order
-    (pump scales and photon numbers, thinning, instrument noise).  Each
-    source draws the law of the module docstring with (shots,) vectors only.
+    counter-based generator seeded with cfg.seed.  The pumped twin beam draws
+    its photon totals mode by mode and thins them.  Every other source draws,
+    in this order, the pump scales u, the Gamma(mu) variates of a thermal
+    source, Z (twin beam only), X1 and X2 of the module docstring.  Volts then
+    draw the instrument noise of channel 1 and of channel 2.
     """
     src, eff = cfg.source, cfg.eff
     k = cfg.shots
-    n = src.per_mode_mean
     rng = np.random.Generator(np.random.Philox(cfg.seed))
 
-    if src.kind == TWIN_BEAM:
-        if cfg.pump_x > 0:
-            n1, n2, truncations = _pumped_twin_beam(rng, cfg)
-        else:
-            n1 = n2 = rng.poisson(n * rng.standard_gamma(src.mu, k))
-            truncations = 0
+    if src.kind == TWIN_BEAM and cfg.pump_x > 0:
+        n1, n2, truncations = _pumped_twin_beam(rng, cfg)
         m1, m2 = _thin(rng, n1, eff.eta1), _thin(rng, n2, eff.eta2)
-    elif src.kind == SPLIT_THERMAL:
-        u, truncations = _pump_scales(rng, math.sqrt(2.0) * cfg.pump_x, k)
-        total = rng.poisson(2.0 * n * u * rng.standard_gamma(src.mu, k))
-        # each photon of the total lands in beam 1, in beam 2 or nowhere
-        p1 = src.tau * eff.eta1
-        p2 = min((1.0 - src.tau) * eff.eta2 / (1.0 - p1), 1.0) if p1 < 1.0 else 0.0
-        m1 = _thin(rng, total, p1)
-        m2 = _thin(rng, total - m1, p2)
     else:
-        u, truncations = _pump_scales(rng, cfg.pump_x, k)
-        m1 = rng.poisson(src.n_mean * eff.eta1 * u)
-        m2 = rng.poisson(src.n_mean * eff.eta2 * u)
+        bose, a, b, c = _pgf_coefficients(src, eff)
+        u, truncations = _pump_scales(rng, (math.sqrt(2.0) if bose else 1.0) * cfg.pump_x, k)
+        g = u * rng.standard_gamma(src.mu, k) if bose else u * src.mu
+        z = rng.poisson(g * c) if c > 0 else 0
+        m1, m2 = rng.poisson(g * (a - c)), rng.poisson(g * (b - c))
+        m1 += z
+        m2 += z
 
     if not cfg.volts:
         return ShotSeries(m1.astype(np.int64), m2.astype(np.int64), "counts",

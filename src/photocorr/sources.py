@@ -147,13 +147,18 @@ def _check_table(points, what, required_cutoff=None):
                                  f"{_TABLE_BYTES / 2**20:g} MiB table budget", required_cutoff)
 
 
+def _explicit_cutoff(cutoff):
+    """A cutoff given by the caller, as an int, or ValidationError unless an integer >= 0."""
+    if not cutoff >= 0 or cutoff % 1 != 0:
+        raise ValidationError(f"cutoff: must be an integer >= 0, got {cutoff}")
+    return int(cutoff)
+
+
 def _check_cutoff(required, cutoff, tail_tol):
     """The explicit cutoff, or else the required one, checked against the table budget."""
     what = f"{required} (for tail tolerance {tail_tol:g})"
     if cutoff is not None:
-        if not cutoff >= 0 or cutoff % 1 != 0:
-            raise ValidationError(f"cutoff: must be an integer >= 0, got {cutoff}")
-        required = what = int(cutoff)
+        required = what = _explicit_cutoff(cutoff)
     _check_table((required + 1) ** 2, f"a joint table of cutoff {what}", required)
     return required
 

@@ -127,6 +127,17 @@ class TestMeasuredDifferenceVariance:
         assert got == pytest.approx(want, rel=0.02)
 
 
+def grid_mu(values):
+    """Integer mode count maximising the multithermal profile log-likelihood,
+    by a search over every integer in [1, 200] (the lowest on a tie)."""
+    v = np.asarray(values, dtype=float)
+    v = v[v > 0.0]
+    mu = np.arange(1, 201, dtype=float)
+    lgam = np.array([math.lgamma(m) for m in mu])
+    ll = (mu - 1.0) * np.log(v).mean() - mu - lgam - mu * np.log(v.mean() / mu)
+    return float(mu[np.argmax(ll)])
+
+
 class TestFitMultithermal:
     @pytest.mark.parametrize("mu", [1, 5, 14, 15])
     @pytest.mark.parametrize("v_mean", [0.5, 1.0, 10.0])
@@ -134,7 +145,7 @@ class TestFitMultithermal:
         rng = np.random.Generator(np.random.Philox(int(mu * 1000 + v_mean * 10)))
         v = rng.gamma(mu, v_mean / mu, 100000)
         fit = fit_multithermal(v)
-        assert fit.mu_hat == mu
+        assert fit.mu_hat == mu == grid_mu(v)
         assert fit.v_mean_hat == pytest.approx(v_mean, rel=0.01)
 
     def test_continuous_mode(self):
@@ -162,7 +173,15 @@ class TestFitMultithermal:
         v[:10] = -1.0
         fit = fit_multithermal(v)
         assert fit.n_clipped == 10
-        assert fit.mu_hat == 5
+        assert fit.mu_hat == 5 == grid_mu(v)
+
+    def test_integer_mu_equals_the_grid_oracle(self):
+        # shapes from below 1 to above the search range, on small records whose estimate
+        # often falls between two integers
+        rng = np.random.Generator(np.random.Philox(102))
+        for shape in np.exp(rng.uniform(math.log(0.5), math.log(300.0), 400)):
+            v = rng.gamma(shape, 3.0 / shape, int(rng.integers(1000, 3000)))
+            assert fit_multithermal(v).mu_hat == grid_mu(v)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValidationError):

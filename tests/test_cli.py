@@ -522,3 +522,41 @@ def test_runs_with_scipy_blocked(tmp_path, command):
             "--out", str(tmp_path / "out")]
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert out.returncode == EXIT_OK, out.stderr
+
+
+class TestSizeBudget:
+    """shots, the noise surface and the sweep grid are refused above sources._TABLE_BYTES."""
+
+    SMALL = 1 << 16  # 8192 float64 points
+    SIZES = {  # command: (config for a size, size just below the budget, just above it)
+        "simulate": (lambda n: {"source": "split_thermal", "n_mean": 2.0, "mu": 2,
+                                "eta": [0.6, 0.7], "shots": n}, 8192, 8193),
+        # the surface is points x points: 90**2 = 8100, 91**2 = 8281
+        "noise-budget": (lambda n: {"sigma2_measured": 2.124e11, "m1": 7.225e6, "m2": 7.212e6,
+                                    "mu": 14, "eta_grid": {"lo": 0.5, "hi": 0.9, "points": n}},
+                         90, 91),
+        "sweep": (lambda n: {"eta": [0.6, 0.7], "n_points": n, "eta_grid": [0.5]}, 8192, 8193),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SIZES))
+    def test_refused_above_the_budget_before_allocating(self, tmp_path, monkeypatch, capsys,
+                                                        command):
+        import tracemalloc
+
+        from photocorr import sources
+
+        config, below, above = self.SIZES[command]
+        monkeypatch.setattr(sources, "_TABLE_BYTES", self.SMALL)
+        # the size at the budget runs first, which also imports what a first call imports
+        cfg = write_config(tmp_path, "edge.json", config(below))
+        assert run([command, "--config", cfg, "--out", tmp_path / "edge"]) == EXIT_OK
+        cfg = write_config(tmp_path, "big.json", config(above))
+        tracemalloc.start()
+        try:
+            code = run([command, "--config", cfg, "--out", tmp_path / "big"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_TOLERANCE
+        assert "table budget" in capsys.readouterr().err
+        assert peak < self.SMALL

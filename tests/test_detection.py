@@ -46,6 +46,14 @@ class TestThinJoint:
         want = binom.pmf(np.arange(301)[:, None], np.arange(301)[None, :], eta)
         assert np.max(np.abs(loss_matrix(eta, 300) - want)) < 1e-13
 
+    @pytest.mark.parametrize("eta, cutoff, bad", [
+        (1.5, 3, "eta"), (float("nan"), 2, "eta"), (float("inf"), 2, "eta"),
+        (0.5, -1, "cutoff"), (0.5, 2.5, "cutoff"), (0.5, float("nan"), "cutoff"),
+    ])
+    def test_loss_matrix_arguments_checked(self, eta, cutoff, bad):
+        with pytest.raises(ValidationError, match=bad):
+            loss_matrix(eta, cutoff)
+
     @pytest.mark.parametrize("eta", ETA_GRID)
     def test_probability_preserved(self, eta):
         j = source_joint(SourceSpec.split_thermal(2.0))

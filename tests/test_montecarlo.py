@@ -115,6 +115,11 @@ class TestExactLaw:
         ("split_thermal", 0.5, (0.6, 0.7)),
         ("split_thermal", 0.3, (0.9, 0.5)),
         ("split_thermal", 1.0, (1.0, 0.7)),
+        # zero rates: B - C = 0, A - C = 0, a silent beam 1, a silent coherent beam 1
+        ("twin_beam", 0.5, (1.0, 0.7)),
+        ("twin_beam", 0.5, (0.7, 1.0)),
+        ("split_thermal", 0.0, (0.6, 0.7)),
+        ("coherent_pair", 0.5, (0.0, 0.7)),
     ])
     def test_joint_counts_chi2(self, kind, tau, eta):
         n_mean, mu, shots = 2.0, 3, 200_000
