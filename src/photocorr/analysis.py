@@ -28,7 +28,7 @@ from .errors import (
 )
 from .markers import _difference_variance_model, _variance_terms
 from .montecarlo import ShotSeries, _pump_excess
-from .sources import SPLIT_THERMAL, TWIN_BEAM, _check_table, multithermal_pdf
+from .sources import SPLIT_THERMAL, TWIN_BEAM, _check_table, _checked, multithermal_pdf
 
 
 def correlation_function(series: ShotSeries, lag: int) -> float:
@@ -40,6 +40,7 @@ def correlation_function(series: ShotSeries, lag: int) -> float:
     v1 = np.asarray(series.ch1, dtype=float)
     v2 = np.asarray(series.ch2, dtype=float)
     k = len(v1)
+    lag = _checked("lag", lag, "integer")
     if k <= abs(lag) + 1:
         raise ValidationError(f"lag {lag} needs more than {abs(lag) + 1} shots, got {k}")
     s1, s2 = v1.std(), v2.std()
@@ -185,15 +186,12 @@ def _chi2_per_bin(v, mu, v_mean):
 
 
 def _check_budget(sigma2_measured, m1, m2, mu, kind):
-    """The measurement and model arguments shared by the two noise-budget inversions."""
-    if not math.isfinite(sigma2_measured):
-        raise ValidationError(f"sigma2_measured: must be finite, got {sigma2_measured}")
-    if not (0.0 < m1 < math.inf and 0.0 < m2 < math.inf):
-        raise ValidationError(f"m1, m2: detected means must be finite and > 0, got {m1}, {m2}")
+    """(sigma2_measured, m1, m2, mu), checked, as the two noise-budget inversions share them."""
+    checked = (_checked("sigma2_measured", sigma2_measured, "finite"), _checked("m1", m1, "> 0"),
+               _checked("m2", m2, "> 0"), _checked("mu", mu, "integer >= 1"))
     if kind not in (TWIN_BEAM, SPLIT_THERMAL):
         raise ValidationError(f"kind: expected twin_beam or split_thermal, got {kind!r}")
-    if int(mu) != mu or mu < 1:
-        raise ValidationError(f"mu: must be an integer >= 1, got {mu}")
+    return checked
 
 
 def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
@@ -211,10 +209,9 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
     model at the nominal efficiency; raises InconsistentDataError when no
     admissible solution exists anywhere in the scan.
     """
-    _check_budget(sigma2_measured, m1, m2, mu, kind)
-    if not (0.0 < eta_nominal <= 1.0):
-        raise ValidationError(f"eta_nominal: must lie in (0, 1], got {eta_nominal}")
-    m_bar = 0.5 * (m1 + m2)
+    sigma2_measured, m1, m2, mu = _check_budget(sigma2_measured, m1, m2, mu, kind)
+    eta_nominal = _checked("eta_nominal", eta_nominal, "(0, 1]")
+    m_bar = 0.5 * m1 + 0.5 * m2  # 0.5 * (m1 + m2) without overflow
     if sigma2_measured <= _variance_terms(eta_nominal, m_bar / eta_nominal, mu, kind)[0]:
         return (0.0, 0.0)
 
@@ -238,6 +235,12 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
         raise InconsistentDataError(
             "no admissible efficiency pair reproduces the measured variance")
     return (delta_at(lo_eta) or 0.0, hi)
+
+
+def _efficiencies(name, eta):
+    """eta, a number or a non-empty array of numbers, each _checked to lie in (0, 1]."""
+    values = [_checked(name, e, "(0, 1]") for e in np.ravel(eta)] or [_checked(name, eta, "(0, 1]")]
+    return np.reshape(values, np.shape(eta)) if np.ndim(eta) else values[0]
 
 
 @dataclass(frozen=True)
@@ -266,20 +269,21 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
     montecarlo._pump_excess at N_j.
 
     Measurements at or below the x = 0 model return x = 0 with at_floor set.
+    A model value beyond the float range raises ValidationError.
     eta1 and eta2 may be arrays that broadcast against each other (e.g. a
     column and a row of an efficiency grid); every field of the result then
     has the broadcast shape.
     """
-    for name, eta in (("eta1", eta1), ("eta2", eta2)):
-        if not np.all((0.0 < eta) & (eta <= 1.0)):
-            raise ValidationError(f"{name}: must lie in (0, 1], got {eta}")
-    _check_budget(sigma2_measured, m1, m2, mu, kind)
-    n1, n2 = m1 / eta1, m2 / eta2
-    base = _difference_variance_model(eta1 - eta2, 0.5 * (eta1 + eta2), 0.5 * (n1 + n2), mu, kind)
-    coef = _pump_excess(kind, n1, mu) + _pump_excess(kind, n2, mu)
-    at_floor = sigma2_measured <= base
-    x = np.sqrt(np.maximum(sigma2_measured - base, 0.0) / coef)
-    return PumpFit(x, at_floor, base, coef)
+    eta1, eta2 = _efficiencies("eta1", eta1), _efficiencies("eta2", eta2)
+    sigma2_measured, m1, m2, mu = _check_budget(sigma2_measured, m1, m2, mu, kind)
+    with np.errstate(all="ignore"):  # a value beyond the float range is refused below
+        n1, n2 = m1 / eta1, m2 / eta2
+        base = _difference_variance_model(eta1 - eta2, 0.5 * (eta1 + eta2), 0.5 * (n1 + n2), mu, kind)
+        coef = _pump_excess(kind, n1, mu) + _pump_excess(kind, n2, mu)
+        x = np.sqrt(np.maximum(sigma2_measured - base, 0.0) / coef)
+    for name, value in (("base_sigma2", base), ("excess_coefficient", coef), ("x", x)):
+        _checked(name, np.max(value), "finite")
+    return PumpFit(x, sigma2_measured <= base, base, coef)
 
 
 @dataclass(frozen=True)
@@ -305,10 +309,8 @@ def noise_surface(sigma2_measured, m1, m2, mu, eta1_grid, eta2_grid,
     kept, flagged at_floor.  The shot-noise plane (eta1 + eta2) N equals
     m1 + m2 for every efficiency choice, hence a single number.
     """
-    e1 = np.asarray(eta1_grid, dtype=float)
-    e2 = np.asarray(eta2_grid, dtype=float)
-    if e1.min() <= 0 or e1.max() > 1 or e2.min() <= 0 or e2.max() > 1:
-        raise ValidationError("efficiency grids must lie in (0, 1]")
+    e1 = np.atleast_1d(_efficiencies("eta1_grid", eta1_grid))
+    e2 = np.atleast_1d(_efficiencies("eta2_grid", eta2_grid))
     _check_table(e1.size * e2.size, f"a {e1.size} x {e2.size} noise surface")
     fit = solve_pump_noise(sigma2_measured, e1[:, None], e2[None, :], m1, m2, mu, kind)
     corrected = np.where(fit.at_floor, sigma2_measured, fit.base_sigma2)

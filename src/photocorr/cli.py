@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, markers, montecarlo, seriesio
+from . import analysis, markers, montecarlo, seriesio, sources
 from .detection import EfficiencyPair, multimode_convolve, thin_joint
 from .errors import (
     DataError,
@@ -28,12 +28,17 @@ from .errors import (
     UndefinedMarkerError,
     ValidationError,
 )
-from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_table, source_joint
+from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, source_joint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_TOLERANCE = 4
+
+#: Exit code and label of each error type, the most specific first.
+_EXITS = ((ValidationError, EXIT_VALIDATION, "validation error"),
+          (TailToleranceError, EXIT_TOLERANCE, "tolerance error"),
+          (DataError, EXIT_DATA, "data error"), (PhotocorrError, EXIT_DATA, "error"))
 
 
 def _load_config(path):
@@ -52,34 +57,24 @@ def _load_config(path):
 _REQUIRED = object()
 
 
-def _config_value(cfg, key, cast, default=_REQUIRED):
-    """cast(cfg[key]), or default when the key is absent or null.
-
-    A missing required key, or a value that cast rejects, raises
-    ValidationError naming the key, so a wrong-typed config exits with 2.
-    """
+def _config_value(cfg, key, read=None, default=_REQUIRED):
+    """cfg[key], or default when the key is absent or null, read by a domain rule of
+    sources._checked or a function; without read, a number goes to the library as
+    parsed.  A missing required key, or a value that read rejects, raises
+    ValidationError naming the key, so a wrong-typed config exits with 2."""
     value = cfg.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ValidationError(f"config: missing required key {key!r}")
         return default
+    if read is None:
+        return value
+    if isinstance(read, str):
+        return sources._checked(key, value, read)
     try:
-        return cast(value)
+        return read(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"config: {key!r}: {exc}") from None
-
-
-def _integer(value):
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _size(value):
-    size = _integer(value)
-    if size < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
-    return size
 
 
 def _flag(value):
@@ -94,11 +89,10 @@ def _text(value):
     return value
 
 
-def _float_pair(value):
-    if isinstance(value, str):
+def _pair(value):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"expected a pair [x1, x2], got {value!r}")
-    a, b = value
-    return float(a), float(b)
+    return tuple(value)
 
 
 def _number_list(value):
@@ -116,22 +110,19 @@ def _grid_spec(value):
     return value
 
 
-def _source_from(cfg) -> SourceSpec:
-    return SourceSpec(
-        kind=_config_value(cfg, "source", _text),
-        n_mean=_config_value(cfg, "n_mean", float),
-        mu=_config_value(cfg, "mu", _integer, 1),
-        tau=_config_value(cfg, "tau", float, 0.5),
-    )
+def _sources_from(cfg):
+    """SourceSpec(kind, n_mean) with the config's mu and tau: the one reader of both keys."""
+    mu = _config_value(cfg, "mu", default=1)
+    tau = _config_value(cfg, "tau", default=0.5)
+    return lambda kind, n_mean: SourceSpec(kind, n_mean, mu, tau)
 
 
 def _eff_from(cfg) -> EfficiencyPair:
-    return EfficiencyPair(*_config_value(cfg, "eta", _float_pair))
+    return EfficiencyPair(*_config_value(cfg, "eta", _pair))
 
 
 def _write_report(out_dir, name, payload, resolved_config):
-    payload = dict(payload)
-    payload["config"] = resolved_config
+    payload = dict(payload, config=resolved_config)
     path = Path(out_dir) / name
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
@@ -150,25 +141,26 @@ def _jsonable(obj):
 def cmd_analytic(cfg, out_dir, fmt="tsv"):
     """Difference distributions, correlation coefficients, variances, threshold."""
     eff = _eff_from(cfg)
-    n_mean = _config_value(cfg, "n_mean", float, 1.0)
-    mu = _config_value(cfg, "mu", _integer, 1)
+    source = _sources_from(cfg)
+    n_mean = _config_value(cfg, "n_mean", default=1.0)
     with_joint = _config_value(cfg, "joint", _flag, False)
     report = {"sources": {}}
     for kind in (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL):
-        dd = markers.difference_analytic(SourceSpec(kind, n_mean, mu), eff)
+        src = source(kind, n_mean)
+        dd = markers.difference_analytic(src, eff)
         seriesio.write_table(Path(out_dir) / f"diff_{kind}.tsv",
                              {"d": dd.d_values, "p": dd.probs}, fmt)
         if with_joint:
             # one mode pair carries n_mean / mu; the mu-fold convolution restores the total
-            joint = multimode_convolve(
-                thin_joint(source_joint(SourceSpec(kind, n_mean / mu)), eff), mu)
+            pair = SourceSpec(kind, src.per_mode_mean, 1, src.tau)
+            joint = multimode_convolve(thin_joint(source_joint(pair), eff), src.mu)
             n1, n2 = np.indices(joint.probs.shape)
             seriesio.write_table(Path(out_dir) / f"joint_{kind}.tsv",
                                  {"n1": n1.ravel(), "n2": n2.ravel(), "p": joint.probs.ravel()},
                                  fmt)
-        rep = markers.difference_variance(SourceSpec(kind, n_mean, mu), eff)
+        rep = markers.difference_variance(src, eff)
         try:
-            correlation = markers.correlation_coefficient(SourceSpec(kind, n_mean, mu), eff)
+            correlation = markers.correlation_coefficient(src, eff)
         except UndefinedMarkerError:
             correlation = "undefined"  # a beam has zero variance
         report["sources"][kind] = {
@@ -191,26 +183,25 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
     eff = _eff_from(cfg)
     n_grid = _config_value(cfg, "n_grid", _number_list, None)
     if n_grid is None:
-        n_points = _config_value(cfg, "n_points", _size, 101)
-        _check_table(n_points, f"a sweep of {n_points} points")
-        n_grid = np.linspace(_config_value(cfg, "n_min", float, 0.0),
-                             _config_value(cfg, "n_max", float, 25.0), n_points)
-    mu = _config_value(cfg, "mu", _integer, 1)
+        n_points = _config_value(cfg, "n_points", "integer >= 1", 101)
+        sources._check_table(n_points, f"a sweep of {n_points} points")
+        n_grid = np.linspace(_config_value(cfg, "n_min", ">= 0", 0.0),
+                             _config_value(cfg, "n_max", ">= 0", 25.0), n_points)
+    source = _sources_from(cfg)
     table = {"n_mean": np.asarray(n_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"sigma2_{name}"] = np.array(
-            [markers.difference_variance(SourceSpec(kind, float(n), mu), eff).sigma2_d
-             for n in n_grid])
+            [markers.difference_variance(source(kind, n), eff).sigma2_d for n in n_grid])
     seriesio.write_table(Path(out_dir) / "sweep_n.tsv", table, fmt)
     eta_grid = _config_value(cfg, "eta_grid", _number_list, None)
     if eta_grid is None:
         eta_grid = np.linspace(0.05, 1.0, 20)
-    n_ref = _config_value(cfg, "n_ref", float, 1.0)
+    n_ref = _config_value(cfg, "n_ref", "> 0", 1.0)
     table = {"eta": np.asarray(eta_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"ratio_{name}"] = np.array(
-            [markers.difference_variance(SourceSpec(kind, n_ref, mu),
-                                         EfficiencyPair(float(eta), float(eta))).sigma2_d / n_ref
+            [markers.difference_variance(source(kind, n_ref),
+                                         EfficiencyPair(eta, eta)).sigma2_d / n_ref
              for eta in eta_grid])
     seriesio.write_table(Path(out_dir) / "sweep_eta.tsv", table, fmt)
     _write_report(out_dir, "sweep.json", {"tables": ["sweep_n.tsv", "sweep_eta.tsv"]}, cfg)
@@ -219,30 +210,29 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
 
 def cmd_simulate(cfg, out_dir, fmt="tsv"):
     """Generate a shot series and write it as CSV plus JSON sidecar."""
-    src = _source_from(cfg)
-    eff = _eff_from(cfg)
-    seed = _config_value(cfg, "seed", _integer, 0)
     sim = montecarlo.SimulationConfig(
-        source=src,
-        eff=eff,
-        shots=_config_value(cfg, "shots", _integer, 10000),
-        seed=seed,
-        pump_x=_config_value(cfg, "pump_x", float, 0.0),
+        source=_sources_from(cfg)(_config_value(cfg, "source", _text),
+                                  _config_value(cfg, "n_mean")),
+        eff=_eff_from(cfg),
+        shots=_config_value(cfg, "shots", default=10000),
+        seed=_config_value(cfg, "seed", default=0),
+        pump_x=_config_value(cfg, "pump_x", default=0.0),
         volts=_config_value(cfg, "volts", _flag, False),
-        conv=_config_value(cfg, "conv", _float_pair, (1.0, 1.0)),
-        instrument_noise_var=_config_value(cfg, "instrument_noise_var", _float_pair, (0.0, 0.0)),
+        conv=_config_value(cfg, "conv", _pair, (1.0, 1.0)),
+        instrument_noise_var=_config_value(cfg, "instrument_noise_var", _pair, (0.0, 0.0)),
     )
     name = _config_value(cfg, "name", _text, "shots.csv")
     series = montecarlo.sample_series(sim)
     seriesio.write_series(series, Path(out_dir) / name,
-                          extra_meta={"config": dict(cfg, seed=seed)})
+                          extra_meta={"config": dict(cfg, seed=sim.seed)})
     return EXIT_OK
 
 
 def cmd_analyze(cfg, out_dir, fmt="tsv"):
     """Reduce a CSV shot record to correlation, difference and fit statistics."""
     input_path = _config_value(cfg, "input", _text)
-    lags = _config_value(cfg, "lags", lambda v: [_integer(lag) for lag in v], (0, 1, 2, 5))
+    lags = [sources._checked("lags", lag, "integer")
+            for lag in _config_value(cfg, "lags", _number_list, (0, 1, 2, 5))]
     fit = _config_value(cfg, "fit", _flag, False)
     integer_mu = _config_value(cfg, "integer_mu", _flag, True)
     name = _config_value(cfg, "name", _text, "analysis.json")
@@ -297,7 +287,7 @@ def _difference_histogram(series):
 def cmd_fit(cfg, out_dir, fmt="tsv"):
     """Multithermal fit of one channel of a CSV record."""
     input_path = _config_value(cfg, "input", _text)
-    channel = _config_value(cfg, "channel", _integer, 1)
+    channel = _config_value(cfg, "channel", "integer", 1)
     if channel not in (1, 2):
         raise ValidationError(f"channel: must be 1 or 2, got {channel}")
     integer_mu = _config_value(cfg, "integer_mu", _flag, True)
@@ -310,21 +300,17 @@ def cmd_fit(cfg, out_dir, fmt="tsv"):
 
 def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     """Pump-noise surface over an efficiency grid plus imbalance interval."""
-    sigma2 = _config_value(cfg, "sigma2_measured", float)
-    m1 = _config_value(cfg, "m1", float)
-    m2 = _config_value(cfg, "m2", float)
-    mu = _config_value(cfg, "mu", _integer)
+    sigma2, m1, m2, mu = (_config_value(cfg, key) for key in ("sigma2_measured", "m1", "m2", "mu"))
     kind = _config_value(cfg, "source", _text, TWIN_BEAM)
     grid_cfg = _config_value(cfg, "eta_grid", _grid_spec, {})
-    lo = _config_value(grid_cfg, "lo", float, 0.4)
-    hi = _config_value(grid_cfg, "hi", float, 0.95)
-    points = _config_value(grid_cfg, "points", _size, 12)
-    _check_table(points, f"an efficiency grid of {points} points")
-    eta1_grid = np.linspace(lo, hi, points)
-    eta2_grid = np.linspace(lo, hi, points)
-    eta_nominal = _config_value(cfg, "eta_nominal", float, None)
-    budget = analysis.noise_surface(sigma2, m1, m2, mu, eta1_grid, eta2_grid,
-                                    kind=kind, eta_nominal=eta_nominal)
+    lo = _config_value(grid_cfg, "lo", "(0, 1]", 0.4)
+    hi = _config_value(grid_cfg, "hi", "(0, 1]", 0.95)
+    points = _config_value(grid_cfg, "points", "integer >= 1", 12)
+    sources._check_table(points, f"an efficiency grid of {points} points")
+    grid = np.linspace(lo, hi, points)
+    eta_nominal = _config_value(cfg, "eta_nominal", "(0, 1]", None)
+    budget = analysis.noise_surface(sigma2, m1, m2, mu, grid, grid, kind=kind,
+                                    eta_nominal=eta_nominal)
     eta1, eta2 = np.meshgrid(budget.eta1, budget.eta2, indexing="ij")
     seriesio.write_table(Path(out_dir) / "noise_surface.tsv", {
         "eta1": eta1.ravel(),
@@ -340,10 +326,10 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
         "imbalance_interval": list(budget.imbalance_interval),
         "x_at_nominal": nominal.x,
         "x_at_nominal_at_floor": nominal.at_floor,
-        "x_grid_min": float(budget.x.min()),
-        "x_grid_max": float(budget.x.max()),
+        "x_grid_min": budget.x.min(),
+        "x_grid_max": budget.x.max(),
     }
-    reference_x = _config_value(cfg, "reference_x", float, None)
+    reference_x = _config_value(cfg, "reference_x", "finite", None)
     if reference_x is not None:
         summary["reference_x"] = reference_x
     _write_report(out_dir, "noise_budget.json", summary, cfg)
@@ -379,18 +365,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = dict(cfg, seed=args.seed)
         return _COMMANDS[args.command](cfg, out_dir, args.format)
-    except ValidationError as exc:
-        print(f"photocorr {args.command}: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TailToleranceError as exc:
-        print(f"photocorr {args.command}: tolerance error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except DataError as exc:
-        print(f"photocorr {args.command}: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except PhotocorrError as exc:
-        print(f"photocorr {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, label = next((code, label) for kind, code, label in _EXITS if isinstance(exc, kind))
+        print(f"photocorr {args.command}: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 def run():

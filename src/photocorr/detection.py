@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .sources import (
     COHERENT_PAIR,
     DEFAULT_TAIL_TOL,
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
+    _check_fields,
     _check_table,
-    _explicit_cutoff,
+    _checked,
     _log_binomial,
     _log_factorial,
 )
@@ -35,9 +35,7 @@ class EfficiencyPair:
     eta2: float
 
     def __post_init__(self):
-        for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
-            if not (0.0 <= eta <= 1.0):
-                raise ValidationError(f"{name}: must lie in [0, 1], got {eta}")
+        _check_fields(self, eta1="[0, 1]", eta2="[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,7 @@ def loss_matrix(eta, cutoff):
     not an integer >= 0 raises ValidationError; a matrix above the table
     budget raises TailToleranceError.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"eta: must lie in [0, 1], got {eta}")
-    cutoff = _explicit_cutoff(cutoff)
+    eta, cutoff = _checked("eta", eta, "[0, 1]"), _checked("cutoff", cutoff, "integer >= 0")
     _check_table((cutoff + 1) ** 2, f"a loss matrix of cutoff {cutoff}", cutoff)
     m = np.arange(cutoff + 1)[:, None]
     n = np.arange(cutoff + 1)[None, :]
@@ -122,12 +118,15 @@ def analytic_moments(src: SourceSpec, eff: EfficiencyPair) -> MomentSet:
 
     The cumulants of ln G**mu over mu independent mode pairs, at u = 0 (see
     _pgf_coefficients): means mu A and mu B, factorial variances
-    mu bose A**2 and mu bose B**2, and covariance mu (bose A B + C).
+    mu bose A**2 and mu bose B**2, and covariance mu (bose A B + C).  A moment
+    beyond the float range raises ValidationError.
     """
     bose, a, b, c = _pgf_coefficients(src, eff)
     mu = src.mu
-    return MomentSet(mu * a, mu * b, mu * (bose * a * a + a), mu * (bose * b * b + b),
-                     mu * (bose * a * b + c))
+    moments = (mu * a, mu * b, mu * (bose * a * a + a), mu * (bose * b * b + b),
+               mu * (bose * a * b + c))
+    return MomentSet(*(_checked(name, m, "finite")
+                       for name, m in zip(MomentSet.__dataclass_fields__, moments)))
 
 
 def multimode_convolve(dist: JointCountDistribution, mu: int,
@@ -140,8 +139,7 @@ def multimode_convolve(dist: JointCountDistribution, mu: int,
     support is then trimmed back while the discarded mass stays within
     tail_tol / 2.
     """
-    if int(mu) != mu or mu < 1:
-        raise ValidationError(f"mu: must be an integer >= 1, got {mu}")
+    mu, tail_tol = _checked("mu", mu, "integer >= 1"), _checked("tail_tol", tail_tol, "(0, 1)")
     if mu == 1:
         return dist
     _check_table((mu * dist.cutoff + 1) ** 2, f"the {mu}-mode convolution of a joint table "

@@ -33,7 +33,9 @@ from .sources import (
     JointCountDistribution,
     SourceSpec,
     _check_table,
+    _checked,
     _checked_pmf,
+    _square,
 )
 
 
@@ -105,10 +107,10 @@ def correlation_from_joint(dist: JointCountDistribution) -> float:
 
 
 def _correlation(m) -> float:
-    """cov / sqrt(var1 var2) of a MomentSet; UndefinedMarkerError if a variance is zero."""
+    """cov / sqrt(var1 var2); UndefinedMarkerError at a zero variance, ValidationError on overflow."""
     if m.var1 <= 0.0 or m.var2 <= 0.0:
         raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
-    return m.cov / math.sqrt(m.var1 * m.var2)
+    return m.cov / math.sqrt(_checked("var1 * var2", m.var1 * m.var2, "finite"))
 
 
 def difference_from_joint(dist: JointCountDistribution) -> DifferenceDistribution:
@@ -123,7 +125,8 @@ def difference_variance(src: SourceSpec, eff: EfficiencyPair) -> VarianceReport:
 
     The model is _difference_variance_model; a split-thermal source with
     tau != 1/2 takes var1 + var2 - 2 cov of analytic_moments instead.  The
-    shot-noise benchmark is the coherent-pair value (eta1 + eta2) N.
+    shot-noise benchmark is the coherent-pair value (eta1 + eta2) N.  Either
+    value beyond the float range raises ValidationError.
     """
     e1, e2 = eff.eta1, eff.eta2
     shot = (e1 + e2) * src.n_mean
@@ -132,6 +135,7 @@ def difference_variance(src: SourceSpec, eff: EfficiencyPair) -> VarianceReport:
         s2 = m.var1 + m.var2 - 2.0 * m.cov
     else:
         s2 = _difference_variance_model(e1 - e2, 0.5 * (e1 + e2), src.n_mean, src.mu, src.kind)
+    s2, shot = _checked("sigma2_d", s2, "finite"), _checked("shot_noise_level", shot, "finite")
     return VarianceReport(s2, shot, bool(s2 < shot))
 
 
@@ -148,9 +152,9 @@ def _variance_terms(eta_bar, n, mu, kind):
     Arguments may be arrays that broadcast against each other.
     """
     if kind == TWIN_BEAM:
-        return 2.0 * eta_bar * (1.0 - eta_bar) * n, n**2 / mu + n / 2.0
+        return 2.0 * eta_bar * (1.0 - eta_bar) * n, _square(n) / mu + n / 2.0
     if kind == SPLIT_THERMAL:
-        return 2.0 * eta_bar * n, n**2 / mu
+        return 2.0 * eta_bar * n, _square(n) / mu
     return 2.0 * eta_bar * n, 0.0
 
 
@@ -227,13 +231,13 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair,
     result is averaged with its mirror image, so p(d) == p(-d) exactly.
     tail_mass is the mass outside the returned window, 1 - probs.sum().
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValidationError(f"tail_tol: must lie in (0, 1), got {tail_tol}")
+    tail_tol = _checked("tail_tol", tail_tol, "(0, 1)")
     bose, a, b = _pgf_rates(src, eff)
     mu = src.mu
-    # ln E[s**d] and ln E[s**-d] at s = e**u > 1
-    log_up = _log_pgf(bose, mu, a * np.expm1(_LN_S) + b * np.expm1(-_LN_S))
-    log_down = _log_pgf(bose, mu, b * np.expm1(_LN_S) + a * np.expm1(-_LN_S))
+    # ln E[s**d] and ln E[s**-d] at s = e**u > 1; a bound that overflows is inf, never the least
+    with np.errstate(over="ignore"):
+        log_up = _log_pgf(bose, mu, a * np.expm1(_LN_S) + b * np.expm1(-_LN_S))
+        log_down = _log_pgf(bose, mu, b * np.expm1(_LN_S) + a * np.expm1(-_LN_S))
     log_tol = math.log(tail_tol / 2.0)
     lo = -_tail_edge(log_down, b, log_tol)
     hi = _tail_edge(log_up, a, log_tol)

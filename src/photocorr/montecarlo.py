@@ -47,18 +47,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sources
 from .detection import EfficiencyPair, _pgf_coefficients
 from .errors import ValidationError
-from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_table
+from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked, _square
 
 
 #: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
 #: and pump scale), and numpy's Poisson sampler and int64 counts end near 9.2e18.
 _MAX_N_MEAN = 1e15
 
-#: A pumped twin beam must keep its mean within _MAX_N_MEAN up to this many
+#: A pumped source must keep its mean within _MAX_N_MEAN up to this many
 #: standard deviations of the pump scale above 1 (a draw beyond it has
-#: probability below 1e-23).  The mean grows as exp(2 G sqrt(u)) in the scale u.
+#: probability below 1e-23).
 _PUMP_SDS = 10.0
 
 
@@ -74,29 +75,29 @@ class SimulationConfig:
     instrument_noise_var: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if int(self.shots) != self.shots or self.shots < 1:
-            raise ValidationError(f"shots: must be an integer >= 1, got {self.shots}")
-        object.__setattr__(self, "shots", int(self.shots))
-        _check_table(self.shots, f"a series of {self.shots} shots")
-        if self.source.n_mean > _MAX_N_MEAN:
-            raise ValidationError(f"n_mean: must be <= {_MAX_N_MEAN:g} to simulate, "
-                                  f"so that counts fit in int64, got {self.source.n_mean:g}")
-        if not 0.0 <= self.pump_x < math.inf:
-            raise ValidationError(f"pump_x: must be finite and >= 0, got {self.pump_x}")
-        if self.source.kind == TWIN_BEAM and self.pump_x > 0:
-            gain = math.asinh(math.sqrt(self.source.per_mode_mean))
+        _check_fields(self, shots="integer >= 1", seed="integer >= 0", pump_x=">= 0")
+        for name, rule in ("conv", "> 0" if self.volts else ">= 0"), ("instrument_noise_var", ">= 0"):
+            object.__setattr__(self, name, tuple(_checked(name, v, rule) for v in getattr(self, name)))
+        if any(self.instrument_noise_var) and not self.volts:
+            raise ValidationError(f"instrument_noise_var: noise is added to volts only, got "
+                                  f"{self.instrument_noise_var} for a counts record")
+        sources._check_table(self.shots, f"a series of {self.shots} shots")
+        src = self.source
+        if src.kind == TWIN_BEAM and self.pump_x > 0:
+            # drawn mode by mode, and one mode costs about as much as 500 shots
+            sources._check_table(src.mu * max(self.shots, 1024), f"a pumped twin beam of {src.mu} "
+                                 f"modes, drawn mode by mode over max({self.shots}, 1024) shots,")
+            # the mean grows as exp(2 G sqrt(u)) in the pump scale u
             top = 1.0 + _PUMP_SDS * max(_twin_beam_pump_sds(self.pump_x, self.eff))
-            if gain * math.sqrt(top) > math.asinh(math.sqrt(_MAX_N_MEAN / self.source.mu)):
-                raise ValidationError(
-                    f"pump_x: {self.pump_x:g} is too large for a twin beam of n_mean "
-                    f"{self.source.n_mean:g} at eta {self.eff.eta1:g}, {self.eff.eta2:g}: a pump "
-                    f"scale {_PUMP_SDS:g} standard deviations up would make the mean exceed "
-                    f"{_MAX_N_MEAN:g}, and counts overflow int64")
-        if not all(0.0 <= a < math.inf and (a > 0.0 or not self.volts) for a in self.conv):
-            raise ValidationError(f"conv: must be finite, >= 0, and > 0 for volts, got {self.conv}")
-        if not all(0.0 <= v < math.inf for v in self.instrument_noise_var):
+            fits = (math.asinh(math.sqrt(src.per_mode_mean)) * math.sqrt(top)
+                    <= math.asinh(math.sqrt(_MAX_N_MEAN / src.mu)))
+        else:  # the mean grows linearly in u, of standard deviation pump_x or sqrt(2) pump_x
+            fits = src.n_mean * (1.0 + _PUMP_SDS * math.sqrt(2.0) * self.pump_x) <= _MAX_N_MEAN
+        if not fits:
             raise ValidationError(
-                f"instrument_noise_var: must be finite and >= 0, got {self.instrument_noise_var}")
+                f"n_mean {src.n_mean:g} and pump_x {self.pump_x:g}: a pump scale {_PUMP_SDS:g} "
+                f"standard deviations up would put a {src.kind} at eta {self.eff.eta1:g}, "
+                f"{self.eff.eta2:g} above a mean of {_MAX_N_MEAN:g}, and counts overflow int64")
 
 
 @dataclass(frozen=True)
@@ -222,10 +223,10 @@ def _pump_excess(kind, n, mu):
     n may be an array.
     """
     if kind == TWIN_BEAM:
-        return n**2 / mu * np.arcsinh(np.sqrt(n / mu)) ** 2
+        return _square(n) / mu * np.arcsinh(np.sqrt(n / mu)) ** 2
     if kind == SPLIT_THERMAL:
-        return 2.0 * n**2
-    return n**2
+        return 2.0 * _square(n)
+    return _square(n)
 
 
 def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
@@ -233,10 +234,12 @@ def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
 
     N**2/mu for the thermal laws (N for a coherent pair) plus
     pump_x**2 * _pump_excess.  The Bose linear term (+N) of the discrete
-    thermal laws is dropped, as appropriate when N >> mu.
+    thermal laws is dropped, as appropriate when N >> mu.  A variance beyond
+    the float range raises ValidationError.
     """
-    if pump_x < 0:
-        raise ValidationError(f"pump_x: must be >= 0, got {pump_x}")
+    pump_x = _checked("pump_x", pump_x, ">= 0")
     n_tot, mu = src.n_mean, src.mu
-    base = n_tot if src.kind == COHERENT_PAIR else n_tot**2 / mu
-    return float(base + pump_x**2 * _pump_excess(src.kind, n_tot, mu))
+    base = n_tot if src.kind == COHERENT_PAIR else _square(n_tot) / mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = base + _square(pump_x) * _pump_excess(src.kind, n_tot, mu)
+    return _checked("the predicted beam variance", variance, "finite")

@@ -16,7 +16,6 @@ Python's ``%`` for that element alone.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from pathlib import Path
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import DataError, ValidationError
 from .montecarlo import ShotSeries
+from .sources import _checked
 
 _INT64 = np.iinfo(np.int64)
 
@@ -78,24 +78,15 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
     except UnicodeDecodeError as exc:
         raise DataError(f"{csv_path}: not UTF-8 text: {exc}") from None
     conv = (meta.get("alpha1", 1.0), meta.get("alpha2", 1.0))
-    if not counts_mode:  # the coefficients divide the voltages; counts never use them
-        conv = tuple(_calibration(meta, side, key, 1.0, positive=True) for key in ("alpha1", "alpha2"))
-    noise = tuple(_calibration(meta, side, key, 0.0) for key in ("noise_var1", "noise_var2"))
+    try:  # the coefficients divide volts (counts never use them); noise variances are >= 0
+        if not counts_mode:
+            conv = tuple(_checked(f"{side}: alpha{j}", conv[j - 1], "> 0") for j in (1, 2))
+        noise = tuple(_checked(f"{side}: noise_var{j}", meta.get(f"noise_var{j}", 0.0), ">= 0")
+                      for j in (1, 2))
+    except ValidationError as exc:
+        raise DataError(str(exc)) from None
     series = ShotSeries(ch1, ch2, unit, conv, noise, meta.get("pump_truncations", 0))
     return series, meta
-
-
-def _calibration(meta, side, key, default, positive=False):
-    """The sidecar's value of key: a finite number >= 0, and > 0 where positive."""
-    value = meta.get(key, default)
-    try:
-        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
-    except OverflowError:  # an integer beyond the double range
-        number = None
-    if number is None or not math.isfinite(number) or number < 0 or (positive and number == 0):
-        need = "a positive finite number" if positive else "a finite number >= 0"
-        raise DataError(f"{side}: {key}: must be {need}, got {value!r}")
-    return value
 
 
 def _read_rows(csv_path, counts_mode):

@@ -37,6 +37,51 @@ DEFAULT_TAIL_TOL = 1e-10
 #: multimode convolution or p(d) FFT may allocate.
 _TABLE_BYTES = 1 << 27
 
+#: Numeric domains: rule -> (what it asks for, least and greatest float allowed, integer).
+_MAX, _TINY = math.nextafter(math.inf, 0.0), math.nextafter(0.0, 1.0)
+_DOMAINS = {
+    "finite": ("a finite number", -_MAX, _MAX, False),
+    ">= 0": ("a finite number >= 0", 0.0, _MAX, False),
+    "> 0": ("a finite number > 0", _TINY, _MAX, False),
+    ">= 1": ("a finite number >= 1", 1.0, _MAX, False),
+    "[0, 1]": ("a number in [0, 1]", 0.0, 1.0, False),
+    "(0, 1]": ("a number in (0, 1]", _TINY, 1.0, False),
+    "(0, 1)": ("a number in (0, 1)", _TINY, math.nextafter(1.0, 0.0), False),
+    "integer": ("an integer", -_MAX, _MAX, True),
+    "integer >= 0": ("an integer >= 0", 0.0, _MAX, True),
+    "integer >= 1": ("an integer >= 1", 1.0, _MAX, True),
+}
+_REALS = (float, int, np.floating, np.integer)  # and not bool
+
+
+def _checked(name, value, rule):
+    """value, a Python or numpy real scalar but not a bool, as a float (an int for the
+    integer rules) if it obeys the rule of _DOMAINS, else ValidationError naming name,
+    the rule and the value; nan, +-inf and ints beyond the float range fail every rule."""
+    text, least, greatest, integer = _DOMAINS[rule]
+    real = isinstance(value, _REALS) and value is not True and value is not False
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not (least <= x <= greatest and (not integer or x.is_integer())):
+        raise ValidationError(f"{name}: must be {text}, got {value!r}")
+    return int(value) if integer else x
+
+
+def _square(x):
+    """x**2 (C pow for a Python float), or inf rather than OverflowError past the float range."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _check_fields(spec, **rules):
+    """Replace each field of a frozen dataclass by its _checked value under its rule."""
+    for name, rule in rules.items():
+        object.__setattr__(spec, name, _checked(name, getattr(spec, name), rule))
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -55,12 +100,7 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"kind: expected one of {_KINDS}, got {self.kind!r}")
-        if not (0.0 <= self.n_mean < math.inf):
-            raise ValidationError(f"n_mean: must be finite and >= 0, got {self.n_mean}")
-        if int(self.mu) != self.mu or self.mu < 1:
-            raise ValidationError(f"mu: must be an integer >= 1, got {self.mu}")
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValidationError(f"tau: must lie in [0, 1], got {self.tau}")
+        _check_fields(self, n_mean=">= 0", mu="integer >= 1", tau="[0, 1]")
 
     @classmethod
     def twin_beam(cls, n_mean, mu=1):
@@ -123,8 +163,7 @@ def _checked_pmf(probs, tail_mass):
 def thermal_pmf(k, mean):
     """Bose-Einstein (geometric) pmf with the given mean, in log space."""
     k = np.asarray(k)
-    if mean < 0:
-        raise ValidationError(f"mean: must be >= 0, got {mean}")
+    mean = _checked("mean", mean, ">= 0")
     if mean == 0.0:
         return np.where(k == 0, 1.0, 0.0)
     # (1/(1+m)) * (m/(1+m))**k, evaluated as exp() of logs for large k
@@ -132,11 +171,11 @@ def thermal_pmf(k, mean):
 
 
 def _geometric_cutoff(mean, tail_tol):
-    """Smallest C with sum_{k>C} thermal_pmf <= tail_tol (tail = r**(C+1))."""
+    """Smallest C with sum_{k>C} thermal_pmf <= tail_tol (tail = r**(C+1)), or the budget if r is 1."""
     if mean == 0.0:
         return 0
     r = mean / (1.0 + mean)
-    return max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1)
+    return max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1) if r < 1.0 else _TABLE_BYTES // 8
 
 
 def _check_table(points, what, required_cutoff=None):
@@ -147,18 +186,11 @@ def _check_table(points, what, required_cutoff=None):
                                  f"{_TABLE_BYTES / 2**20:g} MiB table budget", required_cutoff)
 
 
-def _explicit_cutoff(cutoff):
-    """A cutoff given by the caller, as an int, or ValidationError unless an integer >= 0."""
-    if not cutoff >= 0 or cutoff % 1 != 0:
-        raise ValidationError(f"cutoff: must be an integer >= 0, got {cutoff}")
-    return int(cutoff)
-
-
 def _check_cutoff(required, cutoff, tail_tol):
     """The explicit cutoff, or else the required one, checked against the table budget."""
     what = f"{required} (for tail tolerance {tail_tol:g})"
     if cutoff is not None:
-        required = what = _explicit_cutoff(cutoff)
+        required = what = _checked("cutoff", cutoff, "integer >= 0")
     _check_table((required + 1) ** 2, f"a joint table of cutoff {what}", required)
     return required
 
@@ -170,8 +202,7 @@ def twin_beam_joint(n_mean, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
     distributed thermally with mean n_mean.  If cutoff is omitted it is
     chosen so the recorded tail mass is at most tail_tol.
     """
-    if not 0.0 <= n_mean < math.inf:
-        raise ValidationError(f"n_mean: must be finite and >= 0, got {n_mean}")
+    n_mean, tail_tol = _checked("n_mean", n_mean, ">= 0"), _checked("tail_tol", tail_tol, "(0, 1)")
     c = _check_cutoff(_geometric_cutoff(n_mean, tail_tol), cutoff, tail_tol)
     n = np.arange(c + 1)
     probs = np.zeros((c + 1, c + 1))
@@ -181,8 +212,7 @@ def twin_beam_joint(n_mean, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
 
 def coherent_pair_joint(n_mean, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
     """Joint distribution of two independent coherent beams of mean n_mean."""
-    if not 0.0 <= n_mean < math.inf:
-        raise ValidationError(f"n_mean: must be finite and >= 0, got {n_mean}")
+    n_mean, tail_tol = _checked("n_mean", n_mean, ">= 0"), _checked("tail_tol", tail_tol, "(0, 1)")
     # floor(n_mean) bounds the walk below (tail_tol < 1): an oversized table never walks
     c = _check_cutoff(int(n_mean), cutoff, tail_tol)
     if cutoff is None and n_mean > 0.0:
@@ -201,10 +231,8 @@ def split_thermal_joint(n_mean, tau=0.5, cutoff=None, tail_tol=DEFAULT_TAIL_TOL)
     probs[n1, n2] = Binom(n1+n2, n1; tau) * thermal_pmf(n1+n2, 2*n_mean).
     Each marginal is thermal, with means 2*n_mean*tau and 2*n_mean*(1-tau).
     """
-    if not 0.0 <= n_mean < math.inf:
-        raise ValidationError(f"n_mean: must be finite and >= 0, got {n_mean}")
-    if not (0.0 <= tau <= 1.0):
-        raise ValidationError(f"tau: must lie in [0, 1], got {tau}")
+    n_mean, tau = _checked("n_mean", n_mean, ">= 0"), _checked("tau", tau, "[0, 1]")
+    tail_tol = _checked("tail_tol", tail_tol, "(0, 1)")
     m1, m2 = 2.0 * n_mean * tau, 2.0 * n_mean * (1.0 - tau)
     required = max(_geometric_cutoff(m1, tail_tol / 2), _geometric_cutoff(m2, tail_tol / 2))
     c = _check_cutoff(required, cutoff, tail_tol)
@@ -236,10 +264,7 @@ def multithermal_pdf(v, mu, v_mean):
     mu and mean v_mean, variance v_mean**2 / mu.  Non-integer mu >= 1 is
     accepted; the factorial generalizes through the Gamma function.
     """
-    if mu < 1:
-        raise ValidationError(f"mu: must be >= 1, got {mu}")
-    if v_mean <= 0:
-        raise ValidationError(f"v_mean: must be > 0, got {v_mean}")
+    mu, v_mean = _checked("mu", mu, ">= 1"), _checked("v_mean", v_mean, "> 0")
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
         raise ValidationError("v: negative values are outside the support")
@@ -247,14 +272,13 @@ def multithermal_pdf(v, mu, v_mean):
     v = np.atleast_1d(v)
     out = np.zeros_like(v)
     pos = v > 0
-    out[pos] = np.exp(
-        -v[pos] * mu / v_mean
-        + (mu - 1) * np.log(v[pos])
-        - math.lgamma(mu)
-        - mu * math.log(v_mean / mu)
-    )
+    log_gamma = math.lgamma(mu) if mu < 1e305 else math.nan  # lgamma overflows near 2.6e305
+    with np.errstate(over="ignore", invalid="ignore"):  # a density beyond the float range is refused
+        out[pos] = np.exp(-v[pos] * mu / v_mean + (mu - 1) * np.log(v[pos]) - log_gamma
+                          - mu * math.log(v_mean / mu))
     if mu == 1:
         out[~pos] = 1.0 / v_mean
+    _checked("the multithermal density", np.max(out, initial=0.0), "finite")
     return out[0] if scalar else out
 
 
