@@ -35,11 +35,6 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_TOLERANCE = 4
 
-#: Exit code and label of each error type, the most specific first.
-_EXITS = ((ValidationError, EXIT_VALIDATION, "validation error"),
-          (TailToleranceError, EXIT_TOLERANCE, "tolerance error"),
-          (DataError, EXIT_DATA, "data error"), (PhotocorrError, EXIT_DATA, "error"))
-
 
 def _load_config(path):
     try:
@@ -110,11 +105,10 @@ def _grid_spec(value):
     return value
 
 
-def _sources_from(cfg):
+def _source(cfg, kind, n_mean) -> SourceSpec:
     """SourceSpec(kind, n_mean) with the config's mu and tau: the one reader of both keys."""
-    mu = _config_value(cfg, "mu", default=1)
-    tau = _config_value(cfg, "tau", default=0.5)
-    return lambda kind, n_mean: SourceSpec(kind, n_mean, mu, tau)
+    return SourceSpec(kind, n_mean, _config_value(cfg, "mu", default=1),
+                      _config_value(cfg, "tau", default=0.5))
 
 
 def _eff_from(cfg) -> EfficiencyPair:
@@ -122,7 +116,8 @@ def _eff_from(cfg) -> EfficiencyPair:
 
 
 def _write_report(out_dir, name, payload, resolved_config):
-    payload = dict(payload, config=resolved_config)
+    payload = dict(payload)
+    payload["config"] = resolved_config
     path = Path(out_dir) / name
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
@@ -141,12 +136,11 @@ def _jsonable(obj):
 def cmd_analytic(cfg, out_dir, fmt="tsv"):
     """Difference distributions, correlation coefficients, variances, threshold."""
     eff = _eff_from(cfg)
-    source = _sources_from(cfg)
     n_mean = _config_value(cfg, "n_mean", default=1.0)
     with_joint = _config_value(cfg, "joint", _flag, False)
     report = {"sources": {}}
     for kind in (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL):
-        src = source(kind, n_mean)
+        src = _source(cfg, kind, n_mean)
         dd = markers.difference_analytic(src, eff)
         seriesio.write_table(Path(out_dir) / f"diff_{kind}.tsv",
                              {"d": dd.d_values, "p": dd.probs}, fmt)
@@ -187,11 +181,10 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
         sources._check_table(n_points, f"a sweep of {n_points} points")
         n_grid = np.linspace(_config_value(cfg, "n_min", ">= 0", 0.0),
                              _config_value(cfg, "n_max", ">= 0", 25.0), n_points)
-    source = _sources_from(cfg)
     table = {"n_mean": np.asarray(n_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"sigma2_{name}"] = np.array(
-            [markers.difference_variance(source(kind, n), eff).sigma2_d for n in n_grid])
+            [markers.difference_variance(_source(cfg, kind, n), eff).sigma2_d for n in n_grid])
     seriesio.write_table(Path(out_dir) / "sweep_n.tsv", table, fmt)
     eta_grid = _config_value(cfg, "eta_grid", _number_list, None)
     if eta_grid is None:
@@ -200,7 +193,7 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
     table = {"eta": np.asarray(eta_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"ratio_{name}"] = np.array(
-            [markers.difference_variance(source(kind, n_ref),
+            [markers.difference_variance(_source(cfg, kind, n_ref),
                                          EfficiencyPair(eta, eta)).sigma2_d / n_ref
              for eta in eta_grid])
     seriesio.write_table(Path(out_dir) / "sweep_eta.tsv", table, fmt)
@@ -211,8 +204,7 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
 def cmd_simulate(cfg, out_dir, fmt="tsv"):
     """Generate a shot series and write it as CSV plus JSON sidecar."""
     sim = montecarlo.SimulationConfig(
-        source=_sources_from(cfg)(_config_value(cfg, "source", _text),
-                                  _config_value(cfg, "n_mean")),
+        source=_source(cfg, _config_value(cfg, "source", _text), _config_value(cfg, "n_mean")),
         eff=_eff_from(cfg),
         shots=_config_value(cfg, "shots", default=10000),
         seed=_config_value(cfg, "seed", default=0),
@@ -300,7 +292,10 @@ def cmd_fit(cfg, out_dir, fmt="tsv"):
 
 def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     """Pump-noise surface over an efficiency grid plus imbalance interval."""
-    sigma2, m1, m2, mu = (_config_value(cfg, key) for key in ("sigma2_measured", "m1", "m2", "mu"))
+    sigma2 = _config_value(cfg, "sigma2_measured")
+    m1 = _config_value(cfg, "m1")
+    m2 = _config_value(cfg, "m2")
+    mu = _config_value(cfg, "mu")
     kind = _config_value(cfg, "source", _text, TWIN_BEAM)
     grid_cfg = _config_value(cfg, "eta_grid", _grid_spec, {})
     lo = _config_value(grid_cfg, "lo", "(0, 1]", 0.4)
@@ -326,8 +321,8 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
         "imbalance_interval": list(budget.imbalance_interval),
         "x_at_nominal": nominal.x,
         "x_at_nominal_at_floor": nominal.at_floor,
-        "x_grid_min": budget.x.min(),
-        "x_grid_max": budget.x.max(),
+        "x_grid_min": float(budget.x.min()),
+        "x_grid_max": float(budget.x.max()),
     }
     reference_x = _config_value(cfg, "reference_x", "finite", None)
     if reference_x is not None:
@@ -365,10 +360,18 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = dict(cfg, seed=args.seed)
         return _COMMANDS[args.command](cfg, out_dir, args.format)
+    except ValidationError as exc:
+        print(f"photocorr {args.command}: validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except TailToleranceError as exc:
+        print(f"photocorr {args.command}: tolerance error: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except DataError as exc:
+        print(f"photocorr {args.command}: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except PhotocorrError as exc:
-        code, label = next((code, label) for kind, code, label in _EXITS if isinstance(exc, kind))
-        print(f"photocorr {args.command}: {label}: {exc}", file=sys.stderr)
-        return code
+        print(f"photocorr {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def run():

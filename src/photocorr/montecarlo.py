@@ -49,7 +49,7 @@ import numpy as np
 
 from . import sources
 from .detection import EfficiencyPair, _pgf_coefficients
-from .errors import ValidationError
+from .errors import TailToleranceError, ValidationError
 from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked, _square
 
 
@@ -61,6 +61,15 @@ _MAX_N_MEAN = 1e15
 #: standard deviations of the pump scale above 1 (a draw beyond it has
 #: probability below 1e-23).
 _PUMP_SDS = 10.0
+
+
+#: A pumped twin beam is drawn mode by mode, mu rounds over all shots.  On a
+#: 2-vCPU Xeon one round costs about 50 us plus 130 ns a shot, so the work is
+#: counted as mu * (shots + _MODE_SHOTS) shot draws and refused above
+#: _PUMPED_DRAWS (about 35 s there).  Up to 15 modes, the paper's mu of about 14
+#: among them, keep the whole 2**24-shot range of the table budget.
+_MODE_SHOTS = 512
+_PUMPED_DRAWS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -84,9 +93,12 @@ class SimulationConfig:
         sources._check_table(self.shots, f"a series of {self.shots} shots")
         src = self.source
         if src.kind == TWIN_BEAM and self.pump_x > 0:
-            # drawn mode by mode, and one mode costs about as much as 500 shots
-            sources._check_table(src.mu * max(self.shots, 1024), f"a pumped twin beam of {src.mu} "
-                                 f"modes, drawn mode by mode over max({self.shots}, 1024) shots,")
+            draws = src.mu * (self.shots + _MODE_SHOTS)
+            if draws > _PUMPED_DRAWS:
+                raise TailToleranceError(
+                    f"a pumped twin beam of {src.mu} modes and {self.shots} shots is drawn mode "
+                    f"by mode: mu * (shots + {_MODE_SHOTS}) = {draws} shot draws, above the "
+                    f"budget of {_PUMPED_DRAWS}")
             # the mean grows as exp(2 G sqrt(u)) in the pump scale u
             top = 1.0 + _PUMP_SDS * max(_twin_beam_pump_sds(self.pump_x, self.eff))
             fits = (math.asinh(math.sqrt(src.per_mode_mean)) * math.sqrt(top)

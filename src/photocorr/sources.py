@@ -59,14 +59,15 @@ def _checked(name, value, rule):
     integer rules) if it obeys the rule of _DOMAINS, else ValidationError naming name,
     the rule and the value; nan, +-inf and ints beyond the float range fail every rule."""
     text, least, greatest, integer = _DOMAINS[rule]
-    real = isinstance(value, _REALS) and value is not True and value is not False
-    try:
+    kind = type(value)
+    try:  # the exact type tests first: they are the common case, and cheaper than isinstance
+        real = kind is float or kind is int or (kind is not bool and isinstance(value, _REALS))
         x = float(value) if real else math.nan
     except OverflowError:  # an int beyond the float range
         x = math.nan
-    if not (least <= x <= greatest and (not integer or x.is_integer())):
-        raise ValidationError(f"{name}: must be {text}, got {value!r}")
-    return int(value) if integer else x
+    if least <= x <= greatest and (not integer or x.is_integer()):
+        return int(value) if integer else x
+    raise ValidationError(f"{name}: must be {text}, got {value!r}")
 
 
 def _square(x):
@@ -79,8 +80,9 @@ def _square(x):
 
 def _check_fields(spec, **rules):
     """Replace each field of a frozen dataclass by its _checked value under its rule."""
+    fields = vars(spec)  # a frozen dataclass refuses setattr, not a write to its __dict__
     for name, rule in rules.items():
-        object.__setattr__(spec, name, _checked(name, getattr(spec, name), rule))
+        fields[name] = _checked(name, fields[name], rule)
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def _checked_pmf(probs, tail_mass):
     if p.min() < -1e-14:
         raise ValidationError(f"probs: negative entry {p.min()}")
     total = p.sum() + tail_mass
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # nan included
         raise ValidationError(f"probs + tail_mass sum to {total}, expected 1")
     return p
 
@@ -171,11 +173,11 @@ def thermal_pmf(k, mean):
 
 
 def _geometric_cutoff(mean, tail_tol):
-    """Smallest C with sum_{k>C} thermal_pmf <= tail_tol (tail = r**(C+1)), or the budget if r is 1."""
+    """Smallest C with sum_{k>C} thermal_pmf <= tail_tol (tail = r**(C+1)); inf where r rounds to 1."""
     if mean == 0.0:
         return 0
     r = mean / (1.0 + mean)
-    return max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1) if r < 1.0 else _TABLE_BYTES // 8
+    return max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1) if r < 1.0 else math.inf
 
 
 def _check_table(points, what, required_cutoff=None):
@@ -188,6 +190,9 @@ def _check_table(points, what, required_cutoff=None):
 
 def _check_cutoff(required, cutoff, tail_tol):
     """The explicit cutoff, or else the required one, checked against the table budget."""
+    if cutoff is None and required == math.inf:
+        raise TailToleranceError(f"no finite cutoff meets tail tolerance {tail_tol:g}: the mean "
+                                 f"is too large for its tail to be computed", math.inf)
     what = f"{required} (for tail tolerance {tail_tol:g})"
     if cutoff is not None:
         required = what = _checked("cutoff", cutoff, "integer >= 0")

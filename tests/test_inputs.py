@@ -150,15 +150,44 @@ def _write(path, cfg):
     return str(path)
 
 
-@pytest.mark.parametrize("mu, shots, code", [(8, 1024, EXIT_OK), (8, 1025, EXIT_TOLERANCE),
-                                             (9, 10, EXIT_TOLERANCE), (10**12, 1000, EXIT_TOLERANCE)])
-def test_pumped_twin_beam_modes_are_budgeted(tmp_path, capsys, small_budget, mu, shots, code):
-    # drawn mode by mode: mu * max(shots, 1024) draws against the 8192-entry budget
-    cfg = _write(tmp_path / "sim.json", {"source": "twin_beam", "n_mean": 2.0, "mu": mu,
-                                         "eta": [0.6, 0.7], "shots": shots, "pump_x": 0.1})
+@pytest.mark.parametrize("mu, shots, ok", [(14, 2**24, True), (15, 2**24, True), (16, 2**24, False),
+                                           (1000, 267923, True), (1000, 267924, False),
+                                           (10**12, 1, False)])
+def test_pumped_twin_beam_modes_are_budgeted(mu, shots, ok):
+    # drawn mode by mode: mu * (shots + 512) shot draws against a budget of 2**28; the
+    # configs are only built, never drawn
+    def config():
+        return pc.SimulationConfig(pc.SourceSpec.twin_beam(2.0, mu), pc.EfficiencyPair(0.6, 0.7),
+                                   shots, pump_x=0.1)
+    if ok:
+        config()
+    else:
+        with pytest.raises(pc.TailToleranceError, match="shot draws"):
+            config()
+
+
+def test_a_pumped_twin_beam_of_1e12_modes_exits_4(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.json", {"source": "twin_beam", "n_mean": 2.0, "mu": 1e12,
+                                         "eta": [0.6, 0.7], "shots": 1000, "pump_x": 0.1})
     with deadline(CASE_SECONDS):
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == code
-    assert code == EXIT_OK or "table budget" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_TOLERANCE
+    assert "shot draws" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("joint", [pc.twin_beam_joint, pc.split_thermal_joint])
+def test_a_mean_without_a_finite_cutoff_reports_inf(joint):
+    # n / (1 + n) rounds to 1, so no cutoff is computed; an explicit one still serves
+    for mean in (1e17, 1e308):
+        with pytest.raises(pc.TailToleranceError, match="no finite cutoff") as err:
+            joint(mean)
+        assert err.value.required_cutoff == math.inf
+    assert joint(1e17, cutoff=3).cutoff == 3
+
+
+def test_a_table_of_nan_is_refused():
+    # 2 * 1e308 overflows, and the split-thermal law at cutoff 3 is nan throughout
+    with pytest.raises(pc.ValidationError, match="sum to nan"):
+        pc.split_thermal_joint(1e308, cutoff=3)
 
 
 def test_counts_refuse_instrument_noise(tmp_path, capsys):
