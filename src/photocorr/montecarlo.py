@@ -62,7 +62,6 @@ _MAX_N_MEAN = 1e15
 #: probability below 1e-23).
 _PUMP_SDS = 10.0
 
-
 #: A pumped twin beam is drawn mode by mode, mu rounds over all shots.  On a
 #: 2-vCPU Xeon one round costs about 50 us plus 130 ns a shot, so the work is
 #: counted as mu * (shots + _MODE_SHOTS) shot draws and refused above
