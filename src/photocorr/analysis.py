@@ -28,7 +28,7 @@ from .errors import (
 )
 from .markers import _difference_variance_model, _variance_terms
 from .montecarlo import ShotSeries, _pump_excess
-from .sources import SPLIT_THERMAL, TWIN_BEAM, _check_table, _checked, multithermal_pdf
+from .sources import SPLIT_THERMAL, TWIN_BEAM, _check_table, _checked, _checked_array, multithermal_pdf
 
 
 def correlation_function(series: ShotSeries, lag: int) -> float:
@@ -238,9 +238,12 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
 
 
 def _efficiencies(name, eta):
-    """eta, a number or a non-empty array of numbers, each _checked to lie in (0, 1]."""
-    values = [_checked(name, e, "(0, 1]") for e in np.ravel(eta)] or [_checked(name, eta, "(0, 1]")]
-    return np.reshape(values, np.shape(eta)) if np.ndim(eta) else values[0]
+    """eta, a number or a non-empty array of numbers, each checked to lie in (0, 1]."""
+    if np.ndim(eta) == 0:
+        return _checked(name, eta, "(0, 1]")
+    if np.size(eta) == 0:
+        raise ValidationError(f"{name}: must be a number or a non-empty array, got {eta!r}")
+    return _checked_array(name, eta, "(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,7 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
         coef = _pump_excess(kind, n1, mu) + _pump_excess(kind, n2, mu)
         x = np.sqrt(np.maximum(sigma2_measured - base, 0.0) / coef)
     for name, value in (("base_sigma2", base), ("excess_coefficient", coef), ("x", x)):
-        _checked(name, np.max(value), "finite")
+        _checked_array(name, value, "finite")
     return PumpFit(x, sigma2_measured <= base, base, coef)
 
 

@@ -106,7 +106,7 @@ def _grid_spec(value):
 
 
 def _source(cfg, kind, n_mean) -> SourceSpec:
-    """SourceSpec(kind, n_mean) with the config's mu and tau: the one reader of both keys."""
+    """SourceSpec(kind, n_mean) with the config's mu and tau."""
     return SourceSpec(kind, n_mean, _config_value(cfg, "mu", default=1),
                       _config_value(cfg, "tau", default=0.5))
 
@@ -173,7 +173,11 @@ _SWEEP_KINDS = (("coherent", COHERENT_PAIR), ("twin_beam", TWIN_BEAM), ("thermal
 
 
 def cmd_sweep(cfg, out_dir, fmt="tsv"):
-    """Variance-versus-intensity and variance-versus-efficiency tables."""
+    """Variance-versus-intensity and variance-versus-efficiency tables.
+
+    Each grid is checked in one call and each column is one call of the
+    broadcasting closed form, markers._variances.
+    """
     eff = _eff_from(cfg)
     n_grid = _config_value(cfg, "n_grid", _number_list, None)
     if n_grid is None:
@@ -181,21 +185,21 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
         sources._check_table(n_points, f"a sweep of {n_points} points")
         n_grid = np.linspace(_config_value(cfg, "n_min", ">= 0", 0.0),
                              _config_value(cfg, "n_max", ">= 0", 25.0), n_points)
+    mu = _config_value(cfg, "mu", "integer >= 1", 1)
+    tau = _config_value(cfg, "tau", "[0, 1]", 0.5)
+    n = sources._checked_array("n_grid", n_grid, ">= 0")
     table = {"n_mean": np.asarray(n_grid)}
     for name, kind in _SWEEP_KINDS:
-        table[f"sigma2_{name}"] = np.array(
-            [markers.difference_variance(_source(cfg, kind, n), eff).sigma2_d for n in n_grid])
+        table[f"sigma2_{name}"] = markers._variances(kind, n, mu, tau, eff.eta1, eff.eta2)[0]
     seriesio.write_table(Path(out_dir) / "sweep_n.tsv", table, fmt)
     eta_grid = _config_value(cfg, "eta_grid", _number_list, None)
     if eta_grid is None:
         eta_grid = np.linspace(0.05, 1.0, 20)
+    eta = sources._checked_array("eta_grid", eta_grid, "[0, 1]")
     n_ref = _config_value(cfg, "n_ref", "> 0", 1.0)
     table = {"eta": np.asarray(eta_grid)}
     for name, kind in _SWEEP_KINDS:
-        table[f"ratio_{name}"] = np.array(
-            [markers.difference_variance(_source(cfg, kind, n_ref),
-                                         EfficiencyPair(eta, eta)).sigma2_d / n_ref
-             for eta in eta_grid])
+        table[f"ratio_{name}"] = markers._variances(kind, n_ref, mu, tau, eta, eta)[0] / n_ref
     seriesio.write_table(Path(out_dir) / "sweep_eta.tsv", table, fmt)
     _write_report(out_dir, "sweep.json", {"tables": ["sweep_n.tsv", "sweep_eta.tsv"]}, cfg)
     return EXIT_OK
@@ -210,8 +214,8 @@ def cmd_simulate(cfg, out_dir, fmt="tsv"):
         seed=_config_value(cfg, "seed", default=0),
         pump_x=_config_value(cfg, "pump_x", default=0.0),
         volts=_config_value(cfg, "volts", _flag, False),
-        conv=_config_value(cfg, "conv", _pair, (1.0, 1.0)),
-        instrument_noise_var=_config_value(cfg, "instrument_noise_var", _pair, (0.0, 0.0)),
+        conv=_config_value(cfg, "conv", default=(1.0, 1.0)),
+        instrument_noise_var=_config_value(cfg, "instrument_noise_var", default=(0.0, 0.0)),
     )
     name = _config_value(cfg, "name", _text, "shots.csv")
     series = montecarlo.sample_series(sim)

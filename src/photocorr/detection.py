@@ -92,7 +92,7 @@ def detected_moments(dist: JointCountDistribution) -> MomentSet:
     return MomentSet(m1, m2, v1, v2, cov)
 
 
-def _pgf_coefficients(src: SourceSpec, eff: EfficiencyPair):
+def _pgf_coefficients(kind, n, tau, eta1, eta2):
     """Bose flag and coefficients (A, B, C) of a source's single-pair count pgf.
 
     With u_j = z_j - 1, the detected-count pgf of one mode pair is exp(x)
@@ -104,13 +104,22 @@ def _pgf_coefficients(src: SourceSpec, eff: EfficiencyPair):
         twin beam      1/(1+n-n a b)                 n eta1       n eta2           n eta1 eta2
         coherent pair  exp(n(a-1)+n(b-1))            n eta1       n eta2           0
         split thermal  1/(1+2n-2n(tau a+(1-tau) b))  2n tau eta1  2n (1-tau) eta2  0
+
+    n, tau, eta1 and eta2 may be arrays that broadcast against each other.
     """
-    n, e1, e2 = src.per_mode_mean, eff.eta1, eff.eta2
-    if src.kind == TWIN_BEAM:
-        return True, n * e1, n * e2, n * e1 * e2
-    if src.kind == COHERENT_PAIR:
-        return False, n * e1, n * e2, 0.0
-    return True, 2.0 * n * src.tau * e1, 2.0 * n * (1.0 - src.tau) * e2, 0.0
+    if kind == TWIN_BEAM:
+        return True, n * eta1, n * eta2, n * eta1 * eta2
+    if kind == COHERENT_PAIR:
+        return False, n * eta1, n * eta2, 0.0
+    return True, 2.0 * n * tau * eta1, 2.0 * n * (1.0 - tau) * eta2, 0.0
+
+
+def _moments(kind, n_mean, mu, tau, eta1, eta2):
+    """(mean1, mean2, var1, var2, cov) of analytic_moments, unchecked; n_mean, mu,
+    tau, eta1 and eta2 may be arrays that broadcast against each other."""
+    bose, a, b, c = _pgf_coefficients(kind, n_mean / mu, tau, eta1, eta2)
+    return (mu * a, mu * b, mu * (bose * a * a + a), mu * (bose * b * b + b),
+            mu * (bose * a * b + c))
 
 
 def analytic_moments(src: SourceSpec, eff: EfficiencyPair) -> MomentSet:
@@ -121,10 +130,7 @@ def analytic_moments(src: SourceSpec, eff: EfficiencyPair) -> MomentSet:
     mu bose A**2 and mu bose B**2, and covariance mu (bose A B + C).  A moment
     beyond the float range raises ValidationError.
     """
-    bose, a, b, c = _pgf_coefficients(src, eff)
-    mu = src.mu
-    moments = (mu * a, mu * b, mu * (bose * a * a + a), mu * (bose * b * b + b),
-               mu * (bose * a * b + c))
+    moments = _moments(src.kind, src.n_mean, src.mu, src.tau, eff.eta1, eff.eta2)
     return MomentSet(*(_checked(name, m, "finite")
                        for name, m in zip(MomentSet.__dataclass_fields__, moments)))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sources
-from .detection import EfficiencyPair, _pgf_coefficients, analytic_moments, detected_moments
+from .detection import EfficiencyPair, _moments, _pgf_coefficients, analytic_moments, detected_moments
 from .errors import UndefinedMarkerError, ValidationError
 from .sources import (
     COHERENT_PAIR,
@@ -34,6 +34,7 @@ from .sources import (
     SourceSpec,
     _check_table,
     _checked,
+    _checked_array,
     _checked_pmf,
     _square,
 )
@@ -123,20 +124,36 @@ def difference_from_joint(dist: JointCountDistribution) -> DifferenceDistributio
 def difference_variance(src: SourceSpec, eff: EfficiencyPair) -> VarianceReport:
     """Closed-form variance of the difference photocurrent.
 
-    The model is _difference_variance_model; a split-thermal source with
-    tau != 1/2 takes var1 + var2 - 2 cov of analytic_moments instead.  The
-    shot-noise benchmark is the coherent-pair value (eta1 + eta2) N.  Either
+    The scalar caller of _variances, which holds the arithmetic: sigma2(d)
+    next to the coherent-pair shot-noise benchmark (eta1 + eta2) N.  Either
     value beyond the float range raises ValidationError.
     """
-    e1, e2 = eff.eta1, eff.eta2
-    shot = (e1 + e2) * src.n_mean
-    if src.kind == SPLIT_THERMAL and src.tau != 0.5:
-        m = analytic_moments(src, eff)
-        s2 = m.var1 + m.var2 - 2.0 * m.cov
-    else:
-        s2 = _difference_variance_model(e1 - e2, 0.5 * (e1 + e2), src.n_mean, src.mu, src.kind)
-    s2, shot = _checked("sigma2_d", s2, "finite"), _checked("shot_noise_level", shot, "finite")
-    return VarianceReport(s2, shot, bool(s2 < shot))
+    s2, shot = _variances(src.kind, src.n_mean, src.mu, src.tau, eff.eta1, eff.eta2)
+    return VarianceReport(s2, shot, s2 < shot)
+
+
+def _variances(kind, n_mean, mu, tau, eta1, eta2):
+    """sigma2(d) and the shot-noise level (eta1 + eta2) N, checked by
+    sources._checked_array to be finite: floats for scalar arguments, else
+    float64 arrays of the broadcast shape.
+
+    n_mean, eta1 and eta2 may be arrays that broadcast against each other, so a
+    whole sweep column is one call.  sigma2(d) is _difference_variance_model,
+    except for a split-thermal source with tau != 1/2, which takes
+    var1 + var2 - 2 cov of detection._moments (the arithmetic of analytic_moments).
+    Element for element the arithmetic is that of scalar arguments, except that
+    numpy squares an array by multiplying where sources._square squares a float
+    by C pow: the two round about 1 square in 1000 one ulp apart.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, past the float range
+        if kind == SPLIT_THERMAL and tau != 0.5:
+            _, _, var1, var2, cov = _moments(kind, n_mean, mu, tau, eta1, eta2)
+            s2 = var1 + var2 - 2.0 * cov
+        else:
+            s2 = _difference_variance_model(eta1 - eta2, 0.5 * (eta1 + eta2), n_mean, mu, kind)
+        shot = (eta1 + eta2) * n_mean
+    return (_checked_array("sigma2_d", s2, "finite"),
+            _checked_array("shot_noise_level", shot, "finite"))
 
 
 def _variance_terms(eta_bar, n, mu, kind):
@@ -191,7 +208,7 @@ def _pgf_rates(src: SourceSpec, eff: EfficiencyPair):
     x = (A - C)(z - 1) + (B - C)(1/z - 1).  A zero first (second) rate means
     d never exceeds (falls below) zero.
     """
-    bose, a, b, c = _pgf_coefficients(src, eff)
+    bose, a, b, c = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau, eff.eta1, eff.eta2)
     return bose, a - c, b - c
 
 

@@ -85,7 +85,12 @@ class SimulationConfig:
     def __post_init__(self):
         _check_fields(self, shots="integer >= 1", seed="integer >= 0", pump_x=">= 0")
         for name, rule in ("conv", "> 0" if self.volts else ">= 0"), ("instrument_noise_var", ">= 0"):
-            object.__setattr__(self, name, tuple(_checked(name, v, rule) for v in getattr(self, name)))
+            try:
+                x1, x2 = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{name}: expected a pair (x1, x2), "
+                                      f"got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, (_checked(name, x1, rule), _checked(name, x2, rule)))
         if any(self.instrument_noise_var) and not self.volts:
             raise ValidationError(f"instrument_noise_var: noise is added to volts only, got "
                                   f"{self.instrument_noise_var} for a counts record")
@@ -161,7 +166,7 @@ def sample_series(cfg: SimulationConfig) -> ShotSeries:
         n1, n2, truncations = _pumped_twin_beam(rng, cfg)
         m1, m2 = _thin(rng, n1, eff.eta1), _thin(rng, n2, eff.eta2)
     else:
-        bose, a, b, c = _pgf_coefficients(src, eff)
+        bose, a, b, c = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau, eff.eta1, eff.eta2)
         u, truncations = _pump_scales(rng, (math.sqrt(2.0) if bose else 1.0) * cfg.pump_x, k)
         g = u * rng.standard_gamma(src.mu, k) if bose else u * src.mu
         z = rng.poisson(g * c) if c > 0 else 0

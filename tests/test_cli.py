@@ -6,8 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from photocorr import EfficiencyPair, SourceSpec, noise_surface, source_joint, thin_joint
+from photocorr import (
+    EfficiencyPair,
+    SourceSpec,
+    difference_variance,
+    noise_surface,
+    source_joint,
+    thin_joint,
+)
 from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from photocorr.seriesio import write_table
 
 
 def write_config(tmp_path, name, payload):
@@ -421,6 +429,53 @@ class TestSweep:
         for row in (tmp_path / "sweep_n.tsv").read_text().splitlines()[1:]:
             n, coh, twb, th = (float(v) for v in row.split("\t"))
             assert twb < coh == th
+
+    KINDS = (("coherent", "coherent_pair"), ("twin_beam", "twin_beam"), ("thermal", "split_thermal"))
+
+    def write_oracle_tables(self, cfg, out):
+        """The sweep tables from one SourceSpec, EfficiencyPair and difference_variance
+        per grid point, the way the sweep computed them before it took whole columns."""
+        eff, mu, tau, n_ref = EfficiencyPair(*cfg["eta"]), cfg["mu"], cfg["tau"], cfg["n_ref"]
+        if "n_grid" in cfg:
+            n_grid = np.asarray(cfg["n_grid"])
+        else:
+            n_grid = np.linspace(cfg["n_min"], cfg["n_max"], cfg["n_points"])
+        eta_grid = np.asarray(cfg["eta_grid"]) if "eta_grid" in cfg else np.linspace(0.05, 1.0, 20)
+        table = {"n_mean": n_grid}
+        for name, kind in self.KINDS:
+            table[f"sigma2_{name}"] = np.array(
+                [difference_variance(SourceSpec(kind, n, mu, tau), eff).sigma2_d for n in n_grid])
+        write_table(out / "sweep_n.tsv", table)
+        table = {"eta": eta_grid}
+        for name, kind in self.KINDS:
+            table[f"ratio_{name}"] = np.array(
+                [difference_variance(SourceSpec(kind, n_ref, mu, tau),
+                                     EfficiencyPair(eta, eta)).sigma2_d / n_ref for eta in eta_grid])
+        write_table(out / "sweep_eta.tsv", table)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.3])
+    @pytest.mark.parametrize("grid", [
+        {"n_grid": [0, 0.5, 17.5, 1e7, 3, 2e-310], "eta_grid": [0, 0.05, 0.5, 1]},
+        {"n_min": 0.0, "n_max": 1.0e7, "n_points": 2001},
+    ], ids=["n_grid", "n_points"])
+    def test_tables_equal_the_per_point_closed_form(self, tmp_path, tau, grid):
+        cfg = {"eta": [0.66, 0.68], "mu": 14, "tau": tau, "n_ref": 1.0e6, **grid}
+        path = write_config(tmp_path, "sw.json", cfg)
+        assert run(["sweep", "--config", path, "--out", tmp_path / "cli"]) == EXIT_OK
+        (tmp_path / "oracle").mkdir()
+        self.write_oracle_tables(cfg, tmp_path / "oracle")
+        for name in ("sweep_n.tsv", "sweep_eta.tsv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+
+    @pytest.mark.parametrize("payload, element", [
+        ({"n_grid": [1.0, -1.0]}, "n_grid[1]"),
+        ({"n_grid": [1.0, math.nan]}, "n_grid[1]"),
+        ({"eta_grid": [0.5, 1.5]}, "eta_grid[1]"),
+    ])
+    def test_bad_grid_entry_exits_2(self, tmp_path, capsys, payload, element):
+        cfg = write_config(tmp_path, "sw.json", {"eta": [0.6, 0.7], **payload})
+        assert run(["sweep", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+        assert element in capsys.readouterr().err
 
 
 class TestNoiseBudget:

@@ -273,3 +273,9 @@ class TestVoltsMode:
             cfg_for("twin_beam", 1.0, 1, (0.5, 0.5), shots=0)
         with pytest.raises(ValidationError):
             cfg_for("twin_beam", 1.0, 1, (0.5, 0.5), pump_x=-0.1)
+
+    @pytest.mark.parametrize("key", ["conv", "instrument_noise_var"])
+    @pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0), 5.0], ids=["one", "three", "number"])
+    def test_pairs_must_be_pairs(self, key, value):
+        with pytest.raises(ValidationError, match=f"{key}: expected a pair"):
+            cfg_for("coherent_pair", 2.0, 1, (0.6, 0.7), shots=10, volts=True, **{key: value})

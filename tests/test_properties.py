@@ -2,21 +2,29 @@
 
 The difference variance, the detected moments and the noise-budget base
 variance are written from one source model; these checks tie them together
-over kind, tau, N, mu and both efficiencies.  Runs are derandomized, so the
-examples are the same on every run.
+over kind, tau, N, mu and both efficiencies, and tie p(d) to the moments.
+Runs are derandomized, so the examples are the same on every run.
 """
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from photocorr import (
+    DifferenceDistribution,
     EfficiencyPair,
     SourceSpec,
+    TailToleranceError,
     analytic_moments,
+    difference_analytic,
     difference_variance,
     solve_pump_noise,
 )
+from photocorr.markers import _variances
+from photocorr.sources import DEFAULT_TAIL_TOL
 
 KINDS = ("twin_beam", "coherent_pair", "split_thermal")
 
@@ -63,3 +71,56 @@ def test_difference_variance_is_additive_in_mu(kind, tau, per_mode, mu, eta1, et
     one = difference_variance(source(kind, per_mode, 1, tau), eff).sigma2_d
     many = difference_variance(source(kind, mu * per_mode, mu, tau), eff).sigma2_d
     assert many == pytest.approx(mu * one, rel=1e-12, abs=1e-300)  # abs: underflow only
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from(KINDS), taus, modes,
+       st.lists(st.tuples(means, etas, etas), min_size=1, max_size=8))
+def test_a_grid_in_one_call_equals_the_scalar_calls(kind, tau, mu, points):
+    # the sweep's broadcasting route against difference_variance, element for element;
+    # numpy squares an array by multiplying, C pow a float, one ulp apart in a near-tie
+    n, eta1, eta2 = (np.array(column) for column in zip(*points))
+    tau = source(kind, 0.0, mu, tau).tau
+    s2, shot = _variances(kind, n, mu, tau, eta1, eta2)
+    want = [difference_variance(source(kind, n_mean, mu, tau), EfficiencyPair(e1, e2))
+            for n_mean, e1, e2 in points]
+    assert s2.tolist() == pytest.approx([r.sigma2_d for r in want], rel=1e-15, abs=0.0)
+    assert shot.tolist() == [r.shot_noise_level for r in want]
+
+
+def total_variation(p, q):
+    """Total variation distance of two DifferenceDistributions."""
+    lo, hi = min(p.d_min, q.d_min), max(p.support[1], q.support[1])
+    dense = np.zeros((2, hi - lo + 1))
+    for row, dist in zip(dense, (p, q)):
+        row[dist.d_min - lo:dist.support[1] - lo + 1] = dist.probs
+    return 0.5 * np.abs(dense[0] - dense[1]).sum()
+
+
+# a decade from 1e-3 to 1e6 and a mantissa in [1, 10]: N log-uniform up to 1e7
+log_means = st.builds(lambda e, m: m * 10.0**e, st.integers(-3, 6), st.floats(1.0, 10.0))
+
+
+# each example computes two p(d), of up to a few million points
+@settings(PROPERTY, max_examples=25)
+@given(st.sampled_from(KINDS), taus, log_means, modes, etas, etas)
+@example("twin_beam", 0.5, 1e7, 14, 0.66, 0.68)  # the paper's bright beams
+def test_difference_pmf_tail_swap_symmetry_and_moments(kind, tau, n_mean, mu, eta1, eta2):
+    src, eff = source(kind, n_mean, mu, tau), EfficiencyPair(eta1, eta2)
+    try:
+        dd = difference_analytic(src, eff)
+        swapped = difference_analytic(source(kind, n_mean, mu, 1.0 - src.tau),
+                                      EfficiencyPair(eta2, eta1))
+    except TailToleranceError:  # a window above the table budget: no p(d) to check
+        assume(False)
+    assert dd.tail_mass <= DEFAULT_TAIL_TOL and swapped.tail_mass <= DEFAULT_TAIL_TOL
+    # p(d; eta1, eta2, tau) = p(-d; eta2, eta1, 1 - tau)
+    mirrored = DifferenceDistribution(swapped.probs[::-1], -swapped.support[1], swapped.tail_mass)
+    assert total_variation(dd, mirrored) <= 1e-8
+    m = analytic_moments(src, eff)
+    var = m.var1 + m.var2 - 2.0 * m.cov
+    # the FFT resolves a probability to about 1e-16, so a moment below 1e-12 is not resolved;
+    # the mean is compared relative to the spread of d too, since it may be zero
+    assert dd.variance() == pytest.approx(var, rel=1e-6, abs=1e-12)
+    assert dd.mean() == pytest.approx(m.mean1 - m.mean2, rel=1e-6,
+                                      abs=1e-6 * math.sqrt(var) + 1e-12)

@@ -162,6 +162,19 @@ class TestMultithermalPdf:
         with pytest.raises(ValidationError):
             multithermal_pdf(-0.1, 14, 1.0)
 
+    @pytest.mark.parametrize("v_mean", [1e-300, 1.0, 1e300])
+    def test_accurate_at_the_largest_mode_count(self, v_mean):
+        # the density at its mean is sqrt(mu / 2 pi) exp(-1 / (12 mu)) / v_mean, by Stirling's
+        # series, to about 1/(360 mu**3) relative
+        mu = 1e6
+        want = math.sqrt(mu / (2.0 * math.pi)) * math.exp(-1.0 / (12.0 * mu)) / v_mean
+        assert multithermal_pdf(v_mean, mu, v_mean) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("mu", [math.nextafter(1e6, math.inf), 1e14, 1e300])
+    def test_refused_above_the_largest_mode_count(self, mu):
+        with pytest.raises(ValidationError, match="mu"):
+            multithermal_pdf([1.0, 2.0], mu, 1.0)
+
 
 class TestSourceSpec:
     def test_kind_validated(self):
@@ -282,6 +295,38 @@ class TestJointCountDistribution:
         # the pmf check both distribution types share
         with pytest.raises(ValidationError, match="empty"):
             make()
+
+
+class TestCheckedArray:
+    """The array form of the number check against the scalar form, element by element."""
+
+    VALUES = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.5, 2.0, 1e308]
+
+    @pytest.mark.parametrize("rule", sorted(sources._DOMAINS))
+    def test_agrees_with_the_scalar_check(self, rule):
+        passing, want = [], []
+        for value in self.VALUES:
+            try:
+                want.append(sources._checked("x", value, rule))
+                passing.append(value)
+            except ValidationError:
+                with pytest.raises(ValidationError, match=r"x\[3\]: must be"):
+                    sources._checked_array("x", [0.5 if rule == "(0, 1)" else 1.0] * 3 + [value],
+                                           rule)
+        got = sources._checked_array("x", passing, rule)
+        assert got.dtype == np.float64 and got.tolist() == want
+
+    def test_names_the_first_offending_element(self):
+        with pytest.raises(ValidationError, match=r"x\[1, 0\]: .* got nan"):
+            sources._checked_array("x", [[1.0, 2.0], [math.nan, -1.0]], ">= 0")
+
+    @pytest.mark.parametrize("values", [[True, False], ["1"], np.array([0.5], dtype=object)])
+    def test_refuses_what_is_not_a_number(self, values):
+        with pytest.raises(ValidationError, match="array of numbers"):
+            sources._checked_array("x", values, "finite")
+
+    def test_empty_array_passes(self):
+        assert sources._checked_array("x", [], "> 0").size == 0
 
 
 class TestLogFactorial:
