@@ -5,117 +5,48 @@ split-thermal sources, their detection with finite quantum efficiency,
 discrimination markers (correlation coefficient, difference-photocurrent
 distribution and variance), seeded Monte Carlo shot simulation, and the
 estimators and noise-budget inversions used to analyze shot records.
+
+The public names are resolved on first use (PEP 562): ``import photocorr``
+loads no submodule and not numpy, and ``from photocorr import thin_joint``
+loads only the modules that define it.  A resolved name is not stored in
+this namespace, so every lookup returns what its defining module holds now.
 """
 
-from .analysis import (
-    MultithermalFit,
-    NoiseBudget,
-    PumpFit,
-    correlation_function,
-    fit_multithermal,
-    imbalance_bounds,
-    measured_correlation,
-    measured_difference_variance,
-    noise_surface,
-    solve_pump_noise,
-)
-from .detection import (
-    EfficiencyPair,
-    MomentSet,
-    analytic_moments,
-    detected_moments,
-    multimode_convolve,
-    thin_joint,
-)
-from .errors import (
-    DataError,
-    InconsistentDataError,
-    NoiseDominatedError,
-    PhotocorrError,
-    TailToleranceError,
-    UndefinedMarkerError,
-    ValidationError,
-)
-from .markers import (
-    DifferenceDistribution,
-    VarianceReport,
-    correlation_coefficient,
-    correlation_from_joint,
-    difference_analytic,
-    difference_from_joint,
-    difference_variance,
-    variance_threshold,
-)
-from .montecarlo import (
-    ShotSeries,
-    SimulationConfig,
-    predicted_beam_variance,
-    sample_series,
-)
-from .seriesio import read_series, write_series
-from .sources import (
-    COHERENT_PAIR,
-    SPLIT_THERMAL,
-    TWIN_BEAM,
-    JointCountDistribution,
-    SourceSpec,
-    coherent_pair_joint,
-    multithermal_pdf,
-    source_joint,
-    split_thermal_joint,
-    thermal_pmf,
-    twin_beam_joint,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COHERENT_PAIR",
-    "SPLIT_THERMAL",
-    "TWIN_BEAM",
-    "DataError",
-    "DifferenceDistribution",
-    "EfficiencyPair",
-    "InconsistentDataError",
-    "JointCountDistribution",
-    "MomentSet",
-    "MultithermalFit",
-    "NoiseBudget",
-    "NoiseDominatedError",
-    "PhotocorrError",
-    "PumpFit",
-    "ShotSeries",
-    "SimulationConfig",
-    "SourceSpec",
-    "TailToleranceError",
-    "UndefinedMarkerError",
-    "ValidationError",
-    "VarianceReport",
-    "analytic_moments",
-    "coherent_pair_joint",
-    "correlation_coefficient",
-    "correlation_from_joint",
-    "correlation_function",
-    "detected_moments",
-    "difference_analytic",
-    "difference_from_joint",
-    "difference_variance",
-    "fit_multithermal",
-    "imbalance_bounds",
-    "measured_correlation",
-    "measured_difference_variance",
-    "multimode_convolve",
-    "multithermal_pdf",
-    "noise_surface",
-    "predicted_beam_variance",
-    "read_series",
-    "sample_series",
-    "solve_pump_noise",
-    "source_joint",
-    "split_thermal_joint",
-    "thermal_pmf",
-    "thin_joint",
-    "twin_beam_joint",
-    "variance_threshold",
-    "write_series",
-]
+#: Defining module of each public name.
+_EXPORTS = {
+    "analysis": ("MultithermalFit", "NoiseBudget", "PumpFit", "correlation_function",
+                 "fit_multithermal", "imbalance_bounds", "measured_correlation",
+                 "measured_difference_variance", "noise_surface", "solve_pump_noise"),
+    "detection": ("EfficiencyPair", "MomentSet", "analytic_moments", "detected_moments",
+                  "multimode_convolve", "thin_joint"),
+    "errors": ("DataError", "InconsistentDataError", "NoiseDominatedError", "PhotocorrError",
+               "TailToleranceError", "UndefinedMarkerError", "ValidationError"),
+    "markers": ("DifferenceDistribution", "VarianceReport", "correlation_coefficient",
+                "correlation_from_joint", "difference_analytic", "difference_from_joint",
+                "difference_variance", "variance_threshold"),
+    "montecarlo": ("SimulationConfig", "predicted_beam_variance", "sample_series"),
+    "seriesio": ("ShotSeries", "read_series", "write_series"),
+    "sources": ("COHERENT_PAIR", "SPLIT_THERMAL", "TWIN_BEAM", "JointCountDistribution",
+                "SourceSpec", "coherent_pair_joint", "multithermal_pdf", "source_joint",
+                "split_thermal_joint", "thermal_pmf", "twin_beam_joint"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(_import_module(f"{__name__}.{module}"), name)
+    if name in _EXPORTS:  # a submodule not imported yet
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -27,7 +27,8 @@ from .errors import (
     ValidationError,
 )
 from .markers import _difference_variance_model, _variance_terms
-from .montecarlo import ShotSeries, _pump_excess
+from .montecarlo import _pump_excess
+from .seriesio import ShotSeries
 from .sources import SPLIT_THERMAL, TWIN_BEAM, _check_table, _checked, _checked_array, multithermal_pdf
 
 
@@ -239,11 +240,16 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
 
 def _efficiencies(name, eta):
     """eta, a number or a non-empty array of numbers, each checked to lie in (0, 1]."""
-    if np.ndim(eta) == 0:
+    try:
+        arr = np.asarray(eta)
+    except ValueError:  # nested sequences of unequal lengths
+        arr = np.empty(0)
+    if arr.ndim == 0:
         return _checked(name, eta, "(0, 1]")
-    if np.size(eta) == 0:
-        raise ValidationError(f"{name}: must be a number or a non-empty array, got {eta!r}")
-    return _checked_array(name, eta, "(0, 1]")
+    if arr.size == 0:
+        raise ValidationError(f"{name}: must be a number or a non-empty array of numbers, "
+                              f"got {eta!r}")
+    return _checked_array(name, arr, "(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -256,7 +262,7 @@ class PumpFit:
     excess_coefficient: float | np.ndarray  # d sigma2 / d x**2
 
     def predicted_sigma2(self):
-        return self.base_sigma2 + self.x**2 * self.excess_coefficient
+        return self.base_sigma2 + self.x * self.x * self.excess_coefficient
 
 
 def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,

@@ -7,11 +7,17 @@ seeds included.  Reports embed the fully resolved config for provenance.
 
 Exit codes: 0 success, 2 validation error, 3 data error, 4 numerical
 tolerance error.
+
+Only errors, sources and detection load with this module; each command
+imports the modules it uses, so that a process loads what its command
+needs.  run() is the process entry of ``python -m photocorr`` and of the
+console script.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -19,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, markers, montecarlo, seriesio, sources
+from . import sources
 from .detection import EfficiencyPair, multimode_convolve, thin_joint
 from .errors import (
     DataError,
@@ -135,6 +141,8 @@ def _jsonable(obj):
 
 def cmd_analytic(cfg, out_dir, fmt="tsv"):
     """Difference distributions, correlation coefficients, variances, threshold."""
+    from . import markers, seriesio
+
     eff = _eff_from(cfg)
     n_mean = _config_value(cfg, "n_mean", default=1.0)
     with_joint = _config_value(cfg, "joint", _flag, False)
@@ -178,6 +186,8 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
     Each grid is checked in one call and each column is one call of the
     broadcasting closed form, markers._variances.
     """
+    from . import markers, seriesio
+
     eff = _eff_from(cfg)
     n_grid = _config_value(cfg, "n_grid", _number_list, None)
     if n_grid is None:
@@ -207,6 +217,8 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
 
 def cmd_simulate(cfg, out_dir, fmt="tsv"):
     """Generate a shot series and write it as CSV plus JSON sidecar."""
+    from . import montecarlo, seriesio
+
     sim = montecarlo.SimulationConfig(
         source=_source(cfg, _config_value(cfg, "source", _text), _config_value(cfg, "n_mean")),
         eff=_eff_from(cfg),
@@ -226,6 +238,8 @@ def cmd_simulate(cfg, out_dir, fmt="tsv"):
 
 def cmd_analyze(cfg, out_dir, fmt="tsv"):
     """Reduce a CSV shot record to correlation, difference and fit statistics."""
+    from . import analysis, seriesio
+
     input_path = _config_value(cfg, "input", _text)
     lags = [sources._checked("lags", lag, "integer")
             for lag in _config_value(cfg, "lags", _number_list, (0, 1, 2, 5))]
@@ -251,6 +265,8 @@ def cmd_analyze(cfg, out_dir, fmt="tsv"):
 
 
 def _fit_entry(values, integer_mu):
+    from . import analysis
+
     fit = analysis.fit_multithermal(values, integer_mu=integer_mu)
     return {"mu": fit.mu_hat, "v_mean": fit.v_mean_hat, "chi2_per_bin": fit.goodness,
             "n_clipped": fit.n_clipped}
@@ -265,6 +281,8 @@ def _difference_histogram(series):
     ceil(range / width) equal bins (one bin when the width is 0).  Every
     shot falls in one bin.
     """
+    from . import analysis
+
     c1, c2 = series.counts()
     d = c1 - c2
     width = analysis._fd_width(d)
@@ -282,6 +300,8 @@ def _difference_histogram(series):
 
 def cmd_fit(cfg, out_dir, fmt="tsv"):
     """Multithermal fit of one channel of a CSV record."""
+    from . import seriesio
+
     input_path = _config_value(cfg, "input", _text)
     channel = _config_value(cfg, "channel", "integer", 1)
     if channel not in (1, 2):
@@ -296,6 +316,8 @@ def cmd_fit(cfg, out_dir, fmt="tsv"):
 
 def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     """Pump-noise surface over an efficiency grid plus imbalance interval."""
+    from . import analysis, seriesio
+
     sigma2 = _config_value(cfg, "sigma2_measured")
     m1 = _config_value(cfg, "m1")
     m2 = _config_value(cfg, "m2")
@@ -379,7 +401,15 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    """main() as a process: exit with its code.
+
+    Everything on the heap lives until the process ends, so it is frozen
+    first and the interpreter's final collections skip it.  main() itself
+    never freezes: tests and the benchmark call it in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

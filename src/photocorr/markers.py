@@ -36,7 +36,6 @@ from .sources import (
     _checked,
     _checked_array,
     _checked_pmf,
-    _square,
 )
 
 
@@ -141,9 +140,9 @@ def _variances(kind, n_mean, mu, tau, eta1, eta2):
     whole sweep column is one call.  sigma2(d) is _difference_variance_model,
     except for a split-thermal source with tau != 1/2, which takes
     var1 + var2 - 2 cov of detection._moments (the arithmetic of analytic_moments).
-    Element for element the arithmetic is that of scalar arguments, except that
-    numpy squares an array by multiplying where sources._square squares a float
-    by C pow: the two round about 1 square in 1000 one ulp apart.
+    Element for element the arithmetic is that of scalar arguments, bit for bit:
+    every square is a product x * x, never x**2, whose C pow rounds about 1
+    square in 1000 one ulp away from the product.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, past the float range
         if kind == SPLIT_THERMAL and tau != 0.5:
@@ -169,16 +168,16 @@ def _variance_terms(eta_bar, n, mu, kind):
     Arguments may be arrays that broadcast against each other.
     """
     if kind == TWIN_BEAM:
-        return 2.0 * eta_bar * (1.0 - eta_bar) * n, _square(n) / mu + n / 2.0
+        return 2.0 * eta_bar * (1.0 - eta_bar) * n, n * n / mu + n / 2.0
     if kind == SPLIT_THERMAL:
-        return 2.0 * eta_bar * n, _square(n) / mu
+        return 2.0 * eta_bar * n, n * n / mu
     return 2.0 * eta_bar * n, 0.0
 
 
 def _difference_variance_model(delta, eta_bar, n, mu, kind):
     """sigma2(d) with efficiencies eta_bar +- delta/2 and N = n (see _variance_terms)."""
     floor, curvature = _variance_terms(eta_bar, n, mu, kind)
-    return floor + delta**2 * curvature
+    return floor + delta * delta * curvature
 
 
 def variance_threshold(eff: EfficiencyPair):

@@ -43,14 +43,15 @@ Negative Gaussian scales are truncated at zero and counted, not redrawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import sources
 from .detection import EfficiencyPair, _pgf_coefficients
 from .errors import TailToleranceError, ValidationError
-from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked, _square
+from .seriesio import ShotSeries
+from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked
 
 
 #: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
@@ -114,38 +115,6 @@ class SimulationConfig:
                 f"n_mean {src.n_mean:g} and pump_x {self.pump_x:g}: a pump scale {_PUMP_SDS:g} "
                 f"standard deviations up would put a {src.kind} at eta {self.eff.eta1:g}, "
                 f"{self.eff.eta2:g} above a mean of {_MAX_N_MEAN:g}, and counts overflow int64")
-
-
-@dataclass(frozen=True)
-class ShotSeries:
-    """Per-shot outputs of the two detection channels.
-
-    ch1/ch2 hold detected counts (unit == "counts") or boxcar voltages
-    (unit == "volts").  Conversion coefficients and instrument-noise
-    variances travel with the data so analyzers can undo them.
-    """
-
-    ch1: np.ndarray
-    ch2: np.ndarray
-    unit: str
-    conv: tuple[float, float] = (1.0, 1.0)
-    instrument_noise_var: tuple[float, float] = (0.0, 0.0)
-    pump_truncations: int = 0
-
-    def __post_init__(self):
-        if self.unit not in ("counts", "volts"):
-            raise ValidationError(f"unit: expected 'counts' or 'volts', got {self.unit!r}")
-        if len(self.ch1) != len(self.ch2):
-            raise ValidationError("ch1 and ch2 must have equal length")
-
-    def __len__(self):
-        return len(self.ch1)
-
-    def counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Channel values mapped back to detected-photon units."""
-        if self.unit == "counts":
-            return np.asarray(self.ch1, dtype=float), np.asarray(self.ch2, dtype=float)
-        return self.ch1 / self.conv[0], self.ch2 / self.conv[1]
 
 
 def sample_series(cfg: SimulationConfig) -> ShotSeries:
@@ -239,10 +208,11 @@ def _pump_excess(kind, n, mu):
     n may be an array.
     """
     if kind == TWIN_BEAM:
-        return _square(n) / mu * np.arcsinh(np.sqrt(n / mu)) ** 2
+        g = np.arcsinh(np.sqrt(n / mu))
+        return n * n / mu * (g * g)
     if kind == SPLIT_THERMAL:
-        return 2.0 * _square(n)
-    return _square(n)
+        return 2.0 * (n * n)
+    return n * n
 
 
 def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
@@ -255,7 +225,7 @@ def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
     """
     pump_x = _checked("pump_x", pump_x, ">= 0")
     n_tot, mu = src.n_mean, src.mu
-    base = n_tot if src.kind == COHERENT_PAIR else _square(n_tot) / mu
+    base = n_tot if src.kind == COHERENT_PAIR else n_tot * n_tot / mu
     with np.errstate(over="ignore", invalid="ignore"):
-        variance = base + _square(pump_x) * _pump_excess(src.kind, n_tot, mu)
+        variance = base + pump_x * pump_x * _pump_excess(src.kind, n_tot, mu)
     return _checked("the predicted beam variance", variance, "finite")

@@ -17,15 +17,47 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .montecarlo import ShotSeries
 from .sources import _checked
 
 _INT64 = np.iinfo(np.int64)
+
+
+@dataclass(frozen=True)
+class ShotSeries:
+    """Per-shot outputs of the two detection channels.
+
+    ch1/ch2 hold detected counts (unit == "counts") or boxcar voltages
+    (unit == "volts").  Conversion coefficients and instrument-noise
+    variances travel with the data so analyzers can undo them.
+    """
+
+    ch1: np.ndarray
+    ch2: np.ndarray
+    unit: str
+    conv: tuple[float, float] = (1.0, 1.0)
+    instrument_noise_var: tuple[float, float] = (0.0, 0.0)
+    pump_truncations: int = 0
+
+    def __post_init__(self):
+        if self.unit not in ("counts", "volts"):
+            raise ValidationError(f"unit: expected 'counts' or 'volts', got {self.unit!r}")
+        if len(self.ch1) != len(self.ch2):
+            raise ValidationError("ch1 and ch2 must have equal length")
+
+    def __len__(self):
+        return len(self.ch1)
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Channel values mapped back to detected-photon units."""
+        if self.unit == "counts":
+            return np.asarray(self.ch1, dtype=float), np.asarray(self.ch2, dtype=float)
+        return self.ch1 / self.conv[0], self.ch2 / self.conv[1]
 
 
 def sidecar_path(csv_path) -> Path:

@@ -93,14 +93,6 @@ def _checked_array(name, values, rule):
     return x
 
 
-def _square(x):
-    """x**2 (C pow for a Python float), or inf rather than OverflowError past the float range."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def _check_fields(spec, **rules):
     """Replace each field of a frozen dataclass by its _checked value under its rule."""
     fields = vars(spec)  # a frozen dataclass refuses setattr, not a write to its __dict__

@@ -31,7 +31,7 @@ from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, m
 
 ADVERSARIAL = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 1.5, True, False, "1", "x", [], [1],
                [True, 1], {}, 1e308, 10**400, -10**400, 2**63]
-SMALL_BUDGET = 1 << 16  # bytes: 8192 float64 entries
+SMALL_BUDGET = 1 << 17  # bytes: 16384 float64 entries, the 128 x 128 FFT of the 2-mode joint
 CASE_SECONDS = 20
 
 
@@ -279,7 +279,7 @@ CALLS = {  # name: function of a Hypothesis draw that makes the call
         d.draw(st.sampled_from(["twin_beam", "split_thermal"]))),
     "noise_surface": lambda d: pc.noise_surface(
         d.draw(_arg([2.124e11])), d.draw(_arg([7.225e6])), d.draw(_arg([7.212e6])),
-        d.draw(_arg([14])), d.draw(_arg([[0.5, 0.9]])), d.draw(_arg([[0.6]])),
+        d.draw(_arg([14])), d.draw(_arg([[0.5, 0.9], [0.5, [0.6]]])), d.draw(_arg([[0.6]])),
         eta_nominal=d.draw(_arg([None, 0.67]))),
     "correlation_function": lambda d: pc.correlation_function(SERIES, d.draw(_arg([0, 1, -2]))),
     "sample_series": lambda d: pc.sample_series(pc.SimulationConfig(

@@ -21,6 +21,7 @@ from photocorr import (
     analytic_moments,
     difference_analytic,
     difference_variance,
+    noise_surface,
     solve_pump_noise,
 )
 from photocorr.markers import _variances
@@ -77,15 +78,46 @@ def test_difference_variance_is_additive_in_mu(kind, tau, per_mode, mu, eta1, et
 @given(st.sampled_from(KINDS), taus, modes,
        st.lists(st.tuples(means, etas, etas), min_size=1, max_size=8))
 def test_a_grid_in_one_call_equals_the_scalar_calls(kind, tau, mu, points):
-    # the sweep's broadcasting route against difference_variance, element for element;
-    # numpy squares an array by multiplying, C pow a float, one ulp apart in a near-tie
+    # the sweep's broadcasting route against difference_variance, element for element
     n, eta1, eta2 = (np.array(column) for column in zip(*points))
     tau = source(kind, 0.0, mu, tau).tau
     s2, shot = _variances(kind, n, mu, tau, eta1, eta2)
     want = [difference_variance(source(kind, n_mean, mu, tau), EfficiencyPair(e1, e2))
             for n_mean, e1, e2 in points]
-    assert s2.tolist() == pytest.approx([r.sigma2_d for r in want], rel=1e-15, abs=0.0)
+    assert s2.tolist() == [r.sigma2_d for r in want]
     assert shot.tolist() == [r.shot_noise_level for r in want]
+
+
+def squares_apart(values):
+    """The values whose square C pow (Python's x**2) and x * x round apart."""
+    values = values.tolist()
+    return np.array([v for v in values if v**2 != v * v])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_and_array_variances_agree_bit_for_bit(kind):
+    # difference_variance squares Python floats, _variances numpy arrays; both must
+    # multiply, or about 1 square in 1000 differs in the last bit
+    n = squares_apart(np.random.default_rng(1).uniform(0.0, 1e7, 20000))
+    assert n.size > 0
+    eff = EfficiencyPair(0.66, 0.68)
+    s2, shot = _variances(kind, n, 14, 0.5, eff.eta1, eff.eta2)
+    want = [difference_variance(SourceSpec(kind, v, 14), eff) for v in n.tolist()]
+    assert s2.tolist() == [r.sigma2_d for r in want]
+    assert shot.tolist() == [r.shot_noise_level for r in want]
+
+
+@pytest.mark.parametrize("kind", ("twin_beam", "split_thermal"))
+def test_scalar_and_array_pump_budgets_agree_bit_for_bit(kind):
+    # the budget squares N_j = m_j / eta_j, their mean and arcsinh(sqrt(N_j / mu))
+    eta1 = np.linspace(0.5, 0.9, 2001)
+    assert squares_apart(7.225e6 / eta1).size > 0
+    sigma2, m1, m2, mu = 2.124e11, 7.225e6, 7.212e6, 14
+    budget = noise_surface(sigma2, m1, m2, mu, eta1, [0.68], kind=kind, eta_nominal=0.67)
+    fits = [solve_pump_noise(sigma2, e, 0.68, m1, m2, mu, kind) for e in eta1.tolist()]
+    assert budget.x[:, 0].tolist() == [float(f.x) for f in fits]
+    assert budget.corrected_sigma2[:, 0].tolist() == [
+        sigma2 if f.at_floor else f.base_sigma2 for f in fits]
 
 
 def total_variation(p, q):
