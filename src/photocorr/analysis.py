@@ -26,8 +26,7 @@ from .errors import (
     UndefinedMarkerError,
     ValidationError,
 )
-from .markers import _difference_variance_model, _variance_terms
-from .montecarlo import _pump_excess
+from .detection import _difference_variance, _pgf_coefficients, _pump_excess
 from .seriesio import ShotSeries
 from .sources import SPLIT_THERMAL, TWIN_BEAM, _check_table, _checked, _checked_array, multithermal_pdf
 
@@ -195,15 +194,28 @@ def _check_budget(sigma2_measured, m1, m2, mu, kind):
     return checked
 
 
+def _imbalance_terms(kind, n_mean, mu, eta_bar):
+    """(floor, curvature) of sigma2(d) = floor + delta**2 * curvature at efficiencies
+    eta_bar +- delta/2, N = n_mean over mu modes and a balanced splitter.  In
+    sigma2(d) = mu (bose (A - B)**2 + A + B - 2 C), A - B = n delta, A + B does not
+    move and C is bilinear in (eta1, eta2), so curvature = mu (bose n**2
+    + 2 [C(eta_bar, eta_bar) - C(eta_bar + 1/2, eta_bar - 1/2)]) at n = n_mean / mu."""
+    n = n_mean / mu
+    bose, _, _, c, _, _ = _pgf_coefficients(kind, n, 0.5, eta_bar, eta_bar)
+    c_apart = _pgf_coefficients(kind, n, 0.5, eta_bar + 0.5, eta_bar - 0.5)[3]
+    return (_difference_variance(kind, n_mean, mu, 0.5, eta_bar, eta_bar),
+            mu * ((n * n if bose else 0.0) + 2.0 * (c - c_apart)))
+
+
 def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
     """Efficiency-imbalance interval compatible with a measured variance.
 
-    Solves sigma2 = floor + delta**2 * curvature (markers._variance_terms)
-    for delta = |eta1 - eta2| with the mean photon number tied to the
-    detected means, N = (m1+m2)/(2 eta), while the mean efficiency eta scans
-    eta_nominal * (1 -+ _ETA_WINDOW).  The solution grows with the mean
-    efficiency, so the interval is spanned by the two endpoints; the upper
-    one is clamped by bisection (_bisect, to 1e-14 in eta) to the last
+    Solves sigma2 = floor + delta**2 * curvature (_imbalance_terms, read from
+    the law core in detection) for delta = |eta1 - eta2| with the mean photon
+    number tied to the detected means, N = (m1+m2)/(2 eta), while the mean
+    efficiency eta scans eta_nominal * (1 -+ _ETA_WINDOW).  The solution grows
+    with the mean efficiency, so the interval is spanned by the two endpoints;
+    the upper one is clamped by bisection (_bisect, to 1e-14 in eta) to the last
     efficiency with eta + delta/2 <= 1.
 
     Returns (0.0, 0.0) when the measurement does not exceed the balanced
@@ -213,11 +225,11 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
     sigma2_measured, m1, m2, mu = _check_budget(sigma2_measured, m1, m2, mu, kind)
     eta_nominal = _checked("eta_nominal", eta_nominal, "(0, 1]")
     m_bar = 0.5 * m1 + 0.5 * m2  # 0.5 * (m1 + m2) without overflow
-    if sigma2_measured <= _variance_terms(eta_nominal, m_bar / eta_nominal, mu, kind)[0]:
+    if sigma2_measured <= _imbalance_terms(kind, m_bar / eta_nominal, mu, eta_nominal)[0]:
         return (0.0, 0.0)
 
     def delta_at(eta_bar):
-        floor, curvature = _variance_terms(eta_bar, m_bar / eta_bar, mu, kind)
+        floor, curvature = _imbalance_terms(kind, m_bar / eta_bar, mu, eta_bar)
         rhs = sigma2_measured - floor
         return math.sqrt(rhs / curvature) if rhs > 0.0 else None
 
@@ -273,9 +285,9 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
 
         sigma2_measured = sigma2_model(eta1, eta2, N) + x**2 * coefficient
 
-    with sigma2_model = markers._difference_variance_model at the mean N of
-    N_j = m_j / eta_j, and coefficient the sum over both beams of
-    montecarlo._pump_excess at N_j.
+    with sigma2_model = detection._difference_variance at the mean N of
+    N_j = m_j / eta_j (a balanced splitter for split thermal light), and
+    coefficient the sum over both beams of detection._pump_excess at N_j.
 
     Measurements at or below the x = 0 model return x = 0 with at_floor set.
     A model value beyond the float range raises ValidationError.
@@ -287,7 +299,7 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
     sigma2_measured, m1, m2, mu = _check_budget(sigma2_measured, m1, m2, mu, kind)
     with np.errstate(all="ignore"):  # a value beyond the float range is refused below
         n1, n2 = m1 / eta1, m2 / eta2
-        base = _difference_variance_model(eta1 - eta2, 0.5 * (eta1 + eta2), 0.5 * (n1 + n2), mu, kind)
+        base = _difference_variance(kind, 0.5 * (n1 + n2), mu, 0.5, eta1, eta2)
         coef = _pump_excess(kind, n1, mu) + _pump_excess(kind, n2, mu)
         x = np.sqrt(np.maximum(sigma2_measured - base, 0.0) / coef)
     for name, value in (("base_sigma2", base), ("excess_coefficient", coef), ("x", x)):

@@ -171,8 +171,9 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
             "shot_noise_level": rep.shot_noise_level,
             "below_shot_noise": rep.below_shot_noise,
         }
-    thr = markers.variance_threshold(eff)
-    report["threshold_n"] = thr if thr is not None else "unbounded"
+    thr = markers.variance_threshold(eff)  # per mode pair; the report's N is the total
+    report["threshold_n"] = ("unbounded" if thr is None
+                             else sources._checked("threshold_n", src.mu * thr, "finite"))
     _write_report(out_dir, "analytic.json", report, cfg)
     return EXIT_OK
 

@@ -5,6 +5,10 @@ independently with probability eta and produces no dark counts, so a photon
 number n yields a detected count m ~ Binomial(n, eta).  This module applies
 that map to joint distributions and provides detected-count moments in both
 distribution-derived and closed form.
+
+It is also the law core: _pgf_coefficients (the count pgf of one mode pair)
+and _pump_excess hold the package's only per-source algebra, from which the
+moments, sigma2(d), p(d), the Monte Carlo draw and the noise budget derive.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .sources import (
     COHERENT_PAIR,
     DEFAULT_TAIL_TOL,
+    SPLIT_THERMAL,
     TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
@@ -93,7 +98,8 @@ def detected_moments(dist: JointCountDistribution) -> MomentSet:
 
 
 def _pgf_coefficients(kind, n, tau, eta1, eta2):
-    """Bose flag and coefficients (A, B, C) of a source's single-pair count pgf.
+    """Bose flag, coefficients (A, B, C) of a source's single-pair count pgf, A - B
+    and A + B - 2C.
 
     With u_j = z_j - 1, the detected-count pgf of one mode pair is exp(x)
     (bose False) or 1/(1 - x) (bose True), x = A u1 + B u2 + C u1 u2.  With
@@ -105,21 +111,53 @@ def _pgf_coefficients(kind, n, tau, eta1, eta2):
         coherent pair  exp(n(a-1)+n(b-1))            n eta1       n eta2           0
         split thermal  1/(1+2n-2n(tau a+(1-tau) b))  2n tau eta1  2n (1-tau) eta2  0
 
-    n, tau, eta1 and eta2 may be arrays that broadcast against each other.
+    A - B and A + B - 2C are written without the cancellation of a difference
+    of products: n (eta1 - eta2) and n (eta1 (1 - eta2) + eta2 (1 - eta1)) for
+    the twin beam, for instance.  n, tau, eta1 and eta2 may be arrays that
+    broadcast against each other.
     """
     if kind == TWIN_BEAM:
-        return True, n * eta1, n * eta2, n * eta1 * eta2
+        return (True, n * eta1, n * eta2, n * eta1 * eta2, n * (eta1 - eta2),
+                n * (eta1 * (1.0 - eta2) + eta2 * (1.0 - eta1)))
     if kind == COHERENT_PAIR:
-        return False, n * eta1, n * eta2, 0.0
-    return True, 2.0 * n * tau * eta1, 2.0 * n * (1.0 - tau) * eta2, 0.0
+        return False, n * eta1, n * eta2, 0.0, n * (eta1 - eta2), n * (eta1 + eta2)
+    return (True, 2.0 * n * tau * eta1, 2.0 * n * (1.0 - tau) * eta2, 0.0,
+            2.0 * n * (tau * eta1 - (1.0 - tau) * eta2),
+            2.0 * n * (tau * eta1 + (1.0 - tau) * eta2))
 
 
 def _moments(kind, n_mean, mu, tau, eta1, eta2):
     """(mean1, mean2, var1, var2, cov) of analytic_moments, unchecked; n_mean, mu,
     tau, eta1 and eta2 may be arrays that broadcast against each other."""
-    bose, a, b, c = _pgf_coefficients(kind, n_mean / mu, tau, eta1, eta2)
+    bose, a, b, c, _, _ = _pgf_coefficients(kind, n_mean / mu, tau, eta1, eta2)
     return (mu * a, mu * b, mu * (bose * a * a + a), mu * (bose * b * b + b),
             mu * (bose * a * b + c))
+
+
+def _difference_variance(kind, n_mean, mu, tau, eta1, eta2):
+    """sigma2(d) = var1 + var2 - 2 cov = mu (bose (A - B)**2 + A + B - 2 C) at the
+    per-mode mean n_mean / mu, unchecked.  Arguments may be arrays that broadcast;
+    element for element they give the scalar result bit for bit, as the square is
+    x * x, never x**2 (C pow rounds about 1 square in 1000 one ulp apart)."""
+    bose, _, _, _, a_minus_b, rate_sum = _pgf_coefficients(kind, n_mean / mu, tau, eta1, eta2)
+    return mu * ((a_minus_b * a_minus_b if bose else 0.0) + rate_sum)
+
+
+def _pump_excess(kind, n, mu):
+    """Per-beam excess variance per unit pump_x**2 at per-beam mean n over mu modes.
+
+        twin beam:      (n**2 / mu) arcsinh(sqrt(n / mu))**2
+        split thermal:  2 n**2
+        coherent pair:  n**2
+
+    n may be an array.
+    """
+    if kind == TWIN_BEAM:
+        g = np.arcsinh(np.sqrt(n / mu))
+        return n * n / mu * (g * g)
+    if kind == SPLIT_THERMAL:
+        return 2.0 * (n * n)
+    return n * n
 
 
 def analytic_moments(src: SourceSpec, eff: EfficiencyPair) -> MomentSet:

@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sources
-from .detection import EfficiencyPair, _moments, _pgf_coefficients, analytic_moments, detected_moments
+from .detection import EfficiencyPair, _difference_variance, _pgf_coefficients, analytic_moments, detected_moments
 from .errors import UndefinedMarkerError, ValidationError
 from .sources import (
     COHERENT_PAIR,
     DEFAULT_TAIL_TOL,
-    SPLIT_THERMAL,
-    TWIN_BEAM,
     JointCountDistribution,
     SourceSpec,
     _check_table,
@@ -132,57 +130,24 @@ def difference_variance(src: SourceSpec, eff: EfficiencyPair) -> VarianceReport:
 
 
 def _variances(kind, n_mean, mu, tau, eta1, eta2):
-    """sigma2(d) and the shot-noise level (eta1 + eta2) N, checked by
-    sources._checked_array to be finite: floats for scalar arguments, else
-    float64 arrays of the broadcast shape.
+    """sigma2(d) (detection._difference_variance) and the shot-noise level
+    (eta1 + eta2) N, checked by sources._checked_array to be finite: floats for
+    scalar arguments, else float64 arrays of the broadcast shape.
 
     n_mean, eta1 and eta2 may be arrays that broadcast against each other, so a
-    whole sweep column is one call.  sigma2(d) is _difference_variance_model,
-    except for a split-thermal source with tau != 1/2, which takes
-    var1 + var2 - 2 cov of detection._moments (the arithmetic of analytic_moments).
-    Element for element the arithmetic is that of scalar arguments, bit for bit:
-    every square is a product x * x, never x**2, whose C pow rounds about 1
-    square in 1000 one ulp away from the product.
+    whole sweep column is one call, bit for bit the scalar calls element by element.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, past the float range
-        if kind == SPLIT_THERMAL and tau != 0.5:
-            _, _, var1, var2, cov = _moments(kind, n_mean, mu, tau, eta1, eta2)
-            s2 = var1 + var2 - 2.0 * cov
-        else:
-            s2 = _difference_variance_model(eta1 - eta2, 0.5 * (eta1 + eta2), n_mean, mu, kind)
+        s2 = _difference_variance(kind, n_mean, mu, tau, eta1, eta2)
         shot = (eta1 + eta2) * n_mean
     return (_checked_array("sigma2_d", s2, "finite"),
             _checked_array("shot_noise_level", shot, "finite"))
 
 
-def _variance_terms(eta_bar, n, mu, kind):
-    """(floor, curvature) of sigma2(d) = floor + delta**2 * curvature.
-
-    For efficiencies eta_bar +- delta/2 and per-beam mean N = n over mu
-    modes (the split-thermal splitter balanced):
-
-        twin beam:      2 eta_bar (1 - eta_bar) N + delta**2 (N**2 / mu + N / 2)
-        split thermal:  2 eta_bar N               + delta**2 N**2 / mu
-        coherent pair:  2 eta_bar N
-
-    Arguments may be arrays that broadcast against each other.
-    """
-    if kind == TWIN_BEAM:
-        return 2.0 * eta_bar * (1.0 - eta_bar) * n, n * n / mu + n / 2.0
-    if kind == SPLIT_THERMAL:
-        return 2.0 * eta_bar * n, n * n / mu
-    return 2.0 * eta_bar * n, 0.0
-
-
-def _difference_variance_model(delta, eta_bar, n, mu, kind):
-    """sigma2(d) with efficiencies eta_bar +- delta/2 and N = n (see _variance_terms)."""
-    floor, curvature = _variance_terms(eta_bar, n, mu, kind)
-    return floor + delta * delta * curvature
-
-
 def variance_threshold(eff: EfficiencyPair):
-    """Mean photon number below which the twin-beam difference variance
-    stays under the coherent-pair benchmark.
+    """Mean photon number per mode pair below which the twin-beam difference
+    variance stays under the coherent-pair benchmark; over mu mode pairs the
+    threshold on the total N is mu times this.
 
     Equals 2 eta1 eta2 / (eta1 - eta2)**2.  For equal efficiencies the twin
     beam wins at every intensity; that case returns None rather than a
@@ -197,18 +162,6 @@ def variance_threshold(eff: EfficiencyPair):
 #: Log-spaced: the optimal s lies within ~1e-4 of 1 at N = 1e7 and far from
 #: it for faint beams.
 _LN_S = np.geomspace(1e-9, 40.0, 400)
-
-
-def _pgf_rates(src: SourceSpec, eff: EfficiencyPair):
-    """Bose flag and rates (A - C, B - C) of the single-pair pgf of d = m1 - m2.
-
-    At z1 = z, z2 = 1/z the product u1 u2 of _pgf_coefficients equals
-    -(u1 + u2), so each source's pgf depends on z only through
-    x = (A - C)(z - 1) + (B - C)(1/z - 1).  A zero first (second) rate means
-    d never exceeds (falls below) zero.
-    """
-    bose, a, b, c = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau, eff.eta1, eff.eta2)
-    return bose, a - c, b - c
 
 
 def _log_pgf(bose, mu, x):
@@ -236,20 +189,23 @@ def difference_analytic(src: SourceSpec, eff: EfficiencyPair,
     """Distribution of the difference photocurrent over all mu mode pairs.
 
     The generating function of d is G(z, 1/z)**mu, with G the closed-form
-    single-pair pgf of the source (see _pgf_rates).  It is evaluated on
-    the unit circle and inverted by one inverse FFT (Abate & Whitt,
-    Oper. Res. Lett. 12, 1992).  The window is sized up front from a
-    Chernoff bound on the same pgf, so that at most tail_tol of the mass
-    lies outside it; the FFT runs over at least twice that width, so the
-    mass that wraps around into the window comes only from far beyond its
-    edges.
+    single-pair pgf of the source.  At z1 = z, z2 = 1/z the product u1 u2 of
+    detection._pgf_coefficients equals -(u1 + u2), so G depends on z only
+    through x = (A - C)(z - 1) + (B - C)(1/z - 1); a zero first (second) rate
+    means d never exceeds (falls below) zero.  G is evaluated on the unit
+    circle and inverted by one inverse FFT (Abate & Whitt, Oper. Res. Lett.
+    12, 1992).  The window is sized up front from a Chernoff bound on the
+    same pgf, so that at most tail_tol of the mass lies outside it; the FFT
+    runs over at least twice that width, so the mass that wraps around into
+    the window comes only from far beyond its edges.
     When the law is symmetric (A = B) the window is symmetric too and the
     result is averaged with its mirror image, so p(d) == p(-d) exactly.
     tail_mass is the mass outside the returned window, 1 - probs.sum().
     """
     tail_tol = _checked("tail_tol", tail_tol, "(0, 1)")
-    bose, a, b = _pgf_rates(src, eff)
-    mu = src.mu
+    bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
+                                            eff.eta1, eff.eta2)
+    a, b, mu = a - c, b - c, src.mu
     # ln E[s**d] and ln E[s**-d] at s = e**u > 1; a bound that overflows is inf, never the least
     with np.errstate(over="ignore"):
         log_up = _log_pgf(bose, mu, a * np.expm1(_LN_S) + b * np.expm1(-_LN_S))

@@ -48,10 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sources
-from .detection import EfficiencyPair, _pgf_coefficients
+from .detection import EfficiencyPair, _pgf_coefficients, _pump_excess
 from .errors import TailToleranceError, ValidationError
 from .seriesio import ShotSeries
-from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked
+from .sources import COHERENT_PAIR, TWIN_BEAM, SourceSpec, _check_fields, _checked
 
 
 #: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
@@ -135,7 +135,8 @@ def sample_series(cfg: SimulationConfig) -> ShotSeries:
         n1, n2, truncations = _pumped_twin_beam(rng, cfg)
         m1, m2 = _thin(rng, n1, eff.eta1), _thin(rng, n2, eff.eta2)
     else:
-        bose, a, b, c = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau, eff.eta1, eff.eta2)
+        bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
+                                                eff.eta1, eff.eta2)
         u, truncations = _pump_scales(rng, (math.sqrt(2.0) if bose else 1.0) * cfg.pump_x, k)
         g = u * rng.standard_gamma(src.mu, k) if bose else u * src.mu
         z = rng.poisson(g * c) if c > 0 else 0
@@ -198,30 +199,13 @@ def _twin_beam_pump_sds(pump_x, eff):
     return [pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0 for eta in (eff.eta1, eff.eta2)]
 
 
-def _pump_excess(kind, n, mu):
-    """Per-beam excess variance per unit pump_x**2 at per-beam mean n over mu modes.
-
-        twin beam:      (n**2 / mu) arcsinh(sqrt(n / mu))**2
-        split thermal:  2 n**2
-        coherent pair:  n**2
-
-    n may be an array.
-    """
-    if kind == TWIN_BEAM:
-        g = np.arcsinh(np.sqrt(n / mu))
-        return n * n / mu * (g * g)
-    if kind == SPLIT_THERMAL:
-        return 2.0 * (n * n)
-    return n * n
-
-
 def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
     """Per-beam variance in the bright-beam (multithermal) approximation.
 
     N**2/mu for the thermal laws (N for a coherent pair) plus
-    pump_x**2 * _pump_excess.  The Bose linear term (+N) of the discrete
-    thermal laws is dropped, as appropriate when N >> mu.  A variance beyond
-    the float range raises ValidationError.
+    pump_x**2 * detection._pump_excess.  The Bose linear term (+N) of the
+    discrete thermal laws is dropped, as appropriate when N >> mu.  A variance
+    beyond the float range raises ValidationError.
     """
     pump_x = _checked("pump_x", pump_x, ">= 0")
     n_tot, mu = src.n_mean, src.mu

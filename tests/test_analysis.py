@@ -24,10 +24,40 @@ from photocorr import (
     sample_series,
     solve_pump_noise,
 )
-from photocorr.markers import _difference_variance_model, _variance_terms
+from photocorr.analysis import _imbalance_terms
+from photocorr.detection import _difference_variance
 
 PAPER_TWB = dict(sigma2=2.124e11, m1=7.225e6, m2=7.212e6, mu=14, eta=0.67)
 PAPER_THERMAL = dict(sigma2=4.097e13, m1=2.22e8, m2=2.22e8, mu=15, eta=0.71)
+
+
+def variance_oracle(eta_bar, n, mu, kind):
+    """(floor, curvature) of sigma2(d) = floor + delta**2 * curvature, written out per
+    kind for efficiencies eta_bar +- delta/2 and per-beam mean N = n over mu modes (the
+    split-thermal splitter balanced): an oracle independent of the pgf coefficients."""
+    if kind == "twin_beam":
+        return 2.0 * eta_bar * (1.0 - eta_bar) * n, n * n / mu + n / 2.0
+    if kind == "split_thermal":
+        return 2.0 * eta_bar * n, n * n / mu
+    return 2.0 * eta_bar * n, 0.0
+
+
+def oracle_sigma2(delta, eta_bar, n, mu, kind):
+    floor, curvature = variance_oracle(eta_bar, n, mu, kind)
+    return floor + delta * delta * curvature
+
+
+@pytest.mark.parametrize("kind", ["twin_beam", "split_thermal", "coherent_pair"])
+@pytest.mark.parametrize("mu", [1, 14])
+@pytest.mark.parametrize("n", [1e3, 1e7])
+def test_the_law_core_matches_the_per_kind_oracle(n, mu, kind):
+    for eta_bar, delta in ((0.67, 0.013), (0.5, 0.2), (0.9, 0.2)):
+        want_floor, want_curvature = variance_oracle(eta_bar, n, mu, kind)
+        floor, curvature = _imbalance_terms(kind, n, mu, eta_bar)
+        s2 = _difference_variance(kind, n, mu, 0.5, eta_bar + delta / 2, eta_bar - delta / 2)
+        assert floor == pytest.approx(want_floor, rel=1e-13)
+        assert curvature == pytest.approx(want_curvature, rel=1e-13)
+        assert s2 == pytest.approx(oracle_sigma2(delta, eta_bar, n, mu, kind), rel=1e-13)
 
 
 def counts_series(ch1, ch2, noise=(0.0, 0.0)):
@@ -209,7 +239,7 @@ class TestImbalanceBounds:
     def test_at_floor_returns_degenerate_interval(self):
         # measurement equal to the balanced model pins the imbalance at zero
         m, eta, mu = 1000.0, 0.65, 14
-        floor = _difference_variance_model(0.0, eta, m / eta, mu, "twin_beam")
+        floor = oracle_sigma2(0.0, eta, m / eta, mu, "twin_beam")
         assert imbalance_bounds(floor, m, m, mu, eta) == (0.0, 0.0)
 
     def test_midpoint_round_trip(self):
@@ -218,8 +248,7 @@ class TestImbalanceBounds:
         # each endpoint solves the model at its efficiency exactly
         m_bar = 0.5 * (p["m1"] + p["m2"])
         for eta_bar, delta in ((p["eta"] * 0.8, lo), (p["eta"] * 1.2, hi)):
-            back = _difference_variance_model(delta, eta_bar, m_bar / eta_bar, p["mu"],
-                                              "twin_beam")
+            back = oracle_sigma2(delta, eta_bar, m_bar / eta_bar, p["mu"], "twin_beam")
             assert back == pytest.approx(p["sigma2"], rel=1e-10)
 
     def test_no_solution_raises(self):
@@ -234,7 +263,7 @@ class TestImbalanceBounds:
         m_bar = 0.5 * (p["m1"] + p["m2"])
 
         def delta(eta_bar):
-            floor, curvature = _variance_terms(eta_bar, m_bar / eta_bar, p["mu"], kind)
+            floor, curvature = variance_oracle(eta_bar, m_bar / eta_bar, p["mu"], kind)
             return math.sqrt((p["sigma2"] - floor) / curvature)
 
         def overshoot(eta_bar):

@@ -333,6 +333,23 @@ class TestAnalytic:
         var = (d - mean) ** 2 @ p
         assert var == pytest.approx(report["sources"]["twin_beam"]["sigma2_d"], rel=1e-6)
 
+    def test_threshold_is_on_the_total_n_over_mu_pairs(self, tmp_path):
+        # 2 eta1 eta2 / (eta1 - eta2)**2 = 17.5 per mode pair; at N = 14 * 17.5 the
+        # twin beam sits exactly at shot noise
+        cfg = write_config(tmp_path, "an.json", {"n_mean": 245, "mu": 14, "eta": [0.5, 0.7]})
+        assert run(["analytic", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        report = json.loads((tmp_path / "analytic.json").read_text())
+        assert report["threshold_n"] == pytest.approx(245.0, rel=1e-14)
+        twb = report["sources"]["twin_beam"]
+        assert twb["sigma2_d"] == pytest.approx(twb["shot_noise_level"], rel=1e-14)
+
+    def test_a_threshold_beyond_the_float_range_is_refused(self, tmp_path):
+        # vacuum computes at any mu, and mu * 7.2e13 per pair overflows
+        cfg = write_config(tmp_path, "an.json",
+                           {"n_mean": 0.0, "mu": 1e300, "eta": [0.6, 0.6000001]})
+        assert run(["analytic", "--config", cfg, "--out", tmp_path]) == EXIT_VALIDATION
+        assert not (tmp_path / "analytic.json").exists()
+
     def test_vacuum_tables_are_deltas(self, tmp_path):
         cfg = write_config(tmp_path, "an.json", {"eta": [0.5, 0.7], "n_mean": 0.0})
         run(["analytic", "--config", cfg, "--out", tmp_path])

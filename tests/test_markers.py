@@ -23,7 +23,7 @@ from photocorr import (
     thin_joint,
     variance_threshold,
 )
-from photocorr.markers import _pgf_rates
+from photocorr.detection import _pgf_coefficients
 
 
 def thinned(src, eff, tail_tol=1e-13):
@@ -248,8 +248,9 @@ class TestManyModesAndBrightBeams:
         # no window, no Chernoff bound; N = 1e7 also shows the table budget admits it
         src, eff = SourceSpec(kind, n_mean, 14), EfficiencyPair(0.66, 0.68)
         dd = difference_analytic(src, eff)
-        bose, a, b = _pgf_rates(src, eff)
-        x1, x2, mu = a - b, a + b, src.mu
+        bose, a, b, c, _, _ = _pgf_coefficients(kind, src.per_mode_mean, src.tau,
+                                                eff.eta1, eff.eta2)
+        x1, x2, mu = a - b, a + b - 2 * c, src.mu
         if bose:
             want = [mu * x1, mu * (x2 + x1**2), mu * (x1 + 3 * x1 * x2 + 2 * x1**3),
                     mu * (x2 + 4 * x1**2 + 3 * x2**2 + 12 * x1**2 * x2 + 6 * x1**4)]

@@ -8,7 +8,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from photocorr import ShotSeries, write_series
 
 
 def fresh(code, *args):
@@ -65,12 +68,25 @@ COMMANDS = {  # command: (config, modules it must not load)
     "sweep": ({"eta": [0.6, 0.7], "n_points": 5}, {"analysis", "montecarlo"}),
     "simulate": ({"source": "twin_beam", "n_mean": 50.0, "mu": 3, "eta": [0.6, 0.7],
                   "shots": 100, "pump_x": 0.1}, {"analysis", "markers"}),
+    "analyze": ({"input": "record.csv", "fit": True}, {"markers", "montecarlo"}),
+    "fit": ({"input": "record.csv"}, {"markers", "montecarlo"}),
+    "noise-budget": ({"sigma2_measured": 2.124e11, "m1": 7.225e6, "m2": 7.212e6, "mu": 14,
+                      "eta_grid": {"points": 3}}, {"markers", "montecarlo"}),
 }
+
+
+def write_record(path):
+    """A 1200-shot counts record, enough for a multithermal fit."""
+    counts = np.random.default_rng(0).poisson(50.0, (2, 1200))
+    write_series(ShotSeries(counts[0], counts[1], "counts"), path)
+    return str(path)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_a_command_loads_only_its_modules_and_freezes_at_exit(tmp_path, command):
     cfg, unused = COMMANDS[command]
+    if "input" in cfg:
+        cfg = dict(cfg, input=write_record(tmp_path / cfg["input"]))
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     code, frozen, loaded = fresh(AS_MAIN, command, "--config", str(tmp_path / "cfg.json"),
                                  "--out", str(tmp_path / "out"))
