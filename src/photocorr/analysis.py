@@ -318,6 +318,7 @@ class NoiseBudget:
     at_floor: np.ndarray
     shot_noise_plane: float       # (eta1 + eta2) N = m1 + m2, constant
     imbalance_interval: tuple[float, float]
+    nominal: PumpFit              # solve_pump_noise at eta1 = eta2 = eta_nominal
 
 
 def noise_surface(sigma2_measured, m1, m2, mu, eta1_grid, eta2_grid,
@@ -328,7 +329,8 @@ def noise_surface(sigma2_measured, m1, m2, mu, eta1_grid, eta2_grid,
     (the measurement minus the solved excess); where the measurement sits
     below the model no correction is possible and the measured value is
     kept, flagged at_floor.  The shot-noise plane (eta1 + eta2) N equals
-    m1 + m2 for every efficiency choice, hence a single number.
+    m1 + m2 for every efficiency choice, hence a single number.  The imbalance
+    interval and the nominal fit are taken at eta_nominal, by default the grid's mean.
     """
     e1 = np.atleast_1d(_efficiencies("eta1_grid", eta1_grid))
     e2 = np.atleast_1d(_efficiencies("eta2_grid", eta2_grid))
@@ -338,4 +340,5 @@ def noise_surface(sigma2_measured, m1, m2, mu, eta1_grid, eta2_grid,
     if eta_nominal is None:
         eta_nominal = 0.5 * (float(e1.mean()) + float(e2.mean()))
     interval = imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind)
-    return NoiseBudget(e1, e2, fit.x, corrected, fit.at_floor, float(m1 + m2), interval)
+    nominal = solve_pump_noise(sigma2_measured, eta_nominal, eta_nominal, m1, m2, mu, kind)
+    return NoiseBudget(e1, e2, fit.x, corrected, fit.at_floor, float(m1 + m2), interval, nominal)

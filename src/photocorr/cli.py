@@ -196,9 +196,10 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
         sources._check_table(n_points, f"a sweep of {n_points} points")
         n_grid = np.linspace(_config_value(cfg, "n_min", ">= 0", 0.0),
                              _config_value(cfg, "n_max", ">= 0", 25.0), n_points)
-    mu = _config_value(cfg, "mu", "integer >= 1", 1)
-    tau = _config_value(cfg, "tau", "[0, 1]", 0.5)
     n = sources._checked_array("n_grid", n_grid, ">= 0")
+    # mu and tau as analytic and simulate read them; the eta table is at N = n_ref
+    src = _source(cfg, TWIN_BEAM, _config_value(cfg, "n_ref", "> 0", 1.0))
+    mu, tau, n_ref = src.mu, src.tau, src.n_mean
     table = {"n_mean": np.asarray(n_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"sigma2_{name}"] = markers._variances(kind, n, mu, tau, eff.eta1, eff.eta2)[0]
@@ -207,7 +208,6 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
     if eta_grid is None:
         eta_grid = np.linspace(0.05, 1.0, 20)
     eta = sources._checked_array("eta_grid", eta_grid, "[0, 1]")
-    n_ref = _config_value(cfg, "n_ref", "> 0", 1.0)
     table = {"eta": np.asarray(eta_grid)}
     for name, kind in _SWEEP_KINDS:
         table[f"ratio_{name}"] = markers._variances(kind, n_ref, mu, tau, eta, eta)[0] / n_ref
@@ -319,20 +319,15 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     """Pump-noise surface over an efficiency grid plus imbalance interval."""
     from . import analysis, seriesio
 
-    sigma2 = _config_value(cfg, "sigma2_measured")
-    m1 = _config_value(cfg, "m1")
-    m2 = _config_value(cfg, "m2")
-    mu = _config_value(cfg, "mu")
+    measured = [_config_value(cfg, key) for key in ("sigma2_measured", "m1", "m2", "mu")]
     kind = _config_value(cfg, "source", _text, TWIN_BEAM)
     grid_cfg = _config_value(cfg, "eta_grid", _grid_spec, {})
-    lo = _config_value(grid_cfg, "lo", "(0, 1]", 0.4)
-    hi = _config_value(grid_cfg, "hi", "(0, 1]", 0.95)
     points = _config_value(grid_cfg, "points", "integer >= 1", 12)
     sources._check_table(points, f"an efficiency grid of {points} points")
-    grid = np.linspace(lo, hi, points)
-    eta_nominal = _config_value(cfg, "eta_nominal", "(0, 1]", None)
-    budget = analysis.noise_surface(sigma2, m1, m2, mu, grid, grid, kind=kind,
-                                    eta_nominal=eta_nominal)
+    grid = np.linspace(_config_value(grid_cfg, "lo", "(0, 1]", 0.4),
+                       _config_value(grid_cfg, "hi", "(0, 1]", 0.95), points)
+    budget = analysis.noise_surface(*measured, grid, grid, kind=kind,
+                                    eta_nominal=_config_value(cfg, "eta_nominal", "(0, 1]", None))
     eta1, eta2 = np.meshgrid(budget.eta1, budget.eta2, indexing="ij")
     seriesio.write_table(Path(out_dir) / "noise_surface.tsv", {
         "eta1": eta1.ravel(),
@@ -341,13 +336,11 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
         "corrected_sigma2": budget.corrected_sigma2.ravel(),
         "shot_noise_plane": np.full(budget.x.size, budget.shot_noise_plane),
     }, fmt)
-    eta_nom = 0.5 * (lo + hi) if eta_nominal is None else eta_nominal
-    nominal = analysis.solve_pump_noise(sigma2, eta_nom, eta_nom, m1, m2, mu, kind)
     summary = {
         "shot_noise_plane": budget.shot_noise_plane,
         "imbalance_interval": list(budget.imbalance_interval),
-        "x_at_nominal": nominal.x,
-        "x_at_nominal_at_floor": nominal.at_floor,
+        "x_at_nominal": budget.nominal.x,
+        "x_at_nominal_at_floor": budget.nominal.at_floor,
         "x_grid_min": float(budget.x.min()),
         "x_grid_max": float(budget.x.max()),
     }

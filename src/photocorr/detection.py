@@ -126,14 +126,6 @@ def _pgf_coefficients(kind, n, tau, eta1, eta2):
             2.0 * n * (tau * eta1 + (1.0 - tau) * eta2))
 
 
-def _moments(kind, n_mean, mu, tau, eta1, eta2):
-    """(mean1, mean2, var1, var2, cov) of analytic_moments, unchecked; n_mean, mu,
-    tau, eta1 and eta2 may be arrays that broadcast against each other."""
-    bose, a, b, c, _, _ = _pgf_coefficients(kind, n_mean / mu, tau, eta1, eta2)
-    return (mu * a, mu * b, mu * (bose * a * a + a), mu * (bose * b * b + b),
-            mu * (bose * a * b + c))
-
-
 def _difference_variance(kind, n_mean, mu, tau, eta1, eta2):
     """sigma2(d) = var1 + var2 - 2 cov = mu (bose (A - B)**2 + A + B - 2 C) at the
     per-mode mean n_mean / mu, unchecked.  Arguments may be arrays that broadcast;
@@ -168,8 +160,10 @@ def analytic_moments(src: SourceSpec, eff: EfficiencyPair) -> MomentSet:
     mu bose A**2 and mu bose B**2, and covariance mu (bose A B + C).  A moment
     beyond the float range raises ValidationError.
     """
-    moments = _moments(src.kind, src.n_mean, src.mu, src.tau, eff.eta1, eff.eta2)
-    return MomentSet(*(_checked(name, m, "finite")
+    bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
+                                            eff.eta1, eff.eta2)
+    moments = (a, b, bose * a * a + a, bose * b * b + b, bose * a * b + c)
+    return MomentSet(*(_checked(name, src.mu * m, "finite")
                        for name, m in zip(MomentSet.__dataclass_fields__, moments)))
 
 

@@ -165,11 +165,16 @@ _LN_S = np.geomspace(1e-9, 40.0, 400)
 
 
 def _log_pgf(bose, mu, x):
-    """ln G**mu for mu mode pairs, G = exp(x) or 1/(1 - x); inf where 1/(1 - x) diverges."""
+    """ln G**mu for mu mode pairs, G = exp(x) or 1/(1 - x); inf where 1/(1 - x) diverges.
+    A complex ln(1 - x) is ln|1 - x| + i arg(1 - x), with |1 - x|**2 - 1 through the real
+    log1p: numpy's complex log1p is log(1 + x), which loses the digits of a small x."""
     if not bose:
         return mu * x
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return -mu * (0.5 * np.log1p(im * im - re * (2.0 - re)) + 1j * np.arctan2(-im, 1.0 - re))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(np.real(x) < 1.0, -mu * np.log1p(-x), np.inf)
+        return np.where(x < 1.0, -mu * np.log1p(-x), np.inf)
 
 
 def _tail_edge(log_mgf, rate, log_tol):

@@ -51,7 +51,7 @@ from . import sources
 from .detection import EfficiencyPair, _pgf_coefficients, _pump_excess
 from .errors import TailToleranceError, ValidationError
 from .seriesio import ShotSeries
-from .sources import COHERENT_PAIR, TWIN_BEAM, SourceSpec, _check_fields, _checked
+from .sources import SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked
 
 
 #: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
@@ -97,6 +97,7 @@ class SimulationConfig:
                                   f"{self.instrument_noise_var} for a counts record")
         sources._check_table(self.shots, f"a series of {self.shots} shots")
         src = self.source
+        top = 1.0 + _PUMP_SDS * max(_pump_sds(src.kind, self.pump_x, self.eff))
         if src.kind == TWIN_BEAM and self.pump_x > 0:
             draws = src.mu * (self.shots + _MODE_SHOTS)
             if draws > _PUMPED_DRAWS:
@@ -105,11 +106,10 @@ class SimulationConfig:
                     f"by mode: mu * (shots + {_MODE_SHOTS}) = {draws} shot draws, above the "
                     f"budget of {_PUMPED_DRAWS}")
             # the mean grows as exp(2 G sqrt(u)) in the pump scale u
-            top = 1.0 + _PUMP_SDS * max(_twin_beam_pump_sds(self.pump_x, self.eff))
             fits = (math.asinh(math.sqrt(src.per_mode_mean)) * math.sqrt(top)
                     <= math.asinh(math.sqrt(_MAX_N_MEAN / src.mu)))
-        else:  # the mean grows linearly in u, of standard deviation pump_x or sqrt(2) pump_x
-            fits = src.n_mean * (1.0 + _PUMP_SDS * math.sqrt(2.0) * self.pump_x) <= _MAX_N_MEAN
+        else:  # the mean grows linearly in u
+            fits = src.n_mean * top <= _MAX_N_MEAN
         if not fits:
             raise ValidationError(
                 f"n_mean {src.n_mean:g} and pump_x {self.pump_x:g}: a pump scale {_PUMP_SDS:g} "
@@ -137,7 +137,7 @@ def sample_series(cfg: SimulationConfig) -> ShotSeries:
     else:
         bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
                                                 eff.eta1, eff.eta2)
-        u, truncations = _pump_scales(rng, (math.sqrt(2.0) if bose else 1.0) * cfg.pump_x, k)
+        u, truncations = _pump_scales(rng, _pump_sds(src.kind, cfg.pump_x, eff)[0], k)
         g = u * rng.standard_gamma(src.mu, k) if bose else u * src.mu
         z = rng.poisson(g * c) if c > 0 else 0
         m1, m2 = rng.poisson(g * (a - c)), rng.poisson(g * (b - c))
@@ -179,7 +179,7 @@ def _pumped_twin_beam(rng, cfg):
     """
     k, mu = cfg.shots, cfg.source.mu
     gain = math.asinh(math.sqrt(cfg.source.per_mode_mean))
-    sds = _twin_beam_pump_sds(cfg.pump_x, cfg.eff)
+    sds = _pump_sds(TWIN_BEAM, cfg.pump_x, cfg.eff)
     totals = np.zeros((2, k), dtype=np.int64)
     truncations = 0
     with np.errstate(divide="ignore"):
@@ -194,22 +194,26 @@ def _pumped_twin_beam(rng, cfg):
     return totals[0], totals[1], truncations
 
 
-def _twin_beam_pump_sds(pump_x, eff):
-    """Standard deviations of the twin beam's per-beam pump scales (0 where eta is 0)."""
+def _pump_sds(kind, pump_x, eff):
+    """Standard deviations of a source's pump scales (see the module docstring): one
+    per beam for the twin beam (0 where eta is 0), else one common to both beams."""
+    if kind != TWIN_BEAM:
+        return [math.sqrt(2.0) * pump_x if kind == SPLIT_THERMAL else pump_x]
     return [pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0 for eta in (eff.eta1, eff.eta2)]
 
 
 def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
-    """Per-beam variance in the bright-beam (multithermal) approximation.
+    """Photon-number variance of beam 1, of mean m = mu A (detection._pgf_coefficients:
+    N, or 2 N tau for split thermal light), in the bright-beam (multithermal) limit.
 
-    N**2/mu for the thermal laws (N for a coherent pair) plus
-    pump_x**2 * detection._pump_excess.  The Bose linear term (+N) of the
-    discrete thermal laws is dropped, as appropriate when N >> mu.  A variance
-    beyond the float range raises ValidationError.
+    m**2/mu for the thermal laws (m for a coherent pair), without the Bose term +m
+    that m >> mu makes small, plus pump_x**2 * detection._pump_excess at m.  A
+    variance beyond the float range raises ValidationError.
     """
     pump_x = _checked("pump_x", pump_x, ">= 0")
-    n_tot, mu = src.n_mean, src.mu
-    base = n_tot if src.kind == COHERENT_PAIR else n_tot * n_tot / mu
+    bose, a, _, _, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau, 1.0, 1.0)
+    mean = src.mu * a
     with np.errstate(over="ignore", invalid="ignore"):
-        variance = base + pump_x * pump_x * _pump_excess(src.kind, n_tot, mu)
+        excess = _pump_excess(src.kind, mean, src.mu)
+        variance = mean * (a if bose else 1.0) + pump_x * pump_x * excess
     return _checked("the predicted beam variance", variance, "finite")

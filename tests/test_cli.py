@@ -10,7 +10,9 @@ from photocorr import (
     EfficiencyPair,
     SourceSpec,
     difference_variance,
+    imbalance_bounds,
     noise_surface,
+    solve_pump_noise,
     source_joint,
     thin_joint,
 )
@@ -333,6 +335,11 @@ class TestAnalytic:
         var = (d - mean) ** 2 @ p
         assert var == pytest.approx(report["sources"]["twin_beam"]["sigma2_d"], rel=1e-6)
 
+    def test_many_modes_of_one_photon(self, tmp_path):
+        # 1e20 mode pairs share one photon per beam: p(d) must stay normalised
+        cfg = write_config(tmp_path, "an.json", {"n_mean": 1.0, "mu": 1e20, "eta": [0.6, 0.7]})
+        assert run(["analytic", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+
     def test_threshold_is_on_the_total_n_over_mu_pairs(self, tmp_path):
         # 2 eta1 eta2 / (eta1 - eta2)**2 = 17.5 per mode pair; at N = 14 * 17.5 the
         # twin beam sits exactly at shot noise
@@ -558,6 +565,18 @@ class TestNoiseBudget:
         assert run(["noise-budget", "--config", cfg, "--out", tmp_path]) == EXIT_OK
         summary = json.loads((tmp_path / "noise_budget.json").read_text())
         assert summary["x_at_nominal_at_floor"] is at_floor
+
+    def test_nominal_defaults_to_the_grid_mean(self, tmp_path):
+        # without eta_nominal, x_at_nominal and the imbalance interval are both taken at
+        # the efficiency that noise_surface resolves, the mean of the default grid
+        p = {"sigma2_measured": 2.124e11, "m1": 7.225e6, "m2": 7.212e6, "mu": 14}
+        cfg = write_config(tmp_path, "nb.json", p)
+        assert run(["noise-budget", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        summary = json.loads((tmp_path / "noise_budget.json").read_text())
+        eta = float(np.linspace(0.4, 0.95, 12).mean())
+        assert summary["x_at_nominal"] == solve_pump_noise(p["sigma2_measured"], eta, eta,
+                                                           p["m1"], p["m2"], p["mu"]).x
+        assert summary["imbalance_interval"] == list(imbalance_bounds(*p.values(), eta))
 
     def test_missing_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "nb.json", {"sigma2_measured": 1.0})

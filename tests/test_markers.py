@@ -271,6 +271,17 @@ class TestManyModesAndBrightBeams:
             assert abs(got[2] - want[2]) / sigma**3 <= 1e-7
             assert abs(got[3] - want[3]) / sigma**4 <= 1e-7
 
+    @pytest.mark.parametrize("n_mean, mu", [(1.0, 1), (1.0, 14), (1.0, 10**6), (1.0, 10**12),
+                                            (1e7, 10**8), (1e7, 10**12)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_normalised_at_any_mode_count(self, kind, n_mean, mu):
+        # many modes of a fixed total N: each pair's pgf is 1/(1 - x) at a tiny x, whose
+        # logarithm mu magnifies
+        src, eff = SourceSpec(kind, n_mean, mu), EfficiencyPair(0.6, 0.7)
+        dd = difference_analytic(src, eff)
+        assert dd.probs.sum() + dd.tail_mass == pytest.approx(1.0, abs=1e-12)
+        assert dd.variance() == pytest.approx(difference_variance(src, eff).sigma2_d, rel=1e-6)
+
     def test_oversized_window_rejected(self):
         with pytest.raises(TailToleranceError):
             difference_analytic(SourceSpec.twin_beam(1e15, 14), EfficiencyPair(0.5, 0.7))

@@ -219,6 +219,13 @@ class TestPumpNoise:
         with pytest.raises(ValidationError, match="pump_x"):
             cfg_for("twin_beam", 1e6, 1, eta, pump_x=100.0)
 
+    def test_pump_bound_follows_each_source_spread(self):
+        # a 10-sd pump scale is 1 + 10 x for the coherent pair (9.9e14 < 1e15) and
+        # 1 + 10 sqrt(2) x for split thermal light (1.03e15)
+        cfg_for("coherent_pair", 9e14, 1, (0.5, 0.5), shots=10, pump_x=0.01)
+        with pytest.raises(ValidationError, match="pump_x"):
+            cfg_for("split_thermal", 9e14, 1, (0.5, 0.5), shots=10, pump_x=0.01)
+
     def test_truncation_counter(self):
         cfg = cfg_for("twin_beam", 10.0, 2, (0.5, 0.5), shots=2000, seed=2, pump_x=0.8)
         assert sample_series(cfg).pump_truncations > 0
@@ -249,6 +256,14 @@ class TestPredictedBeamVariance:
         src = SourceSpec.split_thermal(100.0, 5)
         want = 100.0**2 / 5 + 2 * 0.03**2 * 100.0**2
         assert predicted_beam_variance(src, 0.03) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, 0.03])
+    def test_split_thermal_is_beam_one(self, x):
+        # beam 1 of split thermal light carries 2 N tau of the N per beam at tau = 1/2
+        src = SourceSpec.split_thermal(1e4, 14, tau=0.3)
+        m = 2 * 1e4 * 0.3
+        want = m**2 / 14 + 2 * x**2 * m**2
+        assert predicted_beam_variance(src, x) == pytest.approx(want, rel=1e-12)
 
     def test_coherent_excess(self):
         src = SourceSpec.coherent_pair(100.0)
