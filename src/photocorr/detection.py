@@ -8,15 +8,18 @@ distribution-derived and closed form.
 
 It is also the law core: _pgf_coefficients (the count pgf of one mode pair)
 and _pump_excess hold the package's only per-source algebra, from which the
-moments, sigma2(d), p(d), the Monte Carlo draw and the noise budget derive.
+moments, sigma2(d), p(d), the Monte Carlo draw and the noise budget derive;
+_difference_pmf inverts the pgf of d = m1 - m2 to p(d) with one windowed FFT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import sources
 from .sources import (
     COHERENT_PAIR,
     DEFAULT_TAIL_TOL,
@@ -133,6 +136,81 @@ def _difference_variance(kind, n_mean, mu, tau, eta1, eta2):
     x * x, never x**2 (C pow rounds about 1 square in 1000 one ulp apart)."""
     bose, _, _, _, a_minus_b, rate_sum = _pgf_coefficients(kind, n_mean / mu, tau, eta1, eta2)
     return mu * ((a_minus_b * a_minus_b if bose else 0.0) + rate_sum)
+
+
+#: |ln s| values searched for the Chernoff bound P(d >= k) <= G(s, 1/s) s**-k.
+#: Log-spaced: the optimal s lies within ~1e-4 of 1 at N = 1e7 and far from
+#: it for faint beams.
+_LN_S = np.geomspace(1e-9, 40.0, 400)
+
+
+def _log_pgf(bose, mu, x):
+    """ln G**mu for mu mode pairs, G = exp(x) or 1/(1 - x); inf where 1/(1 - x) diverges.
+    A complex ln(1 - x) is ln|1 - x| + i arg(1 - x), with |1 - x|**2 - 1 through the real
+    log1p: numpy's complex log1p is log(1 + x), which loses the digits of a small x."""
+    if not bose:
+        return mu * x
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return -mu * (0.5 * np.log1p(im * im - re * (2.0 - re)) + 1j * np.arctan2(-im, 1.0 - re))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(x < 1.0, -mu * np.log1p(-x), np.inf)
+
+
+def _tail_edge(log_mgf, rate, log_tol):
+    """Smallest k >= 0 whose Chernoff bound min_u exp(log_mgf - (k+1) u) on
+    P(d > k) is at most exp(log_tol); log_mgf is ln E[e**(u d)] on u = _LN_S.
+    A zero rate means d never exceeds 0; the table budget in points stands
+    for any k that large or not found on the grid."""
+    if rate == 0.0:
+        return 0
+    cap = sources._TABLE_BYTES // 8
+    k = np.min((log_mgf - log_tol) / _LN_S)
+    return max(0, math.ceil(k) - 1) if k < cap else cap
+
+
+def _difference_pmf(src: SourceSpec, eff: EfficiencyPair, tail_tol):
+    """p(d) of the difference photocurrent d = m1 - m2 over all mu mode pairs, as
+    (probs, d_min) with probs[i] the probability of d = d_min + i.
+
+    The generating function of d is G(z, 1/z)**mu, with G the closed-form
+    single-pair pgf of the source.  At z1 = z, z2 = 1/z the product u1 u2 of
+    _pgf_coefficients equals -(u1 + u2), so G depends on z only through
+    x = (A - C)(z - 1) + (B - C)(1/z - 1); a zero first (second) rate
+    means d never exceeds (falls below) zero.  G is evaluated on the unit
+    circle and inverted by one inverse FFT (Abate & Whitt, Oper. Res. Lett.
+    12, 1992).  The window is sized up front from a Chernoff bound on the
+    same pgf, so that at most tail_tol of the mass lies outside it; the FFT
+    runs over at least twice that width, so the mass that wraps around into
+    the window comes only from far beyond its edges.
+    When the law is symmetric (A = B) the window is symmetric too and the
+    result is averaged with its mirror image, so p(d) == p(-d) exactly.
+    """
+    bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
+                                            eff.eta1, eff.eta2)
+    a, b, mu = a - c, b - c, src.mu
+    # ln E[s**d] and ln E[s**-d] at s = e**u > 1; a bound that overflows is inf, never the least
+    with np.errstate(over="ignore"):
+        log_up = _log_pgf(bose, mu, a * np.expm1(_LN_S) + b * np.expm1(-_LN_S))
+        log_down = _log_pgf(bose, mu, b * np.expm1(_LN_S) + a * np.expm1(-_LN_S))
+    log_tol = math.log(tail_tol / 2.0)
+    lo = -_tail_edge(log_down, b, log_tol)
+    hi = _tail_edge(log_up, a, log_tol)
+    if a == b:
+        lo = min(lo, -hi)
+        hi = -lo
+    # a power of two: pocketfft is ~10x slower on lengths with large prime factors
+    m = 1 << (2 * (hi - lo) + 1).bit_length()
+    _check_table(m, "the p(d) FFT")
+    # x at z = exp(-i theta), the points irfft inverts; z**-start puts d = start at index 0
+    start = lo - (m - (hi - lo + 1)) // 2
+    theta = 2.0 * np.pi / m * np.arange(m // 2 + 1)
+    x = -2.0 * (a + b) * np.sin(theta / 2.0) ** 2 - 1j * (a - b) * np.sin(theta)
+    probs = np.fft.irfft(np.exp(_log_pgf(bose, mu, x) + 1j * start * theta), m)
+    probs = np.maximum(probs[lo - start:hi - start + 1], 0.0)
+    if a == b:
+        probs = 0.5 * (probs + probs[::-1])
+    return probs, lo
 
 
 def _pump_excess(kind, n, mu):
