@@ -18,6 +18,7 @@ routes can be checked against each other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ class DifferenceDistribution:
         return np.arange(self.d_min, self.d_min + len(self.probs))
 
     def prob(self, d: int) -> float:
-        i = d - self.d_min
+        i = _checked("d", d, "integer") - self.d_min
         if 0 <= i < len(self.probs):
             return float(self.probs[i])
         return 0.0
@@ -140,12 +141,16 @@ def variance_threshold(eff: EfficiencyPair):
     variance stays under the coherent-pair benchmark; over mu mode pairs the
     threshold on the total N is mu times this.
 
-    Equals 2 eta1 eta2 / (eta1 - eta2)**2.  For equal efficiencies the twin
-    beam wins at every intensity; that case returns None rather than a
-    numeric infinity.
+    Equals 2 eta1 eta2 / (eta1 - eta2)**2, as 2 (eta1 / delta)(eta2 / delta) once the
+    square of delta = eta1 - eta2 falls below the normal float range.  For equal
+    efficiencies the twin beam wins at every intensity; that case returns None
+    rather than a numeric infinity.
     """
     if eff.eta1 == eff.eta2:
         return None
+    delta = eff.eta1 - eff.eta2
+    if delta * delta < sys.float_info.min:  # subnormal or 0: the square has lost its digits
+        return 2.0 * (eff.eta1 / delta) * (eff.eta2 / delta)
     return 2.0 * eff.eta1 * eff.eta2 / (eff.eta1 - eff.eta2) ** 2
 
 

@@ -51,7 +51,7 @@ from . import sources
 from .detection import EfficiencyPair, _pgf_coefficients, _pump_excess
 from .errors import TailToleranceError, ValidationError
 from .seriesio import ShotSeries
-from .sources import SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked
+from .sources import SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked, _checked_pair
 
 
 #: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
@@ -86,12 +86,7 @@ class SimulationConfig:
     def __post_init__(self):
         _check_fields(self, shots="integer >= 1", seed="integer >= 0", pump_x=">= 0")
         for name, rule in ("conv", "> 0" if self.volts else ">= 0"), ("instrument_noise_var", ">= 0"):
-            try:
-                x1, x2 = getattr(self, name)
-            except (TypeError, ValueError):
-                raise ValidationError(f"{name}: expected a pair (x1, x2), "
-                                      f"got {getattr(self, name)!r}") from None
-            object.__setattr__(self, name, (_checked(name, x1, rule), _checked(name, x2, rule)))
+            object.__setattr__(self, name, _checked_pair(name, getattr(self, name), rule))
         if any(self.instrument_noise_var) and not self.volts:
             raise ValidationError(f"instrument_noise_var: noise is added to volts only, got "
                                   f"{self.instrument_noise_var} for a counts record")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .sources import _checked
+from .sources import _checked, _checked_pair
 
 _INT64 = np.iinfo(np.int64)
 
@@ -47,8 +47,23 @@ class ShotSeries:
     def __post_init__(self):
         if self.unit not in ("counts", "volts"):
             raise ValidationError(f"unit: expected 'counts' or 'volts', got {self.unit!r}")
+        for name in ("ch1", "ch2"):  # checked as they are: counts stay int64
+            try:
+                ch = np.asarray(getattr(self, name))
+            except ValueError:  # a ragged sequence
+                raise ValidationError(f"{name}: expected a 1-d array of numbers") from None
+            if ch.ndim != 1 or ch.size == 0 or ch.dtype.kind not in "iuf":
+                raise ValidationError(f"{name}: expected a non-empty 1-d array of numbers, "
+                                      f"got shape {ch.shape} and dtype {ch.dtype}")
+            if ch.dtype.kind == "f" and not np.isfinite(ch).all():
+                i = int(np.argmin(np.isfinite(ch)))
+                raise ValidationError(f"{name}[{i}]: must be a finite number, got {ch[i].item()!r}")
+            object.__setattr__(self, name, ch)
         if len(self.ch1) != len(self.ch2):
             raise ValidationError("ch1 and ch2 must have equal length")
+        if self.unit == "volts":  # the coefficients divide volts; counts never use them
+            _checked_pair("conv", self.conv, "> 0")
+        _checked_pair("instrument_noise_var", self.instrument_noise_var, ">= 0")
 
     def __len__(self):
         return len(self.ch1)

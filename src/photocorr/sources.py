@@ -93,6 +93,16 @@ def _checked_array(name, values, rule):
     return x
 
 
+def _checked_pair(name, value, rule):
+    """value, a pair (x1, x2) whose two elements obey the same rule of _DOMAINS, as a
+    tuple of _checked values, else ValidationError naming name."""
+    try:
+        x1, x2 = value
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: expected a pair (x1, x2), got {value!r}") from None
+    return _checked(name, x1, rule), _checked(name, x2, rule)
+
+
 def _check_fields(spec, **rules):
     """Replace each field of a frozen dataclass by its _checked value under its rule."""
     fields = vars(spec)  # a frozen dataclass refuses setattr, not a write to its __dict__
@@ -178,8 +188,8 @@ def _checked_pmf(probs, tail_mass):
 
 
 def thermal_pmf(k, mean):
-    """Bose-Einstein (geometric) pmf with the given mean, in log space."""
-    k = np.asarray(k)
+    """Bose-Einstein (geometric) pmf with the given mean at the integers k >= 0, in log space."""
+    k = _checked_array("k", k, "integer >= 0")
     mean = _checked("mean", mean, ">= 0")
     if mean == 0.0:
         return np.where(k == 0, 1.0, 0.0)
@@ -294,9 +304,7 @@ def multithermal_pdf(v, mu, v_mean):
     if mu > 1e6:
         raise ValidationError(f"mu: the multithermal density holds 1e-6 relative accuracy "
                               f"up to mu = 1e6, got {mu!r}")
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValidationError("v: negative values are outside the support")
+    v = np.asarray(_checked_array("v", v, ">= 0"))
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
     out = np.zeros_like(v)

@@ -238,6 +238,21 @@ SERIES = pc.ShotSeries(np.arange(20) % 7, np.arange(20) % 5, "counts")
 JOINT = pc.twin_beam_joint(0.5, cutoff=6)
 
 
+# channels of 20 shots, and the faults that ShotSeries refuses: empty, nan, 0-d
+COUNTS = np.arange(20) % 7
+VOLTS = (np.arange(20) % 5) * 0.5 + 1.0
+WITH_NAN = np.where(np.arange(20) == 3, math.nan, VOLTS)
+
+
+def _series(d):
+    return pc.ShotSeries(
+        d.draw(_arg([COUNTS, WITH_NAN, np.array([], dtype=np.int64), np.array(4)])),
+        d.draw(_arg([VOLTS, np.array([]), np.array(2.0)])),
+        d.draw(st.sampled_from(["counts", "volts"])),
+        d.draw(_arg([(1.0, 1.0), (0.0, 1.0), (2.0, 0.5)])),
+        d.draw(_arg([(0.0, 0.0), (0.1, 0.2), (-1.0, 0.0), (math.nan, 0.0)])))
+
+
 def _source(d):
     return pc.SourceSpec(d.draw(st.sampled_from(KINDS)), d.draw(_arg(MEANS)),
                          d.draw(_arg(MODES)), d.draw(_arg([0.5, 0.2, 1.0])))
@@ -249,6 +264,8 @@ def _eff(d):
 
 CALLS = {  # name: function of a Hypothesis draw that makes the call
     "thermal_pmf": lambda d: pc.thermal_pmf(np.arange(5), d.draw(_arg(MEANS))),
+    "thermal_pmf_points": lambda d: pc.thermal_pmf(
+        d.draw(_arg([np.arange(5), 3, [0, 2]])), d.draw(_arg([0.0, 2.0]))),
     "twin_beam_joint": lambda d: pc.twin_beam_joint(
         d.draw(_arg(MEANS)), d.draw(_arg([None, 0, 5])), d.draw(_arg([1e-10, 0.5]))),
     "coherent_pair_joint": lambda d: pc.coherent_pair_joint(
@@ -258,6 +275,8 @@ CALLS = {  # name: function of a Hypothesis draw that makes the call
         d.draw(_arg([1e-10, 0.5]))),
     "multithermal_pdf": lambda d: pc.multithermal_pdf(
         np.linspace(0.0, 5.0, 6), d.draw(_arg([1, 2.5, 14])), d.draw(_arg([0.5, 3.0]))),
+    "multithermal_pdf_points": lambda d: pc.multithermal_pdf(
+        d.draw(_arg([np.linspace(0.0, 5.0, 6), 2.0])), d.draw(_arg([1, 14])), 3.0),
     "loss_matrix": lambda d: pc.detection.loss_matrix(d.draw(_arg(ETAS)), d.draw(_arg([0, 6]))),
     "multimode_convolve": lambda d: pc.multimode_convolve(
         JOINT, d.draw(_arg(MODES)), d.draw(_arg([1e-10, 0.5]))),
@@ -267,6 +286,10 @@ CALLS = {  # name: function of a Hypothesis draw that makes the call
     "correlation_coefficient": lambda d: pc.correlation_coefficient(_source(d), _eff(d)),
     "analytic_moments": lambda d: pc.analytic_moments(_source(d), _eff(d)),
     "variance_threshold": lambda d: pc.variance_threshold(_eff(d)),
+    "variance_threshold_subnormal": lambda d: pc.variance_threshold(pc.EfficiencyPair(
+        *(d.draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-200, 2e-200, 1e-160])) for _ in "12"))),
+    "DifferenceDistribution.prob": lambda d: pc.DifferenceDistribution(
+        np.array([0.25, 0.5, 0.25]), -1).prob(d.draw(_arg([0, 1, -5, 2.0]))),
     "predicted_beam_variance": lambda d: pc.predicted_beam_variance(
         _source(d), d.draw(_arg([0.0, 0.02]))),
     "solve_pump_noise": lambda d: pc.solve_pump_noise(
@@ -282,6 +305,11 @@ CALLS = {  # name: function of a Hypothesis draw that makes the call
         d.draw(_arg([14])), d.draw(_arg([[0.5, 0.9], [0.5, [0.6]]])), d.draw(_arg([[0.6]])),
         eta_nominal=d.draw(_arg([None, 0.67]))),
     "correlation_function": lambda d: pc.correlation_function(SERIES, d.draw(_arg([0, 1, -2]))),
+    "correlation_function_of_a_series": lambda d: pc.correlation_function(
+        _series(d), d.draw(st.sampled_from([0, 1]))),
+    "measured_correlation": lambda d: pc.measured_correlation(_series(d)),
+    "measured_difference_variance": lambda d: pc.measured_difference_variance(_series(d)),
+    "ShotSeries.counts": lambda d: _series(d).counts(),
     "sample_series": lambda d: pc.sample_series(pc.SimulationConfig(
         _source(d), _eff(d), d.draw(_arg([10, 100])), d.draw(_arg([0, 7])),
         d.draw(_arg([0.0, 0.1])), d.draw(st.booleans()), (d.draw(_arg([1.0, 0.5])), 1.0),

@@ -363,6 +363,16 @@ class TestDifferenceVariance:
     def test_threshold_unbounded_for_equal_efficiencies(self):
         assert variance_threshold(EfficiencyPair(0.6, 0.6)) is None
 
+    @pytest.mark.parametrize("eta, want", [((1e-200, 2e-200), 4.0), ((0.0, 1e-300), 0.0),
+                                           ((1e-160, 2e-160), 4.0), ((5e-324, 0.0), 0.0)])
+    def test_threshold_where_the_squared_gap_underflows(self, eta, want):
+        assert variance_threshold(EfficiencyPair(*eta)) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("eta", [(0.5, 0.7), (0.66, 0.68), (1e-100, 3e-100), (0.5, 0.5 + 2**-52)])
+    def test_threshold_keeps_the_closed_form_bits(self, eta):
+        e1, e2 = eta
+        assert variance_threshold(EfficiencyPair(*eta)) == 2.0 * e1 * e2 / (e1 - e2) ** 2
+
     def test_multimode_quadratic_term(self):
         rep = difference_variance(SourceSpec.twin_beam(10.0, mu=5), EfficiencyPair(0.5, 0.7))
         assert rep.sigma2_d == pytest.approx(0.04 * 100.0 / 5 + 0.5 * 10.0, rel=1e-12)
@@ -377,5 +387,11 @@ class TestDifferenceDistributionType:
         dd = DifferenceDistribution(np.array([0.25, 0.5, 0.25]), -1, 0.0)
         assert dd.support == (-1, 1)
         assert dd.prob(5) == 0.0
+        assert dd.prob(np.int64(-1)) == dd.prob(-1.0) == 0.25
         assert dd.mean() == 0.0
         assert dd.variance() == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("d", [2.5, "a", None, True, math.nan, [0]])
+    def test_prob_refuses_a_non_integer(self, d):
+        with pytest.raises(ValidationError, match="d: must be an integer"):
+            DifferenceDistribution(np.array([0.25, 0.5, 0.25]), -1).prob(d)

@@ -41,6 +41,42 @@ def test_volts_round_trip_12_digits(tmp_path):
     assert back.instrument_noise_var == (1e-15, 2e-15)
 
 
+COUNTS = np.array([3, 1, 4, 1, 5], dtype=np.int64)
+
+
+def test_counts_are_kept_as_int64():
+    series = ShotSeries(COUNTS, COUNTS[::-1], "counts")
+    assert series.ch1 is COUNTS and series.ch2.dtype == np.int64
+
+
+@pytest.mark.parametrize("ch1, ch2, match", [
+    (np.array([], dtype=np.int64), np.array([], dtype=np.int64), r"ch1: expected a non-empty 1-d"),
+    (np.array(3), np.array(4), r"ch1: expected a non-empty 1-d"),
+    (np.ones((2, 2)), np.ones((2, 2)), r"ch1: expected a non-empty 1-d"),
+    (np.array(["a", "b"]), np.array([1, 2]), r"ch1: expected a non-empty 1-d"),
+    (np.array([1.0, 2.0]), np.array([1.0, math.nan]), r"ch2\[1\]: must be a finite number, got nan"),
+    (np.array([1.0, -math.inf]), np.array([1.0, 2.0]), r"ch1\[1\]: must be a finite number"),
+    ([[1], [2, 3]], [1, 2], r"ch1: expected a 1-d array"),
+])
+def test_channels_the_estimators_cannot_reduce_are_refused(ch1, ch2, match):
+    with pytest.raises(ValidationError, match=match):
+        ShotSeries(ch1, ch2, "volts")
+
+
+@pytest.mark.parametrize("conv, noise, match", [
+    ((0.0, 1.0), (0.0, 0.0), "conv"), ((1.0, math.nan), (0.0, 0.0), "conv"),
+    (5.0, (0.0, 0.0), "conv: expected a pair"), ((1.0, 1.0), (-1.0, 0.0), "instrument_noise_var"),
+    ((1.0, 1.0), (0.0, math.inf), "instrument_noise_var"),
+])
+def test_calibrations_the_estimators_cannot_use_are_refused(conv, noise, match):
+    with pytest.raises(ValidationError, match=match):
+        ShotSeries(np.array([1.0, 2.0]), np.array([2.0, 1.0]), "volts", conv, noise)
+
+
+def test_counts_never_use_the_conversion_coefficients():
+    assert len(ShotSeries(COUNTS, COUNTS, "counts", (0.0, math.nan))) == 5
+
+
 def test_sidecar_carries_extra_metadata(tmp_path):
     series = ShotSeries(np.array([1]), np.array([2]), "counts")
     write_series(series, tmp_path / "s.csv", extra_meta={"config": {"seed": 5}})

@@ -139,6 +139,18 @@ class TestSplitThermalJoint:
         assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
 
 
+class TestThermalPmf:
+    def test_values(self):
+        assert thermal_pmf(np.arange(3), 2.0) == pytest.approx([1 / 3, 2 / 9, 4 / 27], rel=1e-14)
+        assert thermal_pmf(3.0, 2.0) == thermal_pmf(3, 2.0)
+        assert np.array_equal(thermal_pmf([0, 1], 0.0), [1.0, 0.0])
+
+    @pytest.mark.parametrize("k", [-1, 2.5, math.nan, math.inf, "a", [0, -2], [True]])
+    def test_points_that_are_not_integers_from_zero_rejected(self, k):
+        with pytest.raises(ValidationError, match="k"):
+            thermal_pmf(k, 2.0)
+
+
 class TestMultithermalPdf:
     def test_single_mode_is_exponential(self):
         v = np.linspace(0.0, 10.0, 50)
@@ -161,6 +173,11 @@ class TestMultithermalPdf:
     def test_negative_v_rejected(self):
         with pytest.raises(ValidationError):
             multithermal_pdf(-0.1, 14, 1.0)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, "a", [0.5, math.nan], [True]])
+    def test_points_that_are_not_finite_numbers_rejected(self, v):
+        with pytest.raises(ValidationError, match="v"):
+            multithermal_pdf(v, 2, 1.0)
 
     @pytest.mark.parametrize("v_mean", [1e-300, 1.0, 1e300])
     def test_accurate_at_the_largest_mode_count(self, v_mean):
