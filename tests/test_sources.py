@@ -140,11 +140,6 @@ class TestSplitThermalJoint:
 
 
 class TestThermalPmf:
-    def test_values(self):
-        assert thermal_pmf(np.arange(3), 2.0) == pytest.approx([1 / 3, 2 / 9, 4 / 27], rel=1e-14)
-        assert thermal_pmf(3.0, 2.0) == thermal_pmf(3, 2.0)
-        assert np.array_equal(thermal_pmf([0, 1], 0.0), [1.0, 0.0])
-
     @pytest.mark.parametrize("k", [-1, 2.5, math.nan, math.inf, "a", [0, -2], [True]])
     def test_points_that_are_not_integers_from_zero_rejected(self, k):
         with pytest.raises(ValidationError, match="k"):
