@@ -73,10 +73,6 @@ def test_calibrations_the_estimators_cannot_use_are_refused(conv, noise, match):
         ShotSeries(np.array([1.0, 2.0]), np.array([2.0, 1.0]), "volts", conv, noise)
 
 
-def test_counts_never_use_the_conversion_coefficients():
-    assert len(ShotSeries(COUNTS, COUNTS, "counts", (0.0, math.nan))) == 5
-
-
 def test_sidecar_carries_extra_metadata(tmp_path):
     series = ShotSeries(np.array([1]), np.array([2]), "counts")
     write_series(series, tmp_path / "s.csv", extra_meta={"config": {"seed": 5}})
