@@ -153,9 +153,7 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
         seriesio.write_table(Path(out_dir) / f"diff_{kind}.tsv",
                              {"d": dd.d_values, "p": dd.probs}, fmt)
         if with_joint:
-            # one mode pair carries n_mean / mu; the mu-fold convolution restores the total
-            pair = SourceSpec(kind, src.per_mode_mean, 1, src.tau)
-            joint = multimode_convolve(thin_joint(source_joint(pair), eff), src.mu)
+            joint = multimode_convolve(thin_joint(source_joint(src), eff), src.mu)
             n1, n2 = np.indices(joint.probs.shape)
             seriesio.write_table(Path(out_dir) / f"joint_{kind}.tsv",
                                  {"n1": n1.ravel(), "n2": n2.ravel(), "p": joint.probs.ravel()},

@@ -159,14 +159,21 @@ def _log_pgf(bose, mu, x):
 
 def _tail_edge(log_mgf, rate, log_tol):
     """Smallest k >= 0 whose Chernoff bound min_u exp(log_mgf - (k+1) u) on
-    P(d > k) is at most exp(log_tol); log_mgf is ln E[e**(u d)] on u = _LN_S.
-    A zero rate means d never exceeds 0; the table budget in points stands
-    for any k that large or not found on the grid."""
+    P(X > k) is at most exp(log_tol), for a count X with ln E[e**(u X)] = log_mgf
+    on u = _LN_S.  A zero rate means X never exceeds 0; the table budget in
+    points stands for any k that large or not found on the grid."""
     if rate == 0.0:
         return 0
     cap = sources._TABLE_BYTES // 8
     k = np.min((log_mgf - log_tol) / _LN_S)
-    return max(0, math.ceil(k) - 1) if k < cap else cap
+    # k is -inf where log_mgf is hugely negative: mu modes of a law short of mass keep none
+    return math.ceil(max(k, 1.0)) - 1 if k < cap else cap
+
+
+def _fft_length(points):
+    """A power of two at least twice `points`: what wraps around into a window of that
+    width comes from far beyond it, and pocketfft is ~10x slower on large prime factors."""
+    return 1 << (2 * points - 1).bit_length()
 
 
 def _difference_pmf(src: SourceSpec, eff: EfficiencyPair, tail_tol):
@@ -199,8 +206,7 @@ def _difference_pmf(src: SourceSpec, eff: EfficiencyPair, tail_tol):
     if a == b:
         lo = min(lo, -hi)
         hi = -lo
-    # a power of two: pocketfft is ~10x slower on lengths with large prime factors
-    m = 1 << (2 * (hi - lo) + 1).bit_length()
+    m = _fft_length(hi - lo + 1)
     _check_table(m, "the p(d) FFT")
     # x at z = exp(-i theta), the points irfft inverts; z**-start puts d = start at index 0
     start = lo - (m - (hi - lo + 1)) // 2
@@ -250,34 +256,28 @@ def multimode_convolve(dist: JointCountDistribution, mu: int,
     """Distribution of per-beam count sums over mu independent mode pairs.
 
     Computed as the mu-fold two-dimensional self-convolution of the
-    single-pair distribution: the mu-th power of its 2-D FFT, zero-padded to
-    at least the full support mu * cutoff + 1 per axis so nothing wraps
-    around, and cropped back to it.  The support is then trimmed back while
-    the discarded mass stays within tail_tol / 2.
+    single-pair distribution: the mu-th power of its 2-D FFT, windowed as
+    _difference_pmf windows p(d).  A Chernoff bound on each beam's mu-fold sum
+    leaves at most tail_tol / 4 beyond the window, so the tail mass is at most
+    tail_tol / 2 plus about mu times the input's.  Where the FFT of the full
+    support mu * cutoff + 1 is shorter, it is taken, and nothing wraps around.
     """
     mu, tail_tol = _checked("mu", mu, "integer >= 1"), _checked("tail_tol", tail_tol, "(0, 1)")
     if mu == 1:
         return dist
-    full = mu * dist.cutoff + 1
-    # a power of two: pocketfft is ~10x slower on lengths with large prime factors
-    size = (1 << (full - 1).bit_length(),) * 2
+    full, log_tol, edge = mu * dist.cutoff + 1, math.log(tail_tol / 4.0), 0
+    for pmf in (dist.marginal(1), dist.marginal(2)):
+        # ln E[e**(u k)] = u top + ln sum_k pmf[k] e**(-u (top - k)), top the last positive
+        # term, by Horner's rule: it neither overflows nor underflows to 0
+        top = np.flatnonzero(pmf > 0).max(initial=0)
+        # ln 0 only where top = 0, which _tail_edge does not read; a bound that overflows is inf
+        with np.errstate(divide="ignore", over="ignore"):
+            log_mgf = _LN_S * top + np.log(np.polyval(pmf[:top + 1], np.exp(-_LN_S)))
+            edge = max(edge, _tail_edge(mu * log_mgf, top, log_tol))
+    points = min(edge + 1, full)
+    size = (min(_fft_length(points), 1 << (full - 1).bit_length()),) * 2
     _check_table(size[0] ** 2, f"the {mu}-mode convolution of a joint table "
-                 f"of cutoff {dist.cutoff}", mu * dist.cutoff)
-    out = np.fft.irfftn(np.fft.rfftn(dist.probs, size, (0, 1)) ** mu, size, (0, 1))[:full, :full]
-    np.maximum(out, 0.0, out=out)
-    out = _trim_square(out, tail_tol / 2)
-    tail = max(0.0, 1.0 - out.sum())
-    return JointCountDistribution(out, tail)
-
-
-def _trim_square(p, budget):
-    """Drop trailing rows/columns whose combined mass stays below budget."""
-    c = p.shape[0]
-    dropped = 0.0
-    while c > 1:
-        edge = p[c - 1, :c].sum() + p[:c - 1, c - 1].sum()
-        if dropped + edge > budget:
-            break
-        dropped += edge
-        c -= 1
-    return np.ascontiguousarray(p[:c, :c])
+                 f"of cutoff {dist.cutoff}", points - 1)
+    out = np.fft.irfftn(np.fft.rfftn(dist.probs, size, (0, 1)) ** mu, size, (0, 1))
+    out = np.maximum(out[:points, :points], 0.0)
+    return JointCountDistribution(out, max(0.0, 1.0 - out.sum()))

@@ -61,9 +61,10 @@ class ShotSeries:
             object.__setattr__(self, name, ch)
         if len(self.ch1) != len(self.ch2):
             raise ValidationError("ch1 and ch2 must have equal length")
-        if self.unit == "volts":  # the coefficients divide volts; counts never use them
-            _checked_pair("conv", self.conv, "> 0")
+        # the coefficients divide volts; counts never use them, but write them to the sidecar
+        _checked_pair("conv", self.conv, "> 0" if self.unit == "volts" else ">= 0")
         _checked_pair("instrument_noise_var", self.instrument_noise_var, ">= 0")
+        _checked("pump_truncations", self.pump_truncations, "integer >= 0")
 
     def __len__(self):
         return len(self.ch1)
@@ -125,14 +126,16 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
     except UnicodeDecodeError as exc:
         raise DataError(f"{csv_path}: not UTF-8 text: {exc}") from None
     conv = (meta.get("alpha1", 1.0), meta.get("alpha2", 1.0))
-    try:  # the coefficients divide volts (counts never use them); noise variances are >= 0
-        if not counts_mode:
-            conv = tuple(_checked(f"{side}: alpha{j}", conv[j - 1], "> 0") for j in (1, 2))
+    try:  # the rules of ShotSeries, each named by the sidecar and the key
+        conv = tuple(_checked(f"{side}: alpha{j}", conv[j - 1], ">= 0" if counts_mode else "> 0")
+                     for j in (1, 2))
         noise = tuple(_checked(f"{side}: noise_var{j}", meta.get(f"noise_var{j}", 0.0), ">= 0")
                       for j in (1, 2))
+        truncations = _checked(f"{side}: pump_truncations", meta.get("pump_truncations", 0),
+                               "integer >= 0")
     except ValidationError as exc:
         raise DataError(str(exc)) from None
-    series = ShotSeries(ch1, ch2, unit, conv, noise, meta.get("pump_truncations", 0))
+    series = ShotSeries(ch1, ch2, unit, conv, noise, truncations)
     return series, meta
 
 

@@ -279,12 +279,14 @@ def split_thermal_joint(n_mean, tau=0.5, cutoff=None, tail_tol=DEFAULT_TAIL_TOL)
 
 
 def source_joint(src: SourceSpec, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
-    """Single-mode-pair joint distribution for a SourceSpec."""
+    """Joint distribution of one of the mu mode pairs of a SourceSpec, of mean
+    src.per_mode_mean per beam; detection.multimode_convolve sums the mu pairs."""
+    n = src.per_mode_mean
     if src.kind == TWIN_BEAM:
-        return twin_beam_joint(src.n_mean, cutoff, tail_tol)
+        return twin_beam_joint(n, cutoff, tail_tol)
     if src.kind == COHERENT_PAIR:
-        return coherent_pair_joint(src.n_mean, cutoff, tail_tol)
-    return split_thermal_joint(src.n_mean, src.tau, cutoff, tail_tol)
+        return coherent_pair_joint(n, cutoff, tail_tol)
+    return split_thermal_joint(n, src.tau, cutoff, tail_tol)
 
 
 def multithermal_pdf(v, mu, v_mean):

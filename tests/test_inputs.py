@@ -310,6 +310,9 @@ CALLS = {  # name: function of a Hypothesis draw that makes the call
     "measured_correlation": lambda d: pc.measured_correlation(_series(d)),
     "measured_difference_variance": lambda d: pc.measured_difference_variance(_series(d)),
     "ShotSeries.counts": lambda d: _series(d).counts(),
+    "ShotSeries_of_counts": lambda d: pc.ShotSeries(
+        COUNTS, COUNTS, "counts", d.draw(_arg([(1.0, 1.0), (0.0, 2.0)])), (0.0, 0.0),
+        d.draw(_arg([0, 3]))),
     "sample_series": lambda d: pc.sample_series(pc.SimulationConfig(
         _source(d), _eff(d), d.draw(_arg([10, 100])), d.draw(_arg([0, 7])),
         d.draw(_arg([0.0, 0.1])), d.draw(st.booleans()), (d.draw(_arg([1.0, 0.5])), 1.0),

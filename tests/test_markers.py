@@ -222,13 +222,17 @@ KINDS = ["twin_beam", "coherent_pair", "split_thermal"]
 
 
 class TestManyModesAndBrightBeams:
+    @pytest.mark.parametrize("n_mean", [10.0, 300.0])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_mu_modes_match_convolved_single_pair(self, kind):
+    def test_mu_modes_match_convolved_single_pair(self, kind, n_mean):
         eff = EfficiencyPair(0.6, 0.7)
-        got = difference_analytic(SourceSpec(kind, 10.0, 14), eff)
+        got = difference_analytic(SourceSpec(kind, n_mean, 14), eff)
         # the 2-D route: the 14-fold convolution of the thinned single-pair joint table
-        joint = multimode_convolve(thinned(SourceSpec(kind, 10.0 / 14), eff), 14, tail_tol=1e-12)
+        pair = thinned(SourceSpec(kind, n_mean, 14), eff)
+        joint = multimode_convolve(pair, 14, tail_tol=1e-12)
         assert total_variation(got, difference_from_joint(joint)) < 1e-9
+        # the window leaves out at most tail_tol / 2 beyond what the 14 pairs leave out
+        assert joint.tail_mass <= 1e-12 / 2 + 14 * pair.tail_mass
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bright_beam_moments(self, kind):

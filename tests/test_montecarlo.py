@@ -124,10 +124,9 @@ class TestExactLaw:
     def test_joint_counts_chi2(self, kind, tau, eta):
         n_mean, mu, shots = 2.0, 3, 200_000
         eff = EfficiencyPair(*eta)
-        one_pair = source_joint(SourceSpec(kind, n_mean / mu, 1, tau))
-        expected = multimode_convolve(thin_joint(one_pair, eff), mu).probs * shots
-        s = sample_series(SimulationConfig(SourceSpec(kind, n_mean, mu, tau), eff,
-                                           shots=shots, seed=11))
+        src = SourceSpec(kind, n_mean, mu, tau)
+        expected = multimode_convolve(thin_joint(source_joint(src), eff), mu).probs * shots
+        s = sample_series(SimulationConfig(src, eff, shots=shots, seed=11))
         observed = np.zeros(expected.shape)
         inside = (s.ch1 < expected.shape[0]) & (s.ch2 < expected.shape[1])
         np.add.at(observed, (s.ch1[inside], s.ch2[inside]), 1.0)

@@ -122,6 +122,7 @@ def test_non_finite_volts_report_line_number(tmp_path, value):
 @pytest.mark.parametrize("key, value", [
     ("alpha1", "x"), ("alpha1", 0), ("alpha2", -1e-8), ("alpha1", True), ("alpha2", [1.0]),
     ("alpha1", 10**400), ("noise_var1", -1.0), ("noise_var2", "x"), ("noise_var1", None),
+    ("pump_truncations", -3.5),
 ])
 @pytest.mark.parametrize("bad", ["value", "nan", "inf"])
 def test_bad_calibration_names_sidecar_and_key(tmp_path, key, value, bad):
@@ -140,6 +141,24 @@ def test_calibration_defaults_and_counts_alphas(tmp_path):
     series, _ = read_series(path)  # counts never divide by the alphas
     assert series.conv == (0, 1.0)
     assert series.instrument_noise_var == (0.0, 3)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, "x"])
+def test_counts_alphas_are_finite_and_non_negative(tmp_path, value):
+    # counts never divide by the alphas, but a record carries them to its sidecar
+    with pytest.raises(ValidationError, match="conv"):
+        ShotSeries(np.array([1, 2]), np.array([2, 1]), "counts", (value, 1.0))
+    path = tmp_path / "s.csv"
+    path.write_text("shot,m1,m2\n0,1,2\n")
+    sidecar_path(path).write_text(json.dumps({"unit": "counts", "alpha2": value}))
+    with pytest.raises(DataError, match="s.json: alpha2: must be a"):
+        read_series(path)
+
+
+@pytest.mark.parametrize("value", [-3.5, -1, 2.5, math.inf, True])
+def test_pump_truncations_is_a_count(value):
+    with pytest.raises(ValidationError, match="pump_truncations"):
+        ShotSeries(np.array([1, 2]), np.array([2, 1]), "counts", pump_truncations=value)
 
 
 def test_missing_file(tmp_path):

@@ -211,6 +211,11 @@ class TestSourceSpec:
             j = source_joint(ctor(1.0))
             assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["twin_beam", "coherent_pair", "split_thermal"])
+    def test_source_joint_is_one_of_the_mode_pairs(self, kind):
+        j = source_joint(SourceSpec(kind, 10.0, 14))
+        assert j.marginal(1) @ np.arange(j.cutoff + 1) == pytest.approx(10.0 / 14, rel=1e-6)
+
 
 @pytest.mark.parametrize("joint", [twin_beam_joint, coherent_pair_joint, split_thermal_joint])
 @pytest.mark.parametrize("cutoff", [-3, 2.5, math.nan])
@@ -243,7 +248,7 @@ class TestTableBudget:
         (lambda: partial(split_thermal_joint, 50.0, 0.3), AUTO),
         (lambda: partial(loss_matrix, 0.5, 100), 100),
         (lambda: partial(thin_joint, twin_beam_joint(1.0, cutoff=100), EFF), 100),
-        (lambda: partial(multimode_convolve, twin_beam_joint(1.0, cutoff=10), 14), 140),
+        (lambda: partial(multimode_convolve, twin_beam_joint(1.0, cutoff=10), 14), 69),
         (lambda: partial(difference_analytic, SourceSpec.twin_beam(1e6, 14), EFF), None),
     ], ids=["twin-explicit", "twin-auto", "coherent-explicit", "coherent-auto-bound",
             "coherent-auto-walk", "split-explicit", "split-auto", "loss_matrix", "thin_joint",
