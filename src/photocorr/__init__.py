@@ -31,8 +31,8 @@ _EXPORTS = {
     "montecarlo": ("SimulationConfig", "predicted_beam_variance", "sample_series"),
     "seriesio": ("ShotSeries", "read_series", "write_series"),
     "sources": ("COHERENT_PAIR", "SPLIT_THERMAL", "TWIN_BEAM", "JointCountDistribution",
-                "SourceSpec", "coherent_pair_joint", "multithermal_pdf", "source_joint",
-                "split_thermal_joint", "thermal_pmf", "twin_beam_joint"),
+                "SourceSpec", "multithermal_pdf", "source_joint", "thermal_pmf",
+                "twin_beam_joint"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -278,6 +278,9 @@ def multimode_convolve(dist: JointCountDistribution, mu: int,
     size = (min(_fft_length(points), 1 << (full - 1).bit_length()),) * 2
     _check_table(size[0] ** 2, f"the {mu}-mode convolution of a joint table "
                  f"of cutoff {dist.cutoff}", points - 1)
-    out = np.fft.irfftn(np.fft.rfftn(dist.probs, size, (0, 1)) ** mu, size, (0, 1))
-    out = np.maximum(out[:points, :points], 0.0)
+    # irfftn in two passes, the second on the window's rows only: two FFT tables at the peak
+    spec = np.fft.rfftn(dist.probs, size, (0, 1))
+    spec **= mu
+    spec = np.fft.ifft(spec, axis=0)[:points]
+    out = np.maximum(np.fft.irfft(spec, size[1], axis=1)[:, :points], 0.0)
     return JointCountDistribution(out, max(0.0, 1.0 - out.sum()))

@@ -9,7 +9,7 @@ photon number N (the total over all populated modes):
 * split thermal: a thermal beam of mean 2N divided on a beam splitter of
   transmissivity tau (classically correlated outputs).
 
-Joint distributions are exact but truncated; every constructor records the
+Joint distributions are exact but truncated; source_joint records the
 probability mass left outside the truncation window.  _check_table refuses any
 float64 table above _TABLE_BYTES (128 MiB: cutoff 4095, or a p(d) FFT of 2**24
 points) with TailToleranceError before it is allocated, in every exact layer.
@@ -213,80 +213,62 @@ def _check_table(points, what, required_cutoff=None):
                                  f"{_TABLE_BYTES / 2**20:g} MiB table budget", required_cutoff)
 
 
-def _check_cutoff(required, cutoff, tail_tol):
-    """The explicit cutoff, or else the required one, checked against the table budget."""
-    if cutoff is None and required == math.inf:
+def _check_cutoff(required, tail_tol):
+    """The required cutoff, checked against the table budget."""
+    if required == math.inf:
         raise TailToleranceError(f"no finite cutoff meets tail tolerance {tail_tol:g}: the mean "
                                  f"is too large for its tail to be computed", math.inf)
-    what = f"{required} (for tail tolerance {tail_tol:g})"
-    if cutoff is not None:
-        required = what = _checked("cutoff", cutoff, "integer >= 0")
-    _check_table((required + 1) ** 2, f"a joint table of cutoff {what}", required)
+    _check_table((required + 1) ** 2, f"a joint table of cutoff {required} "
+                 f"(for tail tolerance {tail_tol:g})", required)
     return required
 
 
-def twin_beam_joint(n_mean, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
-    """Joint photon-number distribution of a single twin-beam mode pair.
-
-    The matrix is diagonal: both beams carry exactly the same photon number,
-    distributed thermally with mean n_mean.  If cutoff is omitted it is
-    chosen so the recorded tail mass is at most tail_tol.
-    """
-    n_mean, tail_tol = _checked("n_mean", n_mean, ">= 0"), _checked("tail_tol", tail_tol, "(0, 1)")
-    c = _check_cutoff(_geometric_cutoff(n_mean, tail_tol), cutoff, tail_tol)
-    n = np.arange(c + 1)
-    probs = np.zeros((c + 1, c + 1))
-    probs[n, n] = thermal_pmf(n, n_mean)
-    return JointCountDistribution(probs, (n_mean / (1.0 + n_mean)) ** (c + 1))
-
-
-def coherent_pair_joint(n_mean, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
-    """Joint distribution of two independent coherent beams of mean n_mean."""
-    n_mean, tail_tol = _checked("n_mean", n_mean, ">= 0"), _checked("tail_tol", tail_tol, "(0, 1)")
-    # floor(n_mean) bounds the walk below (tail_tol < 1): an oversized table never walks
-    c = _check_cutoff(int(n_mean), cutoff, tail_tol)
-    if cutoff is None and n_mean > 0.0:
-        # Poisson tail bound via Chernoff is loose; walk the cdf directly.
-        required = int(np.searchsorted(_poisson_cdf_grid(n_mean), 1.0 - tail_tol / 2) + 1)
-        c = _check_cutoff(required, None, tail_tol)
-    k = np.arange(c + 1)
-    pk = _poisson_pmf(k, n_mean)
-    probs = np.outer(pk, pk)
-    return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
-
-
-def split_thermal_joint(n_mean, tau=0.5, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
-    """Joint distribution of a thermal beam of mean 2*n_mean split at tau.
-
-    probs[n1, n2] = Binom(n1+n2, n1; tau) * thermal_pmf(n1+n2, 2*n_mean).
-    Each marginal is thermal, with means 2*n_mean*tau and 2*n_mean*(1-tau).
-    """
-    n_mean, tau = _checked("n_mean", n_mean, ">= 0"), _checked("tau", tau, "[0, 1]")
-    tail_tol = _checked("tail_tol", tail_tol, "(0, 1)")
-    m1, m2 = 2.0 * n_mean * tau, 2.0 * n_mean * (1.0 - tau)
-    required = max(_geometric_cutoff(m1, tail_tol / 2), _geometric_cutoff(m2, tail_tol / 2))
-    c = _check_cutoff(required, cutoff, tail_tol)
-    n1 = np.arange(c + 1)[:, None]
-    n2 = np.arange(c + 1)[None, :]
-    tot = n1 + n2
-    if n_mean == 0.0:
-        probs = np.zeros((c + 1, c + 1))
-        probs[0, 0] = 1.0
-    else:
-        log_nu = tot * (math.log(2 * n_mean) - math.log1p(2 * n_mean)) - math.log1p(2 * n_mean)
-        probs = np.exp(_log_binomial(n1, tot, tau, _log_factorial(2 * c)) + log_nu)
-    return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
-
-
-def source_joint(src: SourceSpec, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
+def source_joint(src: SourceSpec, tail_tol=DEFAULT_TAIL_TOL):
     """Joint distribution of one of the mu mode pairs of a SourceSpec, of mean
-    src.per_mode_mean per beam; detection.multimode_convolve sums the mu pairs."""
-    n = src.per_mode_mean
+    n = src.per_mode_mean per beam, cut where at most tail_tol of the mass lies
+    beyond the window; detection.multimode_convolve sums the mu pairs.
+
+    * twin beam: one thermal number of mean n on both beams (a diagonal matrix);
+    * coherent pair: two independent Poisson beams of mean n;
+    * split thermal: a thermal beam of mean 2n split at tau, probs[n1, n2] =
+      Binom(n1+n2, n1; tau) * thermal_pmf(n1+n2, 2n), with thermal marginals.
+    """
+    n, tail_tol = src.per_mode_mean, _checked("tail_tol", tail_tol, "(0, 1)")
     if src.kind == TWIN_BEAM:
-        return twin_beam_joint(n, cutoff, tail_tol)
+        c = _check_cutoff(_geometric_cutoff(n, tail_tol), tail_tol)
+        k = np.arange(c + 1)
+        probs = np.zeros((c + 1, c + 1))
+        probs[k, k] = thermal_pmf(k, n)
+        return JointCountDistribution(probs, (n / (1.0 + n)) ** (c + 1))
     if src.kind == COHERENT_PAIR:
-        return coherent_pair_joint(n, cutoff, tail_tol)
-    return split_thermal_joint(n, src.tau, cutoff, tail_tol)
+        # floor(n) bounds the walk below (tail_tol < 1): an oversized table never walks
+        c = _check_cutoff(int(n), tail_tol)
+        if n > 0.0:
+            # Poisson tail bound via Chernoff is loose; walk the cdf directly.
+            required = int(np.searchsorted(_poisson_cdf_grid(n), 1.0 - tail_tol / 2) + 1)
+            c = _check_cutoff(required, tail_tol)
+        pk = _poisson_pmf(np.arange(c + 1), n)
+        probs = np.outer(pk, pk)
+    else:
+        m1, m2 = 2.0 * n * src.tau, 2.0 * n * (1.0 - src.tau)
+        c = _check_cutoff(max(_geometric_cutoff(m1, tail_tol / 2),
+                              _geometric_cutoff(m2, tail_tol / 2)), tail_tol)
+        n1 = np.arange(c + 1)[:, None]
+        n2 = np.arange(c + 1)[None, :]
+        tot = n1 + n2
+        if n == 0.0:
+            probs = np.zeros((c + 1, c + 1))
+            probs[0, 0] = 1.0
+        else:
+            log_nu = tot * (math.log(2 * n) - math.log1p(2 * n)) - math.log1p(2 * n)
+            probs = np.exp(_log_binomial(n1, tot, src.tau, _log_factorial(2 * c)) + log_nu)
+    return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
+
+
+def twin_beam_joint(n_mean):
+    """source_joint of a single-mode twin beam of mean n_mean.  Kept only because the
+    benchmark's library step (perfbench/libstep.py) calls it by this name."""
+    return source_joint(SourceSpec.twin_beam(n_mean))
 
 
 def multithermal_pdf(v, mu, v_mean):

@@ -34,7 +34,6 @@ from photocorr import (
     solve_pump_noise,
     source_joint,
     thin_joint,
-    twin_beam_joint,
     variance_threshold,
 )
 
@@ -176,7 +175,9 @@ def test_criterion_05_monte_carlo_consistency():
 
 
 def test_criterion_06_multimode_equivalence():
-    joint = thin_joint(twin_beam_joint(1.0, cutoff=10), EfficiencyPair(0.5, 0.7))
+    # a twin beam of mean 1 has tail 2**-(c+1) at cutoff c: cutoff 10
+    joint = thin_joint(source_joint(SourceSpec.twin_beam(1.0), 1.5 * 2**-11),
+                       EfficiencyPair(0.5, 0.7))
     c = joint.cutoff
     conv = multimode_convolve(joint, 2, tail_tol=1e-15)
     want_joint = np.zeros((2 * c + 1, 2 * c + 1))

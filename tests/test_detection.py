@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from photocorr import (
     source_joint,
     thermal_pmf,
     thin_joint,
-    twin_beam_joint,
 )
 from photocorr.detection import loss_matrix
 
@@ -25,19 +25,19 @@ ETA_GRID = [0.3, 0.5, 0.67, 0.9]
 
 class TestThinJoint:
     def test_unit_efficiency_is_identity(self):
-        j = twin_beam_joint(1.0)
+        j = source_joint(SourceSpec.twin_beam(1.0))
         t = thin_joint(j, EfficiencyPair(1.0, 1.0))
         assert np.allclose(t.probs, j.probs, atol=1e-14)
 
     def test_zero_efficiency_is_vacuum(self):
-        j = twin_beam_joint(1.0)
+        j = source_joint(SourceSpec.twin_beam(1.0))
         t = thin_joint(j, EfficiencyPair(0.0, 0.0))
         assert t.probs[0, 0] == pytest.approx(1.0 - j.tail_mass, abs=1e-12)
         assert t.probs[1:, :].sum() + t.probs[:, 1:].sum() == 0.0
 
     def test_twb_half_efficiency_p00(self):
         # geometric oracle: sum_n 0.5 * (1/8)^n = 4/7
-        j = twin_beam_joint(1.0, tail_tol=1e-14)
+        j = source_joint(SourceSpec.twin_beam(1.0), 1e-14)
         t = thin_joint(j, EfficiencyPair(0.5, 0.5))
         assert t.probs[0, 0] == pytest.approx(4.0 / 7.0, rel=1e-12)
 
@@ -75,7 +75,7 @@ class TestMoments:
     @pytest.mark.parametrize("eta", ETA_GRID)
     def test_thinned_twb_moments(self, eta):
         n_mean = 1.0
-        j = twin_beam_joint(n_mean, tail_tol=1e-13)
+        j = source_joint(SourceSpec.twin_beam(n_mean), 1e-13)
         m = detected_moments(thin_joint(j, EfficiencyPair(eta, eta)))
         assert m.mean1 == pytest.approx(eta * n_mean, rel=1e-10)
         want_var = eta**2 * n_mean * (n_mean + 1) + eta * (1 - eta) * n_mean
@@ -84,7 +84,7 @@ class TestMoments:
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eta", [(0.5, 0.5), (0.3, 0.9)])
     def test_thinned_twb_covariance(self, n_mean, eta):
-        j = twin_beam_joint(n_mean, tail_tol=1e-13)
+        j = source_joint(SourceSpec.twin_beam(n_mean), 1e-13)
         m = detected_moments(thin_joint(j, EfficiencyPair(*eta)))
         want = eta[0] * eta[1] * n_mean * (n_mean + 1)
         assert m.cov == pytest.approx(want, rel=1e-8)
@@ -123,7 +123,7 @@ class TestMoments:
 
 class TestMultimodeConvolve:
     def test_mu_one_identity(self):
-        j = twin_beam_joint(1.0)
+        j = source_joint(SourceSpec.twin_beam(1.0))
         assert multimode_convolve(j, 1) is j
 
     def test_delta_shifts(self):
@@ -146,8 +146,8 @@ class TestMultimodeConvolve:
         assert multi.cov == pytest.approx(mu * single.cov, rel=1e-8)
 
     def test_nested_sum_oracle_small(self):
-        # direct four-index enumeration on a tiny support
-        j = thin_joint(twin_beam_joint(0.8, cutoff=8), EfficiencyPair(0.6, 0.8))
+        # direct four-index enumeration on a tiny support: cutoff 8 at tail tolerance 1e-3
+        j = thin_joint(source_joint(SourceSpec.twin_beam(0.8), 1e-3), EfficiencyPair(0.6, 0.8))
         got = multimode_convolve(j, 2, tail_tol=1e-15)
         c = j.cutoff
         want = np.zeros((2 * c + 1, 2 * c + 1))
@@ -160,13 +160,24 @@ class TestMultimodeConvolve:
 
 
     def test_matches_repeated_direct_convolution(self):
-        j = thin_joint(twin_beam_joint(1.0), EfficiencyPair(0.6, 0.7))
+        j = thin_joint(source_joint(SourceSpec.twin_beam(1.0)), EfficiencyPair(0.6, 0.7))
         want = j.probs
         for _ in range(4):
             want = convolve2d(want, j.probs)
         got = multimode_convolve(j, 5, tail_tol=1e-300)
         assert got.cutoff == 5 * j.cutoff
         assert np.max(np.abs(got.probs - want)) < 1e-15
+
+    def test_holds_two_fft_tables_at_its_peak(self):
+        # a 512 x 512 FFT: its complex half-spectrum and its real output take 2 MiB each
+        j = thin_joint(source_joint(SourceSpec.twin_beam(40.0, 14)), EfficiencyPair(0.6, 0.7))
+        tracemalloc.start()
+        try:
+            multimode_convolve(j, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 def test_import_leaves_scipy_stats_and_signal_unloaded():

@@ -174,20 +174,20 @@ def test_a_pumped_twin_beam_of_1e12_modes_exits_4(tmp_path, capsys):
     assert "shot draws" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("joint", [pc.twin_beam_joint, pc.split_thermal_joint])
-def test_a_mean_without_a_finite_cutoff_reports_inf(joint):
-    # n / (1 + n) rounds to 1, so no cutoff is computed; an explicit one still serves
+@pytest.mark.parametrize("kind", ["twin_beam", "split_thermal"])
+def test_a_mean_without_a_finite_cutoff_reports_inf(kind):
+    # n / (1 + n) rounds to 1 (or is nan, where the split thermal beam's 2n overflows),
+    # so no cutoff is computed
     for mean in (1e17, 1e308):
         with pytest.raises(pc.TailToleranceError, match="no finite cutoff") as err:
-            joint(mean)
+            pc.source_joint(pc.SourceSpec(kind, mean))
         assert err.value.required_cutoff == math.inf
-    assert joint(1e17, cutoff=3).cutoff == 3
 
 
 def test_a_table_of_nan_is_refused():
-    # 2 * 1e308 overflows, and the split-thermal law at cutoff 3 is nan throughout
+    # the normalization check refuses a table whose sum is nan, as an overflowing law gives
     with pytest.raises(pc.ValidationError, match="sum to nan"):
-        pc.split_thermal_joint(1e308, cutoff=3)
+        pc.JointCountDistribution(np.full((4, 4), np.nan))
 
 
 def test_counts_refuse_instrument_noise(tmp_path, capsys):
@@ -235,7 +235,7 @@ MEANS = [0.0, 0.3, 2.0, 1e7]
 ETAS = [0.0, 0.5, 0.67, 1.0]
 MODES = [1, 3, 14]
 SERIES = pc.ShotSeries(np.arange(20) % 7, np.arange(20) % 5, "counts")
-JOINT = pc.twin_beam_joint(0.5, cutoff=6)
+JOINT = pc.source_joint(pc.SourceSpec.twin_beam(0.5), 1e-3)  # cutoff 6
 
 
 # channels of 20 shots, and the faults that ShotSeries refuses: empty, nan, 0-d
@@ -266,13 +266,8 @@ CALLS = {  # name: function of a Hypothesis draw that makes the call
     "thermal_pmf": lambda d: pc.thermal_pmf(np.arange(5), d.draw(_arg(MEANS))),
     "thermal_pmf_points": lambda d: pc.thermal_pmf(
         d.draw(_arg([np.arange(5), 3, [0, 2]])), d.draw(_arg([0.0, 2.0]))),
-    "twin_beam_joint": lambda d: pc.twin_beam_joint(
-        d.draw(_arg(MEANS)), d.draw(_arg([None, 0, 5])), d.draw(_arg([1e-10, 0.5]))),
-    "coherent_pair_joint": lambda d: pc.coherent_pair_joint(
-        d.draw(_arg(MEANS)), d.draw(_arg([None, 0, 5])), d.draw(_arg([1e-10, 0.5]))),
-    "split_thermal_joint": lambda d: pc.split_thermal_joint(
-        d.draw(_arg(MEANS)), d.draw(_arg([0.5, 0.2])), d.draw(_arg([None, 5])),
-        d.draw(_arg([1e-10, 0.5]))),
+    "source_joint": lambda d: pc.source_joint(_source(d), d.draw(_arg([1e-10, 0.5]))),
+    "twin_beam_joint": lambda d: pc.twin_beam_joint(d.draw(_arg(MEANS))),
     "multithermal_pdf": lambda d: pc.multithermal_pdf(
         np.linspace(0.0, 5.0, 6), d.draw(_arg([1, 2.5, 14])), d.draw(_arg([0.5, 3.0]))),
     "multithermal_pdf_points": lambda d: pc.multithermal_pdf(

@@ -1,5 +1,4 @@
 import math
-import time
 import tracemalloc
 from functools import partial
 
@@ -15,12 +14,10 @@ from photocorr import (
     SourceSpec,
     TailToleranceError,
     ValidationError,
-    coherent_pair_joint,
     difference_analytic,
     multimode_convolve,
     multithermal_pdf,
     source_joint,
-    split_thermal_joint,
     thermal_pmf,
     thin_joint,
     twin_beam_joint,
@@ -31,64 +28,76 @@ from photocorr.sources import _check_cutoff, _log_factorial
 
 N_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
 EFF = EfficiencyPair(0.6, 0.7)
+KINDS = ["twin_beam", "coherent_pair", "split_thermal"]
+
+
+def tol_for_cutoff(c):
+    """The tail tolerance at which a twin beam of mean 1 (tail 2**-(c+1)) gets cutoff c."""
+    return 1.5 * 2.0 ** -(c + 1)
 
 
 class TestTwinBeamJoint:
     def test_vacuum_is_delta(self):
-        j = twin_beam_joint(0.0, cutoff=4)
+        j = source_joint(SourceSpec.twin_beam(0.0))
         assert j.probs[0, 0] == 1.0
         assert j.tail_mass == 0.0
 
-    def test_explicit_cutoff_zero(self):
+    def test_cutoff_zero(self):
         # geometric series: x^2 = 1/2, p(0,0) = 1 - x^2, tail = x^2
-        j = twin_beam_joint(1.0, cutoff=0)
+        j = source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(0))
         assert j.probs[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert j.tail_mass == pytest.approx(0.5, abs=1e-15)
 
     def test_diagonal_only(self):
-        j = twin_beam_joint(2.0)
+        j = source_joint(SourceSpec.twin_beam(2.0))
         off = j.probs - np.diag(np.diag(j.probs))
         assert np.all(off == 0.0)
 
     def test_marginal_mean_approaches_n(self):
-        j = twin_beam_joint(1.0, tail_tol=1e-13)
+        j = source_joint(SourceSpec.twin_beam(1.0), 1e-13)
         n = np.arange(j.cutoff + 1)
         assert j.marginal(1) @ n == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_normalization(self, n_mean):
-        j = twin_beam_joint(n_mean)
+        j = source_joint(SourceSpec.twin_beam(n_mean))
         assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
         assert j.tail_mass <= 1e-10
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValidationError):
-            twin_beam_joint(-0.5)
+            source_joint(SourceSpec.twin_beam(-0.5))
 
     def test_tail_tolerance_error_reports_cutoff(self):
         with pytest.raises(TailToleranceError) as err:
-            twin_beam_joint(1e8)
+            source_joint(SourceSpec.twin_beam(1e8))
         assert err.value.required_cutoff > 20000
+
+    @pytest.mark.parametrize("n_mean", N_GRID)
+    def test_the_benchmark_name_is_the_single_mode_source_joint(self, n_mean):
+        want = source_joint(SourceSpec.twin_beam(n_mean))
+        got = twin_beam_joint(n_mean)
+        assert np.array_equal(got.probs, want.probs) and got.tail_mass == want.tail_mass
 
 
 class TestCoherentPairJoint:
     def test_vacuum(self):
-        j = coherent_pair_joint(0.0)
+        j = source_joint(SourceSpec.coherent_pair(0.0))
         assert j.probs[0, 0] == 1.0
 
     def test_p00_matches_direct_poisson(self):
-        j = coherent_pair_joint(1.0)
+        j = source_joint(SourceSpec.coherent_pair(1.0))
         assert j.probs[0, 0] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0, 5.0])
     def test_factorizes(self, n_mean):
-        j = coherent_pair_joint(n_mean, tail_tol=1e-13)
+        j = source_joint(SourceSpec.coherent_pair(n_mean), 1e-13)
         outer = np.outer(j.marginal(1), j.marginal(2))
         assert np.max(np.abs(j.probs - outer)) < 1e-12
 
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_normalization_and_means(self, n_mean):
-        j = coherent_pair_joint(n_mean, tail_tol=1e-13)
+        j = source_joint(SourceSpec.coherent_pair(n_mean), 1e-13)
         assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
         n = np.arange(j.cutoff + 1)
         for beam in (1, 2):
@@ -97,35 +106,35 @@ class TestCoherentPairJoint:
 
 class TestSplitThermalJoint:
     def test_vacuum(self):
-        j = split_thermal_joint(0.0)
+        j = source_joint(SourceSpec.split_thermal(0.0))
         assert j.probs[0, 0] == 1.0
 
     def test_p00_is_nu0(self):
         # zero photons in both beams requires zero input photons
-        j = split_thermal_joint(1.0)
+        j = source_joint(SourceSpec.split_thermal(1.0))
         assert j.probs[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_balanced_marginal_zero_by_geometric_series(self):
         # sum_k (1/3)(2/3)^k (1/2)^k = (1/3)/(1 - 1/3) = 1/2
-        j = split_thermal_joint(1.0, tail_tol=1e-13)
+        j = source_joint(SourceSpec.split_thermal(1.0), 1e-13)
         assert j.marginal(1)[0] == pytest.approx(0.5, rel=1e-11)
 
     def test_transparent_splitter(self):
-        j = split_thermal_joint(1.0, tau=1.0)
+        j = source_joint(SourceSpec.split_thermal(1.0, tau=1.0))
         assert np.all(j.probs[:, 1:] == 0.0)
         k = np.arange(j.cutoff + 1)
         assert np.allclose(j.probs[:, 0], thermal_pmf(k, 2.0), atol=1e-12)
 
     def test_opaque_splitter_is_exactly_thermal(self):
         # 0 * log 0 = 0 in the log-binomial: beam 1 is empty, beam 2 carries the thermal law
-        j = split_thermal_joint(1.0, tau=0.0)
+        j = source_joint(SourceSpec.split_thermal(1.0, tau=0.0))
         assert np.all(j.probs[1:, :] == 0.0)
         assert np.array_equal(j.probs[0, :], thermal_pmf(np.arange(j.cutoff + 1), 2.0))
 
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
     def test_marginals_thermal(self, n_mean, tau):
-        j = split_thermal_joint(n_mean, tau=tau, tail_tol=1e-13)
+        j = source_joint(SourceSpec.split_thermal(n_mean, tau=tau), 1e-13)
         k = np.arange(j.cutoff + 1)
         for beam, mean in ((1, 2 * n_mean * tau), (2, 2 * n_mean * (1 - tau))):
             got = j.marginal(beam)
@@ -135,7 +144,7 @@ class TestSplitThermalJoint:
 
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_normalization(self, n_mean):
-        j = split_thermal_joint(n_mean)
+        j = source_joint(SourceSpec.split_thermal(n_mean))
         assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
 
 
@@ -211,24 +220,23 @@ class TestSourceSpec:
             j = source_joint(ctor(1.0))
             assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("kind", ["twin_beam", "coherent_pair", "split_thermal"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_source_joint_is_one_of_the_mode_pairs(self, kind):
         j = source_joint(SourceSpec(kind, 10.0, 14))
         assert j.marginal(1) @ np.arange(j.cutoff + 1) == pytest.approx(10.0 / 14, rel=1e-6)
 
 
-@pytest.mark.parametrize("joint", [twin_beam_joint, coherent_pair_joint, split_thermal_joint])
-@pytest.mark.parametrize("cutoff", [-3, 2.5, math.nan])
-def test_bad_explicit_cutoff_rejected(joint, cutoff):
-    with pytest.raises(ValidationError, match="cutoff"):
-        joint(1.0, cutoff=cutoff)
-
-
-@pytest.mark.parametrize("joint", [twin_beam_joint, coherent_pair_joint, split_thermal_joint])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n_mean", [math.inf, math.nan])
-def test_non_finite_mean_rejected_by_joints(joint, n_mean):
+def test_non_finite_mean_rejected_by_joints(kind, n_mean):
     with pytest.raises(ValidationError, match="n_mean"):
-        joint(n_mean)
+        source_joint(SourceSpec(kind, n_mean))
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, -1e-10, math.nan, math.inf])
+def test_tail_tolerance_outside_zero_one_rejected(tail_tol):
+    with pytest.raises(ValidationError, match=r"tail_tol: must be a number in \(0, 1\)"):
+        source_joint(SourceSpec.split_thermal(1.0, tau=0.3), tail_tol)
 
 
 class TestTableBudget:
@@ -239,19 +247,24 @@ class TestTableBudget:
 
     # each case builds its call at the real budget; the call runs under the small one
     @pytest.mark.parametrize("prepare, cutoff", [
-        (lambda: partial(twin_beam_joint, 1.0, cutoff=100), 100),
-        (lambda: partial(twin_beam_joint, 50.0), AUTO),
-        (lambda: partial(coherent_pair_joint, 1.0, cutoff=100), 100),
-        (lambda: partial(coherent_pair_joint, 1e5), 100000),  # floor(n_mean), no cdf walk
-        (lambda: partial(coherent_pair_joint, 80.0), AUTO),  # refused after the walk
-        (lambda: partial(split_thermal_joint, 1.0, cutoff=100), 100),
-        (lambda: partial(split_thermal_joint, 50.0, 0.3), AUTO),
+        (lambda: partial(source_joint, SourceSpec.twin_beam(1.0), tol_for_cutoff(100)), 100),
+        (lambda: partial(source_joint, SourceSpec.twin_beam(50.0)), AUTO),
+        (lambda: partial(source_joint, SourceSpec.coherent_pair(70.0), 1e-3), 100),
+        # floor(n_mean), no cdf walk
+        (lambda: partial(source_joint, SourceSpec.coherent_pair(1e5)), 100000),
+        # refused after the walk
+        (lambda: partial(source_joint, SourceSpec.coherent_pair(80.0)), AUTO),
+        # each beam's tail tolerance is half the table's
+        (lambda: partial(source_joint, SourceSpec.split_thermal(1.0), tol_for_cutoff(99)), 100),
+        (lambda: partial(source_joint, SourceSpec.split_thermal(50.0, tau=0.3)), AUTO),
         (lambda: partial(loss_matrix, 0.5, 100), 100),
-        (lambda: partial(thin_joint, twin_beam_joint(1.0, cutoff=100), EFF), 100),
-        (lambda: partial(multimode_convolve, twin_beam_joint(1.0, cutoff=10), 14), 69),
+        (lambda: partial(thin_joint, source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(100)),
+                         EFF), 100),
+        (lambda: partial(multimode_convolve,
+                         source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(10)), 14), 69),
         (lambda: partial(difference_analytic, SourceSpec.twin_beam(1e6, 14), EFF), None),
-    ], ids=["twin-explicit", "twin-auto", "coherent-explicit", "coherent-auto-bound",
-            "coherent-auto-walk", "split-explicit", "split-auto", "loss_matrix", "thin_joint",
+    ], ids=["twin-100", "twin-auto", "coherent-100", "coherent-auto-bound",
+            "coherent-auto-walk", "split-100", "split-auto", "loss_matrix", "thin_joint",
             "multimode_convolve", "difference_analytic"])
     def test_refused_before_allocating(self, monkeypatch, prepare, cutoff):
         call = prepare()
@@ -271,26 +284,21 @@ class TestTableBudget:
 
     def test_edge_of_the_budget(self, monkeypatch):
         monkeypatch.setattr(sources, "_TABLE_BYTES", self.SMALL)
-        assert twin_beam_joint(1.0, cutoff=89).cutoff == 89
+        assert source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(89)).cutoff == 89
         with pytest.raises(TailToleranceError):
-            twin_beam_joint(1.0, cutoff=90)
+            source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(90))
 
     def test_real_budget(self):
         # 2**27 bytes are 2**24 points: a joint table of cutoff 4095 or the widest p(d) FFT
-        assert _check_cutoff(4095, None, 1e-10) == 4095
+        assert _check_cutoff(4095, 1e-10) == 4095
         with pytest.raises(TailToleranceError) as err:
-            _check_cutoff(4096, None, 1e-10)
+            _check_cutoff(4096, 1e-10)
         assert err.value.required_cutoff == 4096
-        for call in (partial(twin_beam_joint, 1.0, cutoff=10**6), partial(loss_matrix, 0.5, 10**6)):
+        # a twin beam of mean 1e6 needs cutoff 23 025 862 at the default tail tolerance
+        for call in (partial(source_joint, SourceSpec.twin_beam(1e6)),
+                     partial(loss_matrix, 0.5, 10**6)):
             with pytest.raises(TailToleranceError, match="128 MiB table budget"):
                 call()
-
-    def test_explicit_coherent_cutoff_skips_the_cdf_walk(self, monkeypatch):
-        monkeypatch.setattr(sources, "_poisson_cdf_grid", None)  # calling it would fail
-        start = time.perf_counter()
-        j = coherent_pair_joint(1e8, cutoff=10)
-        assert time.perf_counter() - start < 1.0
-        assert j.cutoff == 10 and j.tail_mass == 1.0
 
 
 class TestJointCountDistribution:
