@@ -267,7 +267,9 @@ def _fit_entry(values, integer_mu):
     from . import analysis
 
     fit = analysis.fit_multithermal(values, integer_mu=integer_mu)
-    return {"mu": fit.mu_hat, "v_mean": fit.v_mean_hat, "chi2_per_bin": fit.goodness,
+    # goodness is nan when no Freedman-Diaconis bin is usable; strict JSON has no NaN
+    chi2 = fit.goodness if math.isfinite(fit.goodness) else None
+    return {"mu": fit.mu_hat, "v_mean": fit.v_mean_hat, "chi2_per_bin": chi2,
             "n_clipped": fit.n_clipped}
 
 

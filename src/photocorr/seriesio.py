@@ -4,13 +4,14 @@ A series is stored as a CSV file with header ``shot,m1,m2`` (counts) or
 ``shot,v1,v2`` (volts), one row per laser shot, plus a JSON sidecar with the
 same stem carrying the calibration metadata (conversion coefficients,
 instrument-noise variances, unit) and any extra provenance the writer adds.
-Counts round-trip exactly; voltages are written with 12 significant digits.
+Counts round-trip exactly; voltages are written with 13 significant digits.
 
-Records and tables are formatted block-wise in numpy, a fixed number of rows
-at a time, with the exact bytes of C ``%d``, ``%.12g`` and ``%.12e``.  An
-element whose digits the numpy path cannot prove correctly rounded (a
-near-tie, nan, inf, a magnitude outside about 1e-296..1e308) is formatted by
-Python's ``%`` for that element alone.
+Records and tables share one format rule: the dtype of a column picks C
+``%d`` (integers) or ``%.12e`` (everything else).  They are formatted
+block-wise in numpy, a fixed number of rows at a time, with the exact bytes
+of those formats.  An element whose digits the numpy path cannot prove
+correctly rounded (a near-tie, nan, inf, a magnitude outside about
+1e-296..1e308) is formatted by Python's ``%`` for that element alone.
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ class ShotSeries:
     def __post_init__(self):
         if self.unit not in ("counts", "volts"):
             raise ValidationError(f"unit: expected 'counts' or 'volts', got {self.unit!r}")
+        # counts are written with %d, so they must be integers
+        kinds, what = ("iu", "integers") if self.unit == "counts" else ("iuf", "numbers")
         for name in ("ch1", "ch2"):  # checked as they are: counts stay int64
             try:
                 ch = np.asarray(getattr(self, name))
             except ValueError:  # a ragged sequence
-                raise ValidationError(f"{name}: expected a 1-d array of numbers") from None
-            if ch.ndim != 1 or ch.size == 0 or ch.dtype.kind not in "iuf":
-                raise ValidationError(f"{name}: expected a non-empty 1-d array of numbers, "
+                raise ValidationError(f"{name}: expected a 1-d array of {what}") from None
+            if ch.ndim != 1 or ch.size == 0 or ch.dtype.kind not in kinds:
+                raise ValidationError(f"{name}: expected a non-empty 1-d array of {what}, "
                                       f"got shape {ch.shape} and dtype {ch.dtype}")
             if ch.dtype.kind == "f" and not np.isfinite(ch).all():
                 i = int(np.argmin(np.isfinite(ch)))
@@ -82,12 +85,8 @@ def sidecar_path(csv_path) -> Path:
 
 def write_series(series: ShotSeries, csv_path, extra_meta=None) -> Path:
     csv_path = Path(csv_path)
-    counts_mode = series.unit == "counts"
-    names = ("m1", "m2") if counts_mode else ("v1", "v2")
-    value = "%d" if counts_mode else "%.12g"
-    with open(csv_path, "w") as fh:
-        fh.write(f"shot,{names[0]},{names[1]}\n")
-        _write_rows(fh, ("%d", value, value), (range(len(series.ch1)), series.ch1, series.ch2))
+    names = ("m1", "m2") if series.unit == "counts" else ("v1", "v2")
+    _write_text(csv_path, ("shot",) + names, (range(len(series.ch1)), series.ch1, series.ch2))
     meta = {
         "unit": series.unit,
         "alpha1": series.conv[0],
@@ -120,6 +119,8 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
         if not isinstance(meta, dict):
             raise DataError(f"{side}: expected a JSON object sidecar, got {type(meta).__name__}")
     unit = meta.get("unit", "counts")
+    if unit not in ("counts", "volts"):
+        raise DataError(f"{side}: unit: expected 'counts' or 'volts', got {unit!r}")
     counts_mode = unit == "counts"
     try:
         ch1, ch2 = _read_rows(csv_path, counts_mode)
@@ -213,10 +214,11 @@ def write_table(path, columns, fmt="tsv") -> Path:
 
     columns maps each header name to a 1-d array, all of one length
     (ValidationError otherwise, before anything is written).  The
-    dtype of a column picks its format: integer columns are written as
-    integers, all others in 12-significant-digit scientific form.  fmt
-    selects the container: "tsv" (default), "csv", or "json" (a list of row
-    objects keyed by the header names); the path suffix is adjusted to match.
+    dtype of a column picks its format, as in a shot record: integer columns
+    are written as integers, all others in 13-significant-digit scientific
+    form.  fmt selects the container: "tsv" (default), "csv", or "json" (a
+    list of row objects keyed by the header names); the path suffix is
+    adjusted to match.
     """
     path = Path(path).with_suffix(f".{fmt}")
     cols = [np.asarray(c) for c in columns.values()]
@@ -229,12 +231,15 @@ def write_table(path, columns, fmt="tsv") -> Path:
             json.dump([dict(zip(columns, r)) for r in rows], fh, indent=2)
             fh.write("\n")
         return path
-    sep = {"tsv": "\t", "csv": ","}[fmt]
-    specs = ["%d" if np.issubdtype(c.dtype, np.integer) else "%.12e" for c in cols]
-    with open(path, "w") as fh:
-        fh.write(sep.join(columns) + "\n")
-        _write_rows(fh, specs, cols, sep)
+    _write_text(path, columns, cols, {"tsv": "\t", "csv": ","}[fmt])
     return path
+
+
+def _write_text(path, header, columns, sep=","):
+    """A text file of the header names and then the rows of the columns."""
+    with open(path, "w") as fh:
+        fh.write(sep.join(header) + "\n")
+        _write_rows(fh, columns, sep)
 
 
 # Rows formatted per block: a block of a five-column table holds about 0.4 MB
@@ -243,7 +248,7 @@ _BLOCK_ROWS = 1024
 
 # Fields are rows of little-endian uint64 words: byte i of a word is bits
 # 8i..8i+7.  NUL bytes pad a field anywhere and are dropped before writing.
-_ZERO, _POINT, _MINUS = ord("0"), ord("."), ord("-")
+_ZERO, _MINUS = ord("0"), ord("-")
 
 
 def _words(texts):
@@ -251,26 +256,19 @@ def _words(texts):
     return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), "<u8").astype(np.uint64)
 
 
-# The four zero-padded digits of every integer below 10**4 ("0042") as a word,
-# and the number of their trailing zeros (4 for 0).
+# The four zero-padded digits of every integer below 10**4 ("0042") as a word.
 _digit_bytes = np.zeros((10, 10, 10, 10, 8), np.uint8)
 for _k in range(4):
     _digit_bytes[..., _k] = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8).reshape((10,) + (1,) * (3 - _k))
 _FOUR_DIGITS = _digit_bytes.view("<u8").ravel().astype(np.uint64)
-_TRAILING_ZEROS = np.zeros(10_000, np.int8)
-for _k in range(1, 5):
-    _TRAILING_ZEROS.reshape(-1, 10**_k)[:, 0] += 1
 del _digit_bytes, _k
 
-# 'e' and the signed exponent, at least two digits, for -330..330; the last entry is empty.
+# 'e' and the signed exponent, at least two digits, for -330..330.
 _EXP_MIN = -330
-_EXPONENTS = _words([f"e{k:+03d}" for k in range(_EXP_MIN, -_EXP_MIN + 1)] + [""])
+_EXPONENTS = _words([f"e{k:+03d}" for k in range(_EXP_MIN, -_EXP_MIN + 1)])
 
 # What %.12e prints after the sign: the lead digit and the point.
 _LEAD_DIGIT = _words([f"\0{d}." for d in range(10)])
-
-# What %g prints before the digits of a value below 1e-1, indexed by -exponent (0 for none).
-_SMALL_PREFIX = _words(["", "0.", "0.0", "0.00", "0.000"])
 
 _POW10_INT = np.array([10**k for k in range(20)], dtype=np.uint64)
 _BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # low k bytes
@@ -281,31 +279,32 @@ _POW10_MIN, _POW10_MAX = -300, 308
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, _POW10_MAX + 1)])
 
 
-def _write_rows(fh, specs, columns, sep=","):
-    """Write the rows read across the columns, spec % value per field.
+def _write_rows(fh, columns, sep=","):
+    """Write the rows read across the columns: %d of an integer column (a range
+    or an array of integer dtype), %.12e of any other.
 
-    Byte for byte the text of sep.join(specs) % row + "\\n" for each row of
+    Byte for byte the text of sep.join(formats) % row + "\\n" for each row of
     zip(*columns), built a block of rows at a time: every column becomes a
     NUL-padded field matrix ending in its separator (a newline for the last
     column), the fields are joined, and the NUL bytes are dropped before the
-    block is written to the text handle fh.  Adjacent columns of one spec and
-    dtype on a numpy path are formatted in one call.
+    block is written to the text handle fh.  Adjacent columns of one dtype are
+    formatted in one call.
     """
+    columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     n = min((len(c) for c in columns), default=0)
     tails = [ord(sep)] * (len(columns) - 1) + [ord("\n")]
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        runs = []  # (spec, dtype), the column blocks, their tails
-        for spec, col, tail in zip(specs, columns, tails):
+        runs = []  # dtype, the column blocks, their tails
+        for col, tail in zip(columns, tails):
             values = _block(col, lo, hi)
-            key = (spec, np.asarray(values).dtype)
-            if runs and runs[-1][0] == key and _numpy_path(*key):
+            if runs and runs[-1][0] == values.dtype:
                 runs[-1][1].append(values)
                 runs[-1][2].append(tail)
             else:
-                runs.append((key, [values], [tail]))
-        text = np.concatenate([_format_run(spec, parts, run_tails)
-                               for (spec, _), parts, run_tails in runs], axis=1).tobytes()
+                runs.append((values.dtype, [values], [tail]))
+        text = np.concatenate([_format_run(parts, run_tails) for _, parts, run_tails in runs],
+                              axis=1).tobytes()
         text = text.translate(None, b"\0")
         fh.write(text.decode("ascii"))
 
@@ -316,42 +315,37 @@ def _block(col, lo, hi):
     return np.arange(part.start, part.stop, part.step) if isinstance(part, range) else part
 
 
-def _numpy_path(spec, dtype):
-    """Whether values of dtype are formatted by numpy under spec (as doubles for floats)."""
-    return dtype.kind in ("biu" if spec == "%d" else "biuf") and spec in ("%d", "%.12e", "%.12g")
-
-
-def _format_run(spec, parts, tails):
-    """The fields of adjacent column blocks, one row of words per row."""
+def _format_run(parts, tails):
+    """The fields of adjacent column blocks of one dtype, one row of words per row."""
     rows = len(parts[0])
     values = parts[0] if len(parts) == 1 else np.stack(parts, axis=1).ravel()
-    return _format_column(spec, values, np.tile(np.array(tails, np.uint64), rows)).reshape(rows, -1)
+    return _format_column(values, np.tile(np.array(tails, np.uint64), rows)).reshape(rows, -1)
 
 
-def _format_column(spec, values, tails):
-    """Words of spec % v for each v, one NUL-padded row each, ending in its tail byte.
+def _format_column(values, tails):
+    """Words of %d (integer dtypes) or %.12e (any other) of each value, one
+    NUL-padded row each, ending in its tail byte.
 
-    Integer and boolean values take the %d path; integers, booleans and
-    floats take the %.12e / %.12g path as doubles (the conversion Python's %
-    makes).  Any other dtype, %d of a float, and the values the float path
-    cannot prove correctly rounded, are formatted by Python's % value by value.
+    Floats and booleans take the %.12e path as doubles (the conversion
+    Python's % makes).  Any other dtype (objects, complex numbers), and the
+    values the float path cannot prove correctly rounded, are formatted by
+    Python's % value by value.
     """
-    arr = np.asarray(values)
-    if not _numpy_path(spec, arr.dtype):
-        return _python_fields(spec, values, tails)
-    if spec == "%d":
-        return _format_d(arr, tails)
-    x = arr.astype(np.float64, copy=False)
-    words, ok = _format_float(x, spec == "%.12e", tails)
+    if values.dtype.kind in "iu":
+        return _format_d(values, tails)
+    if values.dtype.kind not in "bf":
+        return _python_fields(values, tails)
+    x = values.astype(np.float64, copy=False)
+    words, ok = _format_float(x, tails)
     redo = np.flatnonzero(~ok)
     if redo.size:
-        words[redo] = _python_fields(spec, x[redo].tolist(), tails[redo], words.shape[1])
+        words[redo] = _python_fields(x[redo].tolist(), tails[redo], words.shape[1])
     return words
 
 
-def _python_fields(spec, values, tails, n_words=1):
-    """spec % v by Python for each v, as rows of at least n_words words."""
-    raw = np.array([spec % v for v in values], dtype="S")
+def _python_fields(values, tails, n_words=1):
+    """%.12e % v by Python for each v, as rows of at least n_words words."""
+    raw = np.array(["%.12e" % v for v in values], dtype="S")
     words = np.zeros((len(raw), max(n_words, raw.itemsize // 8 + 1)), np.uint64)
     fields = words.view(np.uint8)
     fields[:, :raw.itemsize] = raw.view(np.uint8).reshape(len(raw), -1)
@@ -369,7 +363,7 @@ def _quads(v, n):
 
 
 def _format_d(v, tails):
-    """%d of integers of any width, signed or not, and of booleans."""
+    """%d of integers of any width, signed or not."""
     mag = v.astype(np.uint64)
     neg = v < 0
     np.negative(mag, out=mag, where=neg)  # two's complement: |int64 min| is 2**63
@@ -416,44 +410,15 @@ def _round_significant(x, n):
     return m, np.where(ok, (n - 1) - k + carry, 0), ok | (a == 0)
 
 
-def _format_float(x, e_form, tails):
-    """%.12e (e_form) or %.12g words of doubles, and where they are right.
-
-    %.12e is the lead digit, the point, 12 digits and the exponent.  For
-    %.12g, with X the exponent after rounding to 12 digits, -4 <= X < 12
-    prints fixed-point (X < 0 as '0.' and -X - 1 zeros before the digits),
-    any other X in exponent form; trailing zeros of the fraction are dropped,
-    and the point with them when no fraction digit is left.
-    """
-    m, exp, ok = _round_significant(x, 13 if e_form else 12)
-    sign = np.signbit(x).astype(np.uint64) * _MINUS
-    words = np.empty((len(x), 4), np.uint64)  # sign and what precedes the 12 digits; 8; 4; exponent
-    if e_form:
-        lead = m // 10**12
-        m = m - lead * 10**12
-        words[:, 0] = sign | _LEAD_DIGIT[lead]
-        words[:, 3] = _EXPONENTS[exp - _EXP_MIN] | tails << 56
-    high, mid, low = _quads(m, 3)
-    a = _FOUR_DIGITS[high] | _FOUR_DIGITS[mid] << 32
-    b = _FOUR_DIGITS[low]
-    if not e_form:
-        # keep the significant digits and every integer digit
-        n_sig = np.where(low != 0, 12 - _TRAILING_ZEROS[low],
-                         np.where(mid != 0, 8 - _TRAILING_ZEROS[mid], 4 - _TRAILING_ZEROS[high]))
-        fixed = (exp >= -4) & (exp < 12)
-        n_int = np.where(fixed, np.maximum(exp + 1, 0), 1)
-        n_kept = np.maximum(n_sig, n_int)
-        a &= _BYTE_MASK[np.minimum(n_kept, 8)]
-        b &= _BYTE_MASK[np.maximum(n_kept - 8, 0)]
-        # insert the point after n_int digits (a NUL where the point is dropped)
-        point = ((n_kept > n_int) & (n_int > 0)).astype(np.uint64) * _POINT
-        in_a = n_int < 8
-        at = (n_int % 8).astype(np.uint64)
-        word = np.where(in_a, a, b)
-        word = word & _BYTE_MASK[at] | point << 8 * at | (word & ~_BYTE_MASK[at]) << 8
-        a, b = np.where(in_a, word, a), np.where(in_a, b << 8 | a >> 56, word)
-        words[:, 0] = sign | _SMALL_PREFIX[np.where(fixed & (exp < 0), -exp, 0)] << 8
-        words[:, 3] = _EXPONENTS[np.where(fixed, -1, exp - _EXP_MIN)] | tails << 56
-    words[:, 1] = a
-    words[:, 2] = b
+def _format_float(x, tails):
+    """%.12e words of doubles, and where they are right: the sign, the lead
+    digit, the point, 12 digits and the exponent."""
+    m, exp, ok = _round_significant(x, 13)
+    lead = m // 10**12
+    high, mid, low = _quads(m - lead * 10**12, 3)
+    words = np.empty((len(x), 4), np.uint64)
+    words[:, 0] = np.signbit(x).astype(np.uint64) * _MINUS | _LEAD_DIGIT[lead]
+    words[:, 1] = _FOUR_DIGITS[high] | _FOUR_DIGITS[mid] << 32
+    words[:, 2] = _FOUR_DIGITS[low]
+    words[:, 3] = _EXPONENTS[exp - _EXP_MIN] | tails << 56
     return words, ok

@@ -241,12 +241,10 @@ def source_joint(src: SourceSpec, tail_tol=DEFAULT_TAIL_TOL):
         probs[k, k] = thermal_pmf(k, n)
         return JointCountDistribution(probs, (n / (1.0 + n)) ** (c + 1))
     if src.kind == COHERENT_PAIR:
-        # floor(n) bounds the walk below (tail_tol < 1): an oversized table never walks
+        # floor(n) bounds the cutoff below (tail_tol < 1): an oversized table never walks
         c = _check_cutoff(int(n), tail_tol)
         if n > 0.0:
-            # Poisson tail bound via Chernoff is loose; walk the cdf directly.
-            required = int(np.searchsorted(_poisson_cdf_grid(n), 1.0 - tail_tol / 2) + 1)
-            c = _check_cutoff(required, tail_tol)
+            c = _check_cutoff(_poisson_cutoff(n, tail_tol / 2), tail_tol)
         pk = _poisson_pmf(np.arange(c + 1), n)
         probs = np.outer(pk, pk)
     else:
@@ -327,6 +325,15 @@ def _poisson_pmf(k, lam):
     return np.exp(k * math.log(lam) - lam - _log_factorial(int(k.max(initial=0)))[k])
 
 
-def _poisson_cdf_grid(lam):
-    top = int(lam + 20 * math.sqrt(lam) + 40)
-    return np.cumsum(_poisson_pmf(np.arange(top), lam))
+def _poisson_cutoff(lam, tol):
+    """Smallest c with P(X >= c) <= tol for X ~ Poisson(lam > 0), read from the exact
+    upper tail: the pmf summed from the end of a grid 0..top, not 1 - cdf, whose
+    rounding error of about 1e-16 hides smaller tails.  With t = top - lam, the grid
+    ends where Bernstein's closed-form relaxation of the Chernoff bound
+    e**-lam (e lam / k)**k, P(X >= lam + t) <= exp(-t**2 / (2 (lam + t / 3))), falls
+    below tol * 2**-53, so the mass beyond it is below the rounding of the tail at c."""
+    # tol is 0 when tail_tol is the least double, whose half rounds to 0
+    log_out = 53 * math.log(2.0) - math.log(max(tol, _TINY))
+    t = log_out / 3.0 + math.sqrt(log_out * log_out / 9.0 + 2.0 * log_out * lam)
+    tail = np.cumsum(_poisson_pmf(np.arange(int(lam + t) + 2), lam)[::-1])[::-1]
+    return int(np.count_nonzero(tail > tol))  # tail is non-increasing

@@ -17,7 +17,7 @@ from photocorr import (
     thin_joint,
 )
 from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
-from photocorr.seriesio import write_table
+from photocorr.seriesio import ShotSeries, write_series, write_table
 
 
 def write_config(tmp_path, name, payload):
@@ -28,6 +28,13 @@ def write_config(tmp_path, name, payload):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_json(path):
+    """The report at path, parsed by a parser that refuses NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestSimulate:
@@ -279,6 +286,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "v.json" in err and key in err
 
+    @pytest.mark.parametrize("unit", ["amps", 5, ["volts"], None])
+    def test_bad_unit_exits_3(self, tmp_path, capsys, unit):
+        csv = tmp_path / "v.csv"
+        csv.write_text("shot,v1,v2\n" + "".join(f"{i},{0.5 * i},{3.0 - 0.1 * i}\n" for i in range(31)))
+        (tmp_path / "v.json").write_text(json.dumps({"unit": unit}))
+        cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "v.json: unit" in err
+
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("shot,m1,m2\n0,1,x\n")
@@ -294,6 +311,22 @@ class TestAnalyze:
 
 
 class TestFitCommand:
+    def test_reports_without_a_goodness_are_strict_json(self, tmp_path):
+        # values nearly all 50: the IQR is 0, so no Freedman-Diaconis bin is usable
+        counts = np.full(1200, 50)
+        counts[:3] = 49, 51, 53
+        csv = write_series(ShotSeries(counts, counts[::-1], "counts"), tmp_path / "flat.csv")
+        out = tmp_path / "out"
+        out.mkdir()
+        fit = write_config(tmp_path, "fit_cfg.json", {"input": str(csv)})
+        ana = write_config(tmp_path, "ana_cfg.json", {"input": str(csv), "fit": True})
+        assert run(["fit", "--config", fit, "--out", out]) == EXIT_OK
+        assert run(["analyze", "--config", ana, "--out", out]) == EXIT_OK
+        assert strict_json(out / "fit.json")["chi2_per_bin"] is None
+        report = strict_json(out / "analysis.json")
+        for channel in (1, 2):
+            assert report[f"multithermal_fit_channel{channel}"]["chi2_per_bin"] is None
+
     def test_fit_channel(self, tmp_path):
         sim = write_config(tmp_path, "sim.json", {
             "source": "split_thermal", "n_mean": 200.0, "mu": 14,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
+from scipy.stats import poisson
 
 from photocorr import (
     DifferenceDistribution,
@@ -94,6 +95,17 @@ class TestCoherentPairJoint:
         j = source_joint(SourceSpec.coherent_pair(n_mean), 1e-13)
         outer = np.outer(j.marginal(1), j.marginal(2))
         assert np.max(np.abs(j.probs - outer)) < 1e-12
+
+    @pytest.mark.parametrize("n_mean, tail_tol, cutoff", [
+        (60.0, 1e-10, 117), (10.0, 1e-10, 37), (1.0, 1e-10, 14), (0.3, 1e-10, 9),
+        (1000.0, 1e-10, 1212), (60.0, 1e-14, 130), (1.0, 1e-16, 19), (1.0, 1e-300, 167),
+        (1e-300, 1e-300, 2),
+    ])
+    def test_cutoff_is_the_least_whose_tail_is_within_half_the_tolerance(self, n_mean, tail_tol,
+                                                                          cutoff):
+        c = source_joint(SourceSpec.coherent_pair(n_mean), tail_tol).cutoff
+        assert poisson.sf(c - 1, n_mean) <= tail_tol / 2 < poisson.sf(c - 2, n_mean)  # P(X >= c)
+        assert c == cutoff
 
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_normalization_and_means(self, n_mean):
