@@ -406,8 +406,10 @@ def test_a_million_random_doubles():
     ("carries", CARRIES),
     ("ties", TIES),
 ])
-def test_hard_doubles(name, values):
-    _assert_same([values, -values])
+@pytest.mark.parametrize("layout", ["alone", "run"])
+def test_hard_doubles(name, values, layout):
+    # a column alone is formatted as it is; adjacent columns of one dtype are stacked first
+    _assert_same([values] if layout == "alone" else [values, -values])
 
 
 @pytest.mark.parametrize("values", [

@@ -99,13 +99,23 @@ class TestCoherentPairJoint:
     @pytest.mark.parametrize("n_mean, tail_tol, cutoff", [
         (60.0, 1e-10, 117), (10.0, 1e-10, 37), (1.0, 1e-10, 14), (0.3, 1e-10, 9),
         (1000.0, 1e-10, 1212), (60.0, 1e-14, 130), (1.0, 1e-16, 19), (1.0, 1e-300, 167),
-        (1e-300, 1e-300, 2),
+        (1e-300, 1e-300, 2), (1000.0, 1e-14, 1255), (60.0, 1e-300, 532), (10.0, 1e-30, 66),
+        (0.3, 1e-300, 135),
     ])
     def test_cutoff_is_the_least_whose_tail_is_within_half_the_tolerance(self, n_mean, tail_tol,
                                                                           cutoff):
         c = source_joint(SourceSpec.coherent_pair(n_mean), tail_tol).cutoff
         assert poisson.sf(c - 1, n_mean) <= tail_tol / 2 < poisson.sf(c - 2, n_mean)  # P(X >= c)
         assert c == cutoff
+
+    @pytest.mark.parametrize("n_mean", [1e5, 1e300])
+    def test_an_oversized_table_is_refused_before_the_tail_is_walked(self, monkeypatch, n_mean):
+        # the cutoff is at least floor(n_mean), so the budget refuses the table first
+        def walk(lam, tol):
+            raise AssertionError("the tail was walked")
+        monkeypatch.setattr(sources, "_poisson_cutoff", walk)
+        with pytest.raises(TailToleranceError, match="table budget"):
+            source_joint(SourceSpec.coherent_pair(n_mean))
 
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_normalization_and_means(self, n_mean):
