@@ -1,9 +1,10 @@
 """Joint photon statistics of the three benchmark sources, before and after
 detection.
 
-Builds the exact joint distributions at equal energy, applies binomial
-thinning with realistic quantum efficiencies, and prints the detected-count
-moments next to their closed forms.
+Builds the exact joint distributions at equal energy, detects them with
+realistic quantum efficiencies in two ways (the detected table straight from
+the source's generating function, and binomial thinning of the photon table),
+and prints the detected-count moments next to their closed forms.
 """
 
 import numpy as np
@@ -19,20 +20,29 @@ from photocorr import (
 
 N_MEAN = 1.5
 EFF = EfficiencyPair(0.67, 0.67)
+TAIL_TOL = 1e-12
 
 print(f"per-beam mean photon number N = {N_MEAN}, efficiencies {EFF.eta1}/{EFF.eta2}")
 print()
 
 for kind in ("twin_beam", "coherent_pair", "split_thermal"):
     src = SourceSpec(kind, N_MEAN)
-    joint = source_joint(src, tail_tol=1e-12)
-    print(f"--- {kind} (cutoff {joint.cutoff}, tail mass {joint.tail_mass:.2e})")
+    photons = source_joint(src, tail_tol=TAIL_TOL)
+    print(f"--- {kind} (photon table cutoff {photons.cutoff})")
 
-    # corner of the photon-number matrix
+    # corners of the photon-number matrix and of the two detected-count matrices
+    detected = source_joint(src, EFF, TAIL_TOL)
+    thinned = thin_joint(photons, EFF)
     with np.printoptions(precision=4, suppress=True):
-        print(joint.probs[:4, :4])
+        print("photon numbers")
+        print(photons.probs[:4, :4])
+        print(f"detected, from the generating function (cutoff {detected.cutoff})")
+        print(detected.probs[:4, :4])
+        print(f"detected, by thinning the photon table (cutoff {thinned.cutoff})")
+        print(thinned.probs[:4, :4])
+    gap = np.abs(detected.probs[:4, :4] - thinned.probs[:4, :4]).max()
+    print(f"largest difference in the corner: {gap:.1e}")
 
-    detected = thin_joint(joint, EFF)
     m = detected_moments(detected)
     closed = analytic_moments(src, EFF)
     print(f"detected means     {m.mean1:.4f} / {m.mean2:.4f}   "

@@ -22,7 +22,7 @@ _EXPORTS = {
                  "fit_multithermal", "imbalance_bounds", "measured_correlation",
                  "measured_difference_variance", "noise_surface", "solve_pump_noise"),
     "detection": ("EfficiencyPair", "MomentSet", "analytic_moments", "detected_moments",
-                  "multimode_convolve", "thin_joint"),
+                  "multimode_convolve", "source_joint", "thin_joint", "twin_beam_joint"),
     "errors": ("DataError", "InconsistentDataError", "NoiseDominatedError", "PhotocorrError",
                "TailToleranceError", "UndefinedMarkerError", "ValidationError"),
     "markers": ("DifferenceDistribution", "VarianceReport", "correlation_coefficient",
@@ -31,8 +31,7 @@ _EXPORTS = {
     "montecarlo": ("SimulationConfig", "predicted_beam_variance", "sample_series"),
     "seriesio": ("ShotSeries", "read_series", "write_series"),
     "sources": ("COHERENT_PAIR", "SPLIT_THERMAL", "TWIN_BEAM", "JointCountDistribution",
-                "SourceSpec", "multithermal_pdf", "source_joint", "thermal_pmf",
-                "twin_beam_joint"),
+                "SourceSpec", "multithermal_pdf"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

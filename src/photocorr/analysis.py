@@ -252,16 +252,13 @@ def imbalance_bounds(sigma2_measured, m1, m2, mu, eta_nominal, kind=TWIN_BEAM):
 
 def _efficiencies(name, eta):
     """eta, a number or a non-empty array of numbers, each checked to lie in (0, 1]."""
-    try:
-        arr = np.asarray(eta)
-    except ValueError:  # nested sequences of unequal lengths
-        arr = np.empty(0)
-    if arr.ndim == 0:
+    if not isinstance(eta, (list, tuple, np.ndarray)):
         return _checked(name, eta, "(0, 1]")
+    arr = _checked_array(name, eta, "(0, 1]")
     if arr.size == 0:
         raise ValidationError(f"{name}: must be a number or a non-empty array of numbers, "
                               f"got {eta!r}")
-    return _checked_array(name, arr, "(0, 1]")
+    return arr
 
 
 @dataclass(frozen=True)

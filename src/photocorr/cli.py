@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sources
-from .detection import EfficiencyPair, multimode_convolve, thin_joint
+from .detection import EfficiencyPair, source_joint
 from .errors import (
     DataError,
     PhotocorrError,
@@ -34,7 +34,7 @@ from .errors import (
     UndefinedMarkerError,
     ValidationError,
 )
-from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec, source_joint
+from .sources import COHERENT_PAIR, SPLIT_THERMAL, TWIN_BEAM, SourceSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -153,7 +153,7 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
         seriesio.write_table(Path(out_dir) / f"diff_{kind}.tsv",
                              {"d": dd.d_values, "p": dd.probs}, fmt)
         if with_joint:
-            joint = multimode_convolve(thin_joint(source_joint(src), eff), src.mu)
+            joint = source_joint(src, eff)
             n1, n2 = np.indices(joint.probs.shape)
             seriesio.write_table(Path(out_dir) / f"joint_{kind}.tsv",
                                  {"n1": n1.ravel(), "n2": n2.ravel(), "p": joint.probs.ravel()},

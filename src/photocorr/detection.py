@@ -2,14 +2,18 @@
 
 A detector of quantum efficiency eta registers each incident photon
 independently with probability eta and produces no dark counts, so a photon
-number n yields a detected count m ~ Binomial(n, eta).  This module applies
-that map to joint distributions and provides detected-count moments in both
-distribution-derived and closed form.
+number n yields a detected count m ~ Binomial(n, eta).
 
-It is also the law core: _pgf_coefficients (the count pgf of one mode pair)
-and _pump_excess hold the package's only per-source algebra, from which the
-moments, sigma2(d), p(d), the Monte Carlo draw and the noise budget derive;
-_difference_pmf inverts the pgf of d = m1 - m2 to p(d) with one windowed FFT.
+This module is the law core: _pgf_coefficients (the count pgf of one mode
+pair, thinning included) and _pump_excess hold the package's only per-source
+algebra, from which the moments, sigma2(d), p(d), the joint tables, the Monte
+Carlo draw and the noise budget derive.  _difference_pmf inverts the pgf of
+d = m1 - m2 to p(d) with one windowed FFT, and source_joint inverts the 2-D
+pgf of (m1, m2) to the joint table with one FFT per axis.
+
+thin_joint, loss_matrix and multimode_convolve apply thinning and the sum over
+mode pairs to a table directly; no layer of the package calls them, and they
+stay for the benchmark's reference route.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from .sources import (
     _check_fields,
     _check_table,
     _checked,
-    _log_binomial,
-    _log_factorial,
 )
 
 
@@ -57,19 +59,32 @@ class MomentSet:
     cov: float
 
 
+def _log_factorial(top):
+    """log(k!) for k = 0..top, as a table to index with integer arrays."""
+    return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+
+
 def loss_matrix(eta, cutoff):
     """L[m, n] = Binomial(n, eta) pmf at m, for m, n = 0..cutoff.
 
-    Evaluated as a log-binomial (sources._log_binomial), exact at eta = 0
-    and eta = 1.  An eta outside [0, 1] (nan included) or a cutoff that is
-    not an integer >= 0 raises ValidationError; a matrix above the table
-    budget raises TailToleranceError.
+    ln L[m, n] = ln n! + (m ln eta - ln m!) + ((n - m) ln(1 - eta) - ln (n - m)!): a row, a
+    column and a Toeplitz term, the last a strided view of one vector that is -inf where
+    n < m, so that the matrix is built in one array and is 0 above the diagonal.  A power
+    term is 0 where its exponent is 0 (0 * log 0 = 0), so the pmf is exact at eta = 0 and
+    eta = 1.  An eta outside [0, 1] (nan included) or a cutoff that is not an integer >= 0
+    raises ValidationError; a matrix above the table budget raises TailToleranceError.
     """
     eta, cutoff = _checked("eta", eta, "[0, 1]"), _checked("cutoff", cutoff, "integer >= 0")
     _check_table((cutoff + 1) ** 2, f"a loss matrix of cutoff {cutoff}", cutoff)
-    m = np.arange(cutoff + 1)[:, None]
-    n = np.arange(cutoff + 1)[None, :]
-    return np.where(m <= n, np.exp(_log_binomial(m, n, eta, _log_factorial(cutoff))), 0.0)
+    k, log_fact = np.arange(cutoff + 1), _log_factorial(cutoff)
+    hit = np.where(k > 0, k * math.log(eta) if eta > 0.0 else -np.inf, 0.0) - log_fact
+    miss = np.where(k > 0, k * math.log1p(-eta) if eta < 1.0 else -np.inf, 0.0) - log_fact
+    # row m of the reversed sliding window over [-inf] * cutoff + miss reads miss[n - m]
+    lag = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.full(cutoff, -np.inf), miss)), cutoff + 1)[::-1]
+    out = log_fact[None, :] + hit[:, None]
+    out += lag
+    return np.exp(out, out=out)
 
 
 def thin_joint(dist: JointCountDistribution, eff: EfficiencyPair) -> JointCountDistribution:
@@ -79,9 +94,8 @@ def thin_joint(dist: JointCountDistribution, eff: EfficiencyPair) -> JointCountD
     count pattern at or below it); the recorded tail mass carries over.
     """
     c = dist.cutoff
-    l1 = loss_matrix(eff.eta1, c)
-    l2 = loss_matrix(eff.eta2, c)
-    thinned = l1 @ dist.probs @ l2.T
+    thinned = loss_matrix(eff.eta1, c) @ dist.probs
+    thinned = thinned @ loss_matrix(eff.eta2, c).T
     np.maximum(thinned, 0.0, out=thinned)
     return JointCountDistribution(thinned, dist.tail_mass)
 
@@ -147,12 +161,22 @@ _LN_S = np.geomspace(1e-9, 40.0, 400)
 def _log_pgf(bose, mu, x):
     """ln G**mu for mu mode pairs, G = exp(x) or 1/(1 - x); inf where 1/(1 - x) diverges.
     A complex ln(1 - x) is ln|1 - x| + i arg(1 - x), with |1 - x|**2 - 1 through the real
-    log1p: numpy's complex log1p is log(1 + x), which loses the digits of a small x."""
+    log1p: numpy's complex log1p is log(1 + x), which loses the digits of a small x.  A
+    complex x of the Bose form is overwritten with the result, so that a 2-D grid holds
+    one complex and three real tables at most."""
     if not bose:
         return mu * x
     if np.iscomplexobj(x):
         re, im = x.real, x.imag
-        return -mu * (0.5 * np.log1p(im * im - re * (2.0 - re)) + 1j * np.arctan2(-im, 1.0 - re))
+        mag = 2.0 - re
+        mag *= re
+        np.subtract(im * im, mag, out=mag)  # |1 - x|**2 - 1 = im**2 - re (2 - re)
+        np.log1p(mag, out=mag)
+        arg = np.negative(im)
+        np.arctan2(arg, 1.0 - re, out=arg)
+        np.multiply(mag, -0.5 * mu, out=re)
+        np.multiply(arg, -mu, out=im)
+        return x
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(x < 1.0, -mu * np.log1p(-x), np.inf)
 
@@ -217,6 +241,52 @@ def _difference_pmf(src: SourceSpec, eff: EfficiencyPair, tail_tol):
     if a == b:
         probs = 0.5 * (probs + probs[::-1])
     return probs, lo
+
+
+def source_joint(src: SourceSpec, eff: EfficiencyPair = EfficiencyPair(1.0, 1.0),
+                 tail_tol=DEFAULT_TAIL_TOL) -> JointCountDistribution:
+    """Joint distribution of the counts (m1, m2) detected from all mu mode pairs of a
+    source with efficiencies eff; at the default eff = (1, 1) they are photon numbers.
+
+    The pgf of (m1, m2) is G(z1, z2)**mu, with G the closed-form single-pair pgf of
+    _pgf_coefficients, whose coefficients A, B and C carry the binomial thinning.  It
+    is evaluated on the 2-D unit grid and inverted by one inverse FFT per axis, as
+    _difference_pmf inverts the pgf of d.  The window 0..c is square: c is the larger
+    of the two beams' Chernoff edges (_tail_edge on the marginal pgfs G(z, 1)**mu and
+    G(1, z)**mu) at tail_tol / 4, so at most tail_tol / 2 of the mass lies beyond it.
+    Counts are >= 0, so an FFT of exactly c + 1 points per axis folds into the window
+    only that mass.  tail_mass is max(0, 1 - probs.sum()), which is rounding-level.
+    """
+    tail_tol = _checked("tail_tol", tail_tol, "(0, 1)")
+    bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
+                                            eff.eta1, eff.eta2)
+    log_tol = math.log(tail_tol / 4.0)
+    with np.errstate(over="ignore"):  # a bound that overflows is inf, never the least
+        edge = max(_tail_edge(_log_pgf(bose, src.mu, rate * np.expm1(_LN_S)), rate, log_tol)
+                   for rate in (a, b))
+    m = edge + 1
+    _check_table(m * m, f"a joint table of cutoff {edge} (for tail tolerance {tail_tol:g})",
+                 edge)
+    # u = z - 1 at z = exp(-i theta), the points ifft and irfft invert; x = A u1 + B u2
+    # + C u1 u2 is written as (A - C) u1 + (B - C) u2 + C (z1 z2 - 1), with z1 z2 - 1 read
+    # from u at theta1 + theta2 (a Hankel view), not the cancelling sum u1 + u2 + u1 u2
+    theta = 2.0 * np.pi / m * np.arange(m)
+    u = -2.0 * np.sin(theta / 2.0) ** 2 - 1j * np.sin(theta)
+    u1, u2 = u[:, None], u[None, :m // 2 + 1]
+    u12 = np.lib.stride_tricks.sliding_window_view(np.concatenate((u, u)), m // 2 + 1)[:m]
+    x = (a - c) * u1 + (b - c) * u2
+    x += c * u12
+    x = _log_pgf(bose, src.mu, x)
+    x = np.fft.ifft(np.exp(x, out=x), axis=0)
+    probs = np.fft.irfft(x, m, axis=1)
+    np.maximum(probs, 0.0, out=probs)
+    return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
+
+
+def twin_beam_joint(n_mean):
+    """source_joint of a single-mode twin beam of mean n_mean.  Kept only because the
+    benchmark's library step (perfbench/libstep.py) calls it by this name."""
+    return source_joint(SourceSpec.twin_beam(n_mean))
 
 
 def _pump_excess(kind, n, mu):

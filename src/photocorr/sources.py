@@ -9,8 +9,10 @@ photon number N (the total over all populated modes):
 * split thermal: a thermal beam of mean 2N divided on a beam splitter of
   transmissivity tau (classically correlated outputs).
 
-Joint distributions are exact but truncated; source_joint records the
-probability mass left outside the truncation window.  _check_table refuses any
+This module holds what every layer shares: the SourceSpec that names a
+source, the JointCountDistribution of a truncated joint table (which
+detection.source_joint computes from the source's generating function), the
+multithermal intensity law and the number checks.  _check_table refuses any
 float64 table above _TABLE_BYTES (128 MiB: cutoff 4095, or a p(d) FFT of 2**24
 points) with TailToleranceError before it is allocated, in every exact layer.
 """
@@ -74,12 +76,17 @@ def _checked_array(name, values, rule):
     """The array form of _checked: values, an array of real numbers of any shape, as a
     float64 array if every element obeys the same rule of _DOMAINS (the integer rules ask
     for whole numbers), else ValidationError naming name, the index and the value of the
-    first element that does not.  An array of bools, strings or objects fails every rule.
+    first element that does not.  An array of bools, strings or objects, and a ragged
+    sequence, fail every rule.
     A float goes to _checked and comes back a float, so scalar callers pay no array cost."""
     if isinstance(values, float):
         return _checked(name, values, rule)
     text, least, greatest, integer = _DOMAINS[rule]
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ValidationError(f"{name}: must be an array of numbers, got nested "
+                              f"sequences of unequal lengths") from None
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{name}: must be an array of numbers, got dtype {arr.dtype}")
     x = arr.astype(float, copy=False)
@@ -151,8 +158,9 @@ class JointCountDistribution:
     """Truncated joint probability matrix over photon (or count) pairs.
 
     probs[n1, n2] is the probability of n1 counts on beam 1 and n2 on
-    beam 2, for n1, n2 = 0..cutoff.  tail_mass is the probability left
-    outside the window, so probs.sum() + tail_mass == 1.
+    beam 2, for n1, n2 = 0..cutoff.  tail_mass is the probability that
+    probs leaves out, so probs.sum() + tail_mass == 1 to 1e-12; tables built
+    by an FFT record max(0, 1 - probs.sum()), which is rounding-level.
     """
 
     probs: np.ndarray
@@ -187,86 +195,12 @@ def _checked_pmf(probs, tail_mass):
     return p
 
 
-def thermal_pmf(k, mean):
-    """Bose-Einstein (geometric) pmf with the given mean at the integers k >= 0, in log space."""
-    k = _checked_array("k", k, "integer >= 0")
-    mean = _checked("mean", mean, ">= 0")
-    if mean == 0.0:
-        return np.where(k == 0, 1.0, 0.0)
-    # (1/(1+m)) * (m/(1+m))**k, evaluated as exp() of logs for large k
-    return np.exp(k * (math.log(mean) - math.log1p(mean)) - math.log1p(mean))
-
-
-def _geometric_cutoff(mean, tail_tol):
-    """Smallest C with sum_{k>C} thermal_pmf <= tail_tol (tail = r**(C+1)); inf where r rounds to 1."""
-    if mean == 0.0:
-        return 0
-    r = mean / (1.0 + mean)
-    return max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1) if r < 1.0 else math.inf
-
-
 def _check_table(points, what, required_cutoff=None):
     """Raise TailToleranceError, before anything is allocated, when a float64
     array of `points` entries would exceed the table budget _TABLE_BYTES."""
     if 8 * points > _TABLE_BYTES:
         raise TailToleranceError(f"{what} has {points} float64 entries, above the "
                                  f"{_TABLE_BYTES / 2**20:g} MiB table budget", required_cutoff)
-
-
-def _check_cutoff(required, tail_tol):
-    """The required cutoff, checked against the table budget."""
-    if required == math.inf:
-        raise TailToleranceError(f"no finite cutoff meets tail tolerance {tail_tol:g}: the mean "
-                                 f"is too large for its tail to be computed", math.inf)
-    _check_table((required + 1) ** 2, f"a joint table of cutoff {required} "
-                 f"(for tail tolerance {tail_tol:g})", required)
-    return required
-
-
-def source_joint(src: SourceSpec, tail_tol=DEFAULT_TAIL_TOL):
-    """Joint distribution of one of the mu mode pairs of a SourceSpec, of mean
-    n = src.per_mode_mean per beam, cut where at most tail_tol of the mass lies
-    beyond the window; detection.multimode_convolve sums the mu pairs.
-
-    * twin beam: one thermal number of mean n on both beams (a diagonal matrix);
-    * coherent pair: two independent Poisson beams of mean n;
-    * split thermal: a thermal beam of mean 2n split at tau, probs[n1, n2] =
-      Binom(n1+n2, n1; tau) * thermal_pmf(n1+n2, 2n), with thermal marginals.
-    """
-    n, tail_tol = src.per_mode_mean, _checked("tail_tol", tail_tol, "(0, 1)")
-    if src.kind == TWIN_BEAM:
-        c = _check_cutoff(_geometric_cutoff(n, tail_tol), tail_tol)
-        k = np.arange(c + 1)
-        probs = np.zeros((c + 1, c + 1))
-        probs[k, k] = thermal_pmf(k, n)
-        return JointCountDistribution(probs, (n / (1.0 + n)) ** (c + 1))
-    if src.kind == COHERENT_PAIR:
-        # floor(n) bounds the cutoff below (tail_tol < 1): an oversized table never walks
-        c = _check_cutoff(int(n), tail_tol)
-        if n > 0.0:
-            c = _check_cutoff(_poisson_cutoff(n, tail_tol / 2), tail_tol)
-        pk = _poisson_pmf(np.arange(c + 1), n)
-        probs = np.outer(pk, pk)
-    else:
-        m1, m2 = 2.0 * n * src.tau, 2.0 * n * (1.0 - src.tau)
-        c = _check_cutoff(max(_geometric_cutoff(m1, tail_tol / 2),
-                              _geometric_cutoff(m2, tail_tol / 2)), tail_tol)
-        n1 = np.arange(c + 1)[:, None]
-        n2 = np.arange(c + 1)[None, :]
-        tot = n1 + n2
-        if n == 0.0:
-            probs = np.zeros((c + 1, c + 1))
-            probs[0, 0] = 1.0
-        else:
-            log_nu = tot * (math.log(2 * n) - math.log1p(2 * n)) - math.log1p(2 * n)
-            probs = np.exp(_log_binomial(n1, tot, src.tau, _log_factorial(2 * c)) + log_nu)
-    return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
-
-
-def twin_beam_joint(n_mean):
-    """source_joint of a single-mode twin beam of mean n_mean.  Kept only because the
-    benchmark's library step (perfbench/libstep.py) calls it by this name."""
-    return source_joint(SourceSpec.twin_beam(n_mean))
 
 
 def multithermal_pdf(v, mu, v_mean):
@@ -298,42 +232,3 @@ def multithermal_pdf(v, mu, v_mean):
         out[~pos] = 1.0 / v_mean
     _checked_array("the multithermal density", out, "finite")
     return out[0] if scalar else out
-
-
-def _log_factorial(top):
-    """log(k!) for k = 0..top, as a table to index with integer arrays."""
-    return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
-
-
-def _log_binomial(k, n, p, log_fact):
-    """log of the Binomial(n, p) pmf at k, for integer arrays 0 <= k <= n.
-
-    log_fact is a _log_factorial table reaching max(n).  The power terms are
-    taken as 0 where their exponent is 0 (0 * log 0 = 0), so the pmf is exact
-    at p = 0 and p = 1.  Entries with k > n are meaningless; callers mask them.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (log_fact[n] - log_fact[k] - log_fact[np.maximum(n - k, 0)]
-                + np.where(k > 0, k * np.log(p), 0.0)
-                + np.where(n - k > 0, (n - k) * np.log1p(-p), 0.0))
-
-
-def _poisson_pmf(k, lam):
-    k = np.asarray(k)
-    if lam == 0.0:
-        return np.where(k == 0, 1.0, 0.0)
-    return np.exp(k * math.log(lam) - lam - _log_factorial(int(k.max(initial=0)))[k])
-
-
-def _poisson_cutoff(lam, tol):
-    """Smallest c with P(X >= c) <= tol for X ~ Poisson(lam > 0), read from the exact
-    upper tail: the pmf summed from the end of a grid 0..top, not 1 - cdf, whose
-    rounding error of about 1e-16 hides smaller tails.  With t = top - lam, the grid
-    ends where Bernstein's closed-form relaxation of the Chernoff bound
-    e**-lam (e lam / k)**k, P(X >= lam + t) <= exp(-t**2 / (2 (lam + t / 3))), falls
-    below tol * 2**-53, so the mass beyond it is below the rounding of the tail at c."""
-    # tol is 0 when tail_tol is the least double, whose half rounds to 0
-    log_out = 53 * math.log(2.0) - math.log(max(tol, _TINY))
-    t = log_out / 3.0 + math.sqrt(log_out * log_out / 9.0 + 2.0 * log_out * lam)
-    tail = np.cumsum(_poisson_pmf(np.arange(int(lam + t) + 2), lam)[::-1])[::-1]
-    return int(np.count_nonzero(tail > tol))  # tail is non-increasing

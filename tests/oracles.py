@@ -1,4 +1,14 @@
-"""An independent oracle for p(d), the law of d = m1 - m2, at any brightness.
+"""Independent oracles: the one-pair joint photon table, built term by term, and
+p(d), the law of d = m1 - m2, at any brightness.
+
+single_pair_joint writes the photon-number law of one mode pair of each source
+in closed form, at an explicit cutoff: a thermal number on both beams for the
+twin beam, two Poisson beams for the coherent pair, and a thermal beam of mean
+2n split binomially for split thermal light.  Thinned by detection.thin_joint
+and summed over the mu pairs by detection.multimode_convolve, it is the
+reference for the package's pgf inversion, detection.source_joint.
+
+For p(d):
 
 Conditional on a common intensity g, the two detected counts are independent
 Poisson counts of means g alpha and g beta, so d is a Skellam difference.  g is
@@ -12,22 +22,31 @@ source at per-mode mean n = N / mu, not from the package's pgf coefficients:
 
 (a twin-beam pair detected on both sides moves neither count's difference, so
 only the photons lost on the other side count).  p(d) is the g integral of the
-Skellam pmf: a trapezoid rule around the conditional peak g* = d / (alpha - beta)
-when alpha != beta, and Gauss-Laguerre quadrature when alpha == beta, where the
-conditional law no longer pins g.
+Skellam pmf.  When alpha != beta it is a trapezoid rule over t = ln g, centred
+on the peak of the whole integrand, ln p(d | g) + ln f_Gamma(g; mu) + t, with
+nodes spaced by its width 1 / sqrt(-F''(t*)); both are found by a few Newton
+steps from the peak of the normal approximation of the Skellam law.  The
+integrand is close to a Gaussian at the bright end, where the conditional law
+pins g, and close to the Gamma density at the faint end, where it does not;
+over ln g it is smooth and decays fast at both ends, so the rule holds at both,
+for mu >= 2.  When alpha == beta it is Gauss-Laguerre quadrature.
 """
 
 import math
 
 import numpy as np
 from scipy.special import gammaln, ive, roots_genlaguerre
+from scipy.stats import binom, poisson
+
+from photocorr import JointCountDistribution
 
 #: |d| from which the Skellam pmf takes the Debye expansion of I_nu, four terms
 #: (relative error about u_5 / nu**5 < 1e-15); below it, scipy's ive.
 DEBYE_FROM = 1000
 
-#: Trapezoid nodes at +-12 conditional widths, two per width; Gauss-Laguerre order.
-WIDTHS, STEPS_PER_WIDTH, LAGUERRE_NODES = 12, 2, 48
+#: Trapezoid nodes at +-16 widths of the integrand's peak, two per width; Newton steps
+#: to the peak; Gauss-Laguerre order.
+WIDTHS, STEPS_PER_WIDTH, NEWTON_STEPS, LAGUERRE_NODES = 16, 2, 6, 48
 
 # Debye polynomials u_k(t) of I_nu(nu z), t = 1 / sqrt(1 + z**2): u_k = t**k P_k(t**2), with
 # the coefficients of P_k over its common denominator
@@ -37,6 +56,48 @@ _DEBYE = [
     (np.array([30375.0, -369603.0, 765765.0, -425425.0]), 414720.0),
     (np.array([4465125.0, -94121676.0, 349922430.0, -446185740.0, 185910725.0]), 39813120.0),
 ]
+
+
+def thermal_pmf(k, mean):
+    """Bose-Einstein (geometric) pmf of the given mean at the integers k >= 0."""
+    if mean == 0.0:
+        return np.where(k == 0, 1.0, 0.0)
+    return np.exp(k * (math.log(mean) - math.log1p(mean)) - math.log1p(mean))
+
+
+def single_pair_joint(spec, cutoff):
+    """The photon-number table of one of the mu mode pairs of a SourceSpec (per-mode mean
+    n per beam) over 0..cutoff on each beam, with tail_mass the mass it leaves out."""
+    n, k = spec.n_mean / spec.mu, np.arange(cutoff + 1)
+    if spec.kind == "twin_beam":
+        probs = np.diag(thermal_pmf(k, n))
+    elif spec.kind == "coherent_pair":
+        probs = np.outer(poisson.pmf(k, n), poisson.pmf(k, n))
+    else:
+        total = k[:, None] + k[None, :]
+        probs = binom.pmf(k[:, None], total, spec.tau) * thermal_pmf(total, 2.0 * n)
+    return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
+
+
+def joint_tv(p, q):
+    """Total variation of two square tables, the smaller padded with zeros."""
+    size = max(len(p), len(q))
+    diff = np.zeros((size, size))
+    diff[:len(p), :len(p)] += p
+    diff[:len(q), :len(q)] -= q
+    return 0.5 * np.abs(diff).sum()
+
+
+def pair_cutoff(spec, tol):
+    """The least cutoff at which single_pair_joint(spec, cutoff) leaves at most tol out per
+    beam: the exact geometric tail of the brighter thermal beam, or the exact Poisson tail."""
+    n = spec.n_mean / spec.mu
+    if n == 0.0:
+        return 0
+    if spec.kind == "coherent_pair":
+        return int(poisson.isf(tol, n)) + 1
+    mean = n * (2.0 * max(spec.tau, 1.0 - spec.tau) if spec.kind == "split_thermal" else 1.0)
+    return max(0, math.ceil(math.log(tol) / -math.log1p(1.0 / mean)) - 1)
 
 
 def rates(kind, n_mean, mu, tau, eta1, eta2):
@@ -92,6 +153,32 @@ def _log_gamma_pdf(g, mu):
     return (mu - 1.0) * np.log(g) - g - math.lgamma(mu)
 
 
+def _peak(d, alpha, beta, mu):
+    """(t*, width) of the integrand of each d over t = ln g: the peak t* of
+    F(t) = ln f_Gamma(e**t; mu) + ln p(d | e**t) + t and 1 / sqrt(-F''(t*)).  The start is
+    the peak over g with p(d | g) replaced by the normal density of mean g (alpha - beta)
+    and variance g (alpha + beta), the positive root of
+    (1 + gap**2 / 2s) g**2 - (mu - 3/2) g - d**2 / 2s = 0; the Newton steps on F take
+    central differences at a tenth of the current width."""
+    gap, s = alpha - beta, alpha + beta
+    a, b, c = 1.0 + gap * gap / (2.0 * s), mu - 1.5, d * d / (2.0 * s)
+    g = (b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    t, width = np.log(g), 1.0 / np.sqrt(d * d / (g * s) + b)
+
+    def log_f(x):
+        g = np.exp(x)
+        return _log_gamma_pdf(g, mu) + skellam_logpmf(d, g * alpha, g * beta) + x
+
+    for step in range(NEWTON_STEPS + 1):
+        h = 0.1 * width
+        f0, up, down = log_f(t), log_f(t + h), log_f(t - h)
+        slope, curve = (up - down) / (2.0 * h), (up - 2.0 * f0 + down) / (h * h)
+        width = 1.0 / np.sqrt(-curve)
+        if step < NEWTON_STEPS:
+            t = t - slope / curve
+    return t, width
+
+
 def difference_pmf(kind, n_mean, mu, tau, eta1, eta2, d, block=4096):
     """p(d) at the integers d of a source of total mean n_mean per beam over mu mode pairs."""
     alpha, beta = rates(kind, n_mean, mu, tau, eta1, eta2)
@@ -104,15 +191,13 @@ def difference_pmf(kind, n_mean, mu, tau, eta1, eta2, d, block=4096):
         return np.concatenate([
             np.exp(skellam_logpmf(part[:, None], nodes * alpha, nodes * beta) + log_w).sum(axis=1)
             for part in np.array_split(d, max(1, len(d) // block))])
-    gap, s = alpha - beta, alpha + beta
     k = np.arange(-WIDTHS * STEPS_PER_WIDTH, WIDTHS * STEPS_PER_WIDTH + 1) / STEPS_PER_WIDTH
     out = []
     for part in np.array_split(d, max(1, len(d) // block)):
-        centre = np.maximum(part / gap, 0.0)
-        width = np.sqrt(centre * s + 1.0) / abs(gap)
-        g = centre[:, None] + width[:, None] * k
-        inside = g > 0.0
-        g = np.where(inside, g, 1.0)  # a placeholder, weighted 0 below
-        terms = np.exp(_log_gamma_pdf(g, mu) + skellam_logpmf(part[:, None], g * alpha, g * beta))
-        out.append(width / STEPS_PER_WIDTH * np.where(inside, terms, 0.0).sum(axis=1))
+        centre, width = _peak(part, alpha, beta, mu)
+        t = centre[:, None] + width[:, None] * k
+        g = np.exp(t)
+        terms = np.exp(_log_gamma_pdf(g, mu) + skellam_logpmf(part[:, None], g * alpha, g * beta)
+                       + t)
+        out.append(width / STEPS_PER_WIDTH * terms.sum(axis=1))
     return np.concatenate(out)

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from photocorr import (
     EfficiencyPair,
     SimulationConfig,
@@ -29,7 +30,6 @@ from photocorr import (
     fit_multithermal,
     imbalance_bounds,
     measured_difference_variance,
-    multimode_convolve,
     sample_series,
     solve_pump_noise,
     source_joint,
@@ -52,7 +52,8 @@ def report(num, name, ok, detail=""):
 
 
 def oracle_difference(kind, n_mean, eta1, eta2):
-    joint = source_joint(SourceSpec(kind, n_mean), tail_tol=1e-13)
+    src = SourceSpec(kind, n_mean)
+    joint = oracles.single_pair_joint(src, oracles.pair_cutoff(src, 1e-13))
     return difference_from_joint(thin_joint(joint, EfficiencyPair(eta1, eta2)))
 
 
@@ -175,31 +176,23 @@ def test_criterion_05_monte_carlo_consistency():
 
 
 def test_criterion_06_multimode_equivalence():
-    # a twin beam of mean 1 has tail 2**-(c+1) at cutoff c: cutoff 10
-    joint = thin_joint(source_joint(SourceSpec.twin_beam(1.0), 1.5 * 2**-11),
-                       EfficiencyPair(0.5, 0.7))
-    c = joint.cutoff
-    conv = multimode_convolve(joint, 2, tail_tol=1e-15)
+    # one thinned twin-beam pair of mean 1, cut at 40 (tail 2**-41), summed twice by
+    # nested sums, against the package's two-mode table
+    eff = EfficiencyPair(0.5, 0.7)
+    pair = thin_joint(oracles.single_pair_joint(SourceSpec.twin_beam(1.0), 40), eff).probs
+    c = len(pair) - 1
     want_joint = np.zeros((2 * c + 1, 2 * c + 1))
-    want_diff = {}
     for q1 in range(c + 1):
         for r1 in range(c + 1):
-            p1 = joint.probs[q1, r1]
-            if p1 == 0.0:
-                continue
-            for q2 in range(c + 1):
-                for r2 in range(c + 1):
-                    p = p1 * joint.probs[q2, r2]
-                    want_joint[q1 + q2, r1 + r2] += p
-                    dd = (q1 + q2) - (r1 + r2)
-                    want_diff[dd] = want_diff.get(dd, 0.0) + p
-    tv_joint = 0.5 * np.abs(
-        conv.probs - want_joint[: conv.cutoff + 1, : conv.cutoff + 1]).sum()
-    two_mode = difference_from_joint(conv)
-    tv_diff = 0.5 * sum(abs(two_mode.prob(d) - want_diff.get(d, 0.0))
-                        for d in range(-2 * c, 2 * c + 1))
+            want_joint[q1:q1 + c + 1, r1:r1 + c + 1] += pair[q1, r1] * pair
+    got = source_joint(SourceSpec.twin_beam(2.0, 2), eff, tail_tol=1e-13)
+    tv_joint = oracles.joint_tv(got.probs, want_joint)
+    two_mode = difference_from_joint(got)
+    size = max(len(want_joint), got.cutoff + 1)
+    tv_diff = 0.5 * sum(abs(two_mode.prob(d) - np.trace(want_joint, offset=-d))
+                        for d in range(-size, size + 1))
     ok = tv_joint <= 1e-9 and tv_diff <= 1e-9
-    report(6, "mu=2 convolution vs nested sums", ok,
+    report(6, "two-mode table vs nested sums", ok,
            f"TV joint {tv_joint:.2e}, TV difference {tv_diff:.2e}")
 
 

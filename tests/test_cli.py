@@ -14,7 +14,6 @@ from photocorr import (
     noise_surface,
     solve_pump_noise,
     source_joint,
-    thin_joint,
 )
 from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from photocorr.seriesio import ShotSeries, write_series, write_table
@@ -420,8 +419,7 @@ class TestAnalytic:
         cfg = write_config(tmp_path, "an.json", {"eta": [0.4, 0.9], "n_mean": 1.0,
                                                  "joint": True})
         run(["analytic", "--config", cfg, "--out", tmp_path])
-        joint = thin_joint(source_joint(SourceSpec("split_thermal", 1.0)),
-                           EfficiencyPair(0.4, 0.9))
+        joint = source_joint(SourceSpec("split_thermal", 1.0), EfficiencyPair(0.4, 0.9))
         rows = [r.split("\t") for r in
                 (tmp_path / "joint_split_thermal.tsv").read_text().splitlines()[1:]]
         side = joint.cutoff + 1

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.signal import convolve2d
-from scipy.stats import binom
+from scipy.stats import binom, nbinom, poisson
 
+import oracles
 from photocorr import (
     EfficiencyPair,
     SourceSpec,
@@ -15,10 +16,10 @@ from photocorr import (
     detected_moments,
     multimode_convolve,
     source_joint,
-    thermal_pmf,
     thin_joint,
 )
 from photocorr.detection import loss_matrix
+from photocorr.sources import DEFAULT_TAIL_TOL
 
 ETA_GRID = [0.3, 0.5, 0.67, 0.9]
 
@@ -37,7 +38,7 @@ class TestThinJoint:
 
     def test_twb_half_efficiency_p00(self):
         # geometric oracle: sum_n 0.5 * (1/8)^n = 4/7
-        j = source_joint(SourceSpec.twin_beam(1.0), 1e-14)
+        j = source_joint(SourceSpec.twin_beam(1.0), tail_tol=1e-14)
         t = thin_joint(j, EfficiencyPair(0.5, 0.5))
         assert t.probs[0, 0] == pytest.approx(4.0 / 7.0, rel=1e-12)
 
@@ -66,7 +67,7 @@ class TestThinJoint:
         j = source_joint(SourceSpec.split_thermal(n_mean), tail_tol=1e-13)
         t = thin_joint(j, EfficiencyPair(eta, eta))
         k = np.arange(t.cutoff + 1)
-        want = thermal_pmf(k, eta * n_mean)
+        want = oracles.thermal_pmf(k, eta * n_mean)
         got = t.marginal(1)
         assert np.max(np.abs(got - want)[: t.cutoff // 2]) < 1e-10
 
@@ -75,7 +76,7 @@ class TestMoments:
     @pytest.mark.parametrize("eta", ETA_GRID)
     def test_thinned_twb_moments(self, eta):
         n_mean = 1.0
-        j = source_joint(SourceSpec.twin_beam(n_mean), 1e-13)
+        j = source_joint(SourceSpec.twin_beam(n_mean), tail_tol=1e-13)
         m = detected_moments(thin_joint(j, EfficiencyPair(eta, eta)))
         assert m.mean1 == pytest.approx(eta * n_mean, rel=1e-10)
         want_var = eta**2 * n_mean * (n_mean + 1) + eta * (1 - eta) * n_mean
@@ -84,7 +85,7 @@ class TestMoments:
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eta", [(0.5, 0.5), (0.3, 0.9)])
     def test_thinned_twb_covariance(self, n_mean, eta):
-        j = source_joint(SourceSpec.twin_beam(n_mean), 1e-13)
+        j = source_joint(SourceSpec.twin_beam(n_mean), tail_tol=1e-13)
         m = detected_moments(thin_joint(j, EfficiencyPair(*eta)))
         want = eta[0] * eta[1] * n_mean * (n_mean + 1)
         assert m.cov == pytest.approx(want, rel=1e-8)
@@ -146,8 +147,9 @@ class TestMultimodeConvolve:
         assert multi.cov == pytest.approx(mu * single.cov, rel=1e-8)
 
     def test_nested_sum_oracle_small(self):
-        # direct four-index enumeration on a tiny support: cutoff 8 at tail tolerance 1e-3
-        j = thin_joint(source_joint(SourceSpec.twin_beam(0.8), 1e-3), EfficiencyPair(0.6, 0.8))
+        # direct four-index enumeration on a tiny support: cutoff 8
+        j = thin_joint(oracles.single_pair_joint(SourceSpec.twin_beam(0.8), 8),
+                       EfficiencyPair(0.6, 0.8))
         got = multimode_convolve(j, 2, tail_tol=1e-15)
         c = j.cutoff
         want = np.zeros((2 * c + 1, 2 * c + 1))
@@ -170,7 +172,8 @@ class TestMultimodeConvolve:
 
     def test_holds_two_fft_tables_at_its_peak(self):
         # a 512 x 512 FFT: its complex half-spectrum and its real output take 2 MiB each
-        j = thin_joint(source_joint(SourceSpec.twin_beam(40.0, 14)), EfficiencyPair(0.6, 0.7))
+        j = thin_joint(oracles.single_pair_joint(SourceSpec.twin_beam(40.0, 14), 76),
+                       EfficiencyPair(0.6, 0.7))
         tracemalloc.start()
         try:
             multimode_convolve(j, 14)
@@ -196,3 +199,60 @@ class TestEfficiencyPair:
             EfficiencyPair(1.2, 0.5)
         with pytest.raises(ValidationError):
             EfficiencyPair(0.5, -0.1)
+
+
+# the accuracy grid of source_joint: sources, per-beam mean and modes, and efficiencies
+# with both edges
+JOINT_SOURCES = [("twin_beam", 0.5), ("coherent_pair", 0.5)] + [
+    ("split_thermal", tau) for tau in (0.0, 0.3, 0.5, 1.0)]
+JOINT_SIZES = [(n_mean, mu) for n_mean in (0.0, 1.0, 10.0, 40.0) for mu in (1, 3, 14)]
+JOINT_ETAS = [(1.0, 1.0), (0.66, 0.68), (0.0, 1.0)]
+
+
+def detected_marginals(src, eff):
+    """The exact laws of the two detected counts summed over the mu mode pairs."""
+    n, mu = src.per_mode_mean, src.mu
+    if src.kind == "coherent_pair":
+        return poisson(mu * n * eff.eta1), poisson(mu * n * eff.eta2)
+    share = (src.tau, 1.0 - src.tau) if src.kind == "split_thermal" else (0.5, 0.5)
+    means = [2.0 * n * s * eta for s, eta in zip(share, (eff.eta1, eff.eta2))]
+    return tuple(nbinom(mu, 1.0 / (1.0 + m)) for m in means)
+
+
+def assert_window_holds(j, src, eff, tail_tol):
+    """The exact marginal tails put at most tail_tol / 2 outside the square window, and
+    tail_mass is what the table's sum leaves to 1."""
+    assert sum(law.sf(j.cutoff) for law in detected_marginals(src, eff)) <= tail_tol / 2
+    assert j.tail_mass == max(0.0, 1.0 - j.probs.sum())
+
+
+class TestSourceJoint:
+    """The 2-D pgf inversion against the term-by-term oracle, thinned and convolved."""
+
+    # the oracle's thinning is two matrix products of its side cubed: the split thermal
+    # beams of N = 40 at mu = 1 and tau in {0, 0.3, 1} (sides 2100-3000, 2-4 s each) are
+    # left out; the full grid held TV <= 8.4e-14 when run by hand
+    @pytest.mark.parametrize("kind, tau, n_mean, mu", [
+        (kind, tau, n_mean, mu) for kind, tau in JOINT_SOURCES for n_mean, mu in JOINT_SIZES
+        if oracles.pair_cutoff(SourceSpec(kind, n_mean / mu, 1, tau), 1e-16) <= 1500])
+    @pytest.mark.parametrize("eta", JOINT_ETAS)
+    def test_matches_the_thinned_joint_oracle(self, kind, tau, n_mean, mu, eta):
+        src, eff = SourceSpec(kind, n_mean, mu, tau), EfficiencyPair(*eta)
+        one = SourceSpec(kind, n_mean / mu, 1, tau)
+        pair = oracles.single_pair_joint(one, oracles.pair_cutoff(one, 1e-16))
+        want = multimode_convolve(thin_joint(pair, eff), mu, tail_tol=1e-14)
+        got = source_joint(src, eff, tail_tol=1e-14)
+        assert oracles.joint_tv(got.probs, want.probs) <= 1e-12
+        assert_window_holds(got, src, eff, 1e-14)
+
+    @pytest.mark.parametrize("kind, tau", JOINT_SOURCES)
+    @pytest.mark.parametrize("n_mean, mu", JOINT_SIZES + [(300.0, 14)])
+    @pytest.mark.parametrize("eta", JOINT_ETAS)
+    def test_mass_beyond_the_window_is_within_tail_tol(self, kind, tau, n_mean, mu, eta):
+        src, eff = SourceSpec(kind, n_mean, mu, tau), EfficiencyPair(*eta)
+        assert_window_holds(source_joint(src, eff), src, eff, DEFAULT_TAIL_TOL)
+
+    def test_default_efficiency_gives_photon_numbers(self):
+        src = SourceSpec.split_thermal(3.0, tau=0.3)
+        assert np.array_equal(source_joint(src).probs,
+                              source_joint(src, EfficiencyPair(1.0, 1.0)).probs)

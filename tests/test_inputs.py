@@ -29,9 +29,10 @@ import photocorr as pc
 from photocorr import sources
 from photocorr.cli import EXIT_DATA, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 
+RAGGED = [[1.0, 2.0], [3.0]]  # nested sequences of unequal lengths
 ADVERSARIAL = [math.nan, math.inf, -math.inf, -1, 0, 0.5, 1.5, True, False, "1", "x", [], [1],
-               [True, 1], {}, 1e308, 10**400, -10**400, 2**63]
-SMALL_BUDGET = 1 << 17  # bytes: 16384 float64 entries, the 128 x 128 FFT of the 2-mode joint
+               [True, 1], RAGGED, {}, 1e308, 10**400, -10**400, 2**63]
+SMALL_BUDGET = 1 << 17  # bytes: 16384 float64 entries, a joint table of cutoff 127
 CASE_SECONDS = 20
 
 
@@ -175,13 +176,24 @@ def test_a_pumped_twin_beam_of_1e12_modes_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["twin_beam", "split_thermal"])
-def test_a_mean_without_a_finite_cutoff_reports_inf(kind):
-    # n / (1 + n) rounds to 1 (or is nan, where the split thermal beam's 2n overflows),
-    # so no cutoff is computed
+def test_a_mean_beyond_every_table_is_refused(kind):
+    # the Chernoff bound of so bright a beam is inf on the whole grid (the split thermal
+    # beam's 2n overflows at 1e308), so its edge is the table budget in points
     for mean in (1e17, 1e308):
-        with pytest.raises(pc.TailToleranceError, match="no finite cutoff") as err:
+        with pytest.raises(pc.TailToleranceError, match="table budget") as err:
             pc.source_joint(pc.SourceSpec(kind, mean))
-        assert err.value.required_cutoff == math.inf
+        assert err.value.required_cutoff == sources._TABLE_BYTES // 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pc.multithermal_pdf(RAGGED, 2, 1.0),
+    lambda: pc.noise_surface(2.124e11, 7.225e6, 7.212e6, 14, RAGGED, [0.6]),
+    lambda: pc.solve_pump_noise(2.124e11, RAGGED, 0.68, 7.225e6, 7.212e6, 14),
+    lambda: sources._checked_array("grid", RAGGED, "finite"),
+], ids=["multithermal_pdf", "noise_surface", "solve_pump_noise", "_checked_array"])
+def test_a_ragged_sequence_is_refused_naming_the_argument(call):
+    with pytest.raises(pc.ValidationError, match="unequal lengths"):
+        call()
 
 
 def test_a_table_of_nan_is_refused():
@@ -235,7 +247,7 @@ MEANS = [0.0, 0.3, 2.0, 1e7]
 ETAS = [0.0, 0.5, 0.67, 1.0]
 MODES = [1, 3, 14]
 SERIES = pc.ShotSeries(np.arange(20) % 7, np.arange(20) % 5, "counts")
-JOINT = pc.source_joint(pc.SourceSpec.twin_beam(0.5), 1e-3)  # cutoff 6
+JOINT = pc.source_joint(pc.SourceSpec.twin_beam(0.5), tail_tol=1e-3)  # cutoff 10
 
 
 # channels of 20 shots, and the faults that ShotSeries refuses: empty, nan, 0-d
@@ -263,10 +275,7 @@ def _eff(d):
 
 
 CALLS = {  # name: function of a Hypothesis draw that makes the call
-    "thermal_pmf": lambda d: pc.thermal_pmf(np.arange(5), d.draw(_arg(MEANS))),
-    "thermal_pmf_points": lambda d: pc.thermal_pmf(
-        d.draw(_arg([np.arange(5), 3, [0, 2]])), d.draw(_arg([0.0, 2.0]))),
-    "source_joint": lambda d: pc.source_joint(_source(d), d.draw(_arg([1e-10, 0.5]))),
+    "source_joint": lambda d: pc.source_joint(_source(d), _eff(d), d.draw(_arg([1e-10, 0.5]))),
     "twin_beam_joint": lambda d: pc.twin_beam_joint(d.draw(_arg(MEANS))),
     "multithermal_pdf": lambda d: pc.multithermal_pdf(
         np.linspace(0.0, 5.0, 6), d.draw(_arg([1, 2.5, 14])), d.draw(_arg([0.5, 3.0]))),

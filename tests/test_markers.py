@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, iv
 
+import oracles
 from photocorr import (
     DifferenceDistribution,
     EfficiencyPair,
@@ -19,7 +20,6 @@ from photocorr import (
     difference_from_joint,
     difference_variance,
     multimode_convolve,
-    source_joint,
     thin_joint,
     variance_threshold,
 )
@@ -27,7 +27,8 @@ from photocorr.detection import _pgf_coefficients
 
 
 def thinned(src, eff, tail_tol=1e-13):
-    return thin_joint(source_joint(src, tail_tol=tail_tol), eff)
+    """The thinned-joint oracle: one mode pair of src, built term by term and thinned."""
+    return thin_joint(oracles.single_pair_joint(src, oracles.pair_cutoff(src, tail_tol)), eff)
 
 
 def total_variation(dd_a, dd_b):

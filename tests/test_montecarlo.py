@@ -12,12 +12,10 @@ from photocorr import (
     analytic_moments,
     correlation_coefficient,
     difference_variance,
-    multimode_convolve,
     predicted_beam_variance,
     sample_series,
     solve_pump_noise,
     source_joint,
-    thin_joint,
 )
 
 
@@ -125,7 +123,7 @@ class TestExactLaw:
         n_mean, mu, shots = 2.0, 3, 200_000
         eff = EfficiencyPair(*eta)
         src = SourceSpec(kind, n_mean, mu, tau)
-        expected = multimode_convolve(thin_joint(source_joint(src), eff), mu).probs * shots
+        expected = source_joint(src, eff).probs * shots
         s = sample_series(SimulationConfig(src, eff, shots=shots, seed=11))
         observed = np.zeros(expected.shape)
         inside = (s.ch1 < expected.shape[0]) & (s.ch2 < expected.shape[1])

@@ -2,7 +2,8 @@
 
 The difference variance, the detected moments and the noise-budget base
 variance are written from one source model; these checks tie them together
-over kind, tau, N, mu and both efficiencies, and tie p(d) to the moments.
+over kind, tau, N, mu and both efficiencies, tie p(d) to the moments, and tie
+the joint tables of two efficiencies together by thinning.
 Runs are derandomized, so the examples are the same on every run.
 """
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from photocorr import (
     DifferenceDistribution,
     EfficiencyPair,
@@ -23,6 +25,8 @@ from photocorr import (
     difference_variance,
     noise_surface,
     solve_pump_noise,
+    source_joint,
+    thin_joint,
 )
 from photocorr.markers import _variances
 from photocorr.sources import DEFAULT_TAIL_TOL
@@ -156,3 +160,25 @@ def test_difference_pmf_tail_swap_symmetry_and_moments(kind, tau, n_mean, mu, et
     assert dd.variance() == pytest.approx(var, rel=1e-6, abs=1e-12)
     assert dd.mean() == pytest.approx(m.mean1 - m.mean2, rel=1e-6,
                                       abs=1e-6 * math.sqrt(var) + 1e-12)
+
+
+# efficiencies with their edges at 0 and 1 drawn often
+edge_etas = st.one_of(st.sampled_from([0.0, 1.0]), etas)
+
+
+# each example builds two joint tables and thins one, a cubic cost in the table's side
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from(KINDS), taus, st.floats(0.0, 20.0, allow_subnormal=False),
+       st.integers(1, 5), edge_etas, edge_etas, edge_etas, edge_etas)
+@example("twin_beam", 0.5, 20.0, 1, 1.0, 1.0, 0.66, 0.68)  # the largest table
+@example("split_thermal", 0.0, 5.0, 3, 0.0, 1.0, 1.0, 0.0)
+def test_thinning_twice_is_thinning_once_at_the_product(kind, tau, n_mean, mu, eta1, eta2,
+                                                        then1, then2):
+    # each table misplaces at most its tail tolerance (what lies beyond the window and what
+    # folds into it), and thinning does not increase the L1 distance, so the two tables are
+    # within tail_tol in total variation, plus the FFTs' rounding
+    src, tail_tol = source(kind, n_mean, mu, tau), 1e-10
+    twice = thin_joint(source_joint(src, EfficiencyPair(eta1, eta2), tail_tol),
+                       EfficiencyPair(then1, then2)).probs
+    once = source_joint(src, EfficiencyPair(eta1 * then1, eta2 * then2), tail_tol).probs
+    assert oracles.joint_tv(twice, once) <= tail_tol + 1e-12

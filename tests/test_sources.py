@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 from scipy.stats import poisson
 
+import oracles
 from photocorr import (
     DifferenceDistribution,
     EfficiencyPair,
@@ -19,22 +20,32 @@ from photocorr import (
     multimode_convolve,
     multithermal_pdf,
     source_joint,
-    thermal_pmf,
     thin_joint,
     twin_beam_joint,
 )
 from photocorr import sources
-from photocorr.detection import loss_matrix
-from photocorr.sources import _check_cutoff, _log_factorial
+from photocorr.detection import _log_factorial, loss_matrix
+from photocorr.sources import _check_table
 
 N_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
 EFF = EfficiencyPair(0.6, 0.7)
 KINDS = ["twin_beam", "coherent_pair", "split_thermal"]
 
 
-def tol_for_cutoff(c):
-    """The tail tolerance at which a twin beam of mean 1 (tail 2**-(c+1)) gets cutoff c."""
-    return 1.5 * 2.0 ** -(c + 1)
+def tol_for_cutoff(c, src=SourceSpec.twin_beam(1.0)):
+    """A tail tolerance at which source_joint(src) has cutoff c, by bisection on its log."""
+    lo, hi = math.log(1e-40), math.log(0.5)  # cutoffs above and below c
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if source_joint(src, tail_tol=math.exp(mid)).cutoff > c else (lo, mid)
+    assert source_joint(src, tail_tol=math.exp(hi)).cutoff == c
+    return math.exp(hi)
+
+
+def exact_poisson_cutoff(n_mean, tol):
+    """The least c with P(X > c) <= tol for X ~ Poisson(n_mean)."""
+    k = np.arange(int(n_mean + 40.0 * math.sqrt(n_mean) + 800))
+    return int(np.argmax(poisson.sf(k, n_mean) <= tol))
 
 
 class TestTwinBeamJoint:
@@ -43,19 +54,25 @@ class TestTwinBeamJoint:
         assert j.probs[0, 0] == 1.0
         assert j.tail_mass == 0.0
 
-    def test_cutoff_zero(self):
-        # geometric series: x^2 = 1/2, p(0,0) = 1 - x^2, tail = x^2
-        j = source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(0))
-        assert j.probs[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert j.tail_mass == pytest.approx(0.5, abs=1e-15)
+    def test_a_window_of_one_cell_folds_all_mass_into_it(self):
+        # counts are >= 0, so the FFT over c + 1 = 1 point aliases every count onto 0
+        j = source_joint(SourceSpec.twin_beam(1e-3), tail_tol=0.9)
+        assert j.cutoff == 0
+        assert j.probs[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_diagonal_only(self):
+        # what lies off the diagonal is the FFT's rounding
         j = source_joint(SourceSpec.twin_beam(2.0))
         off = j.probs - np.diag(np.diag(j.probs))
-        assert np.all(off == 0.0)
+        assert off.max() <= 1e-16 and off.sum() <= 1e-14
+
+    def test_diagonal_is_thermal(self):
+        j = source_joint(SourceSpec.twin_beam(2.0), tail_tol=1e-13)
+        want = oracles.thermal_pmf(np.arange(j.cutoff + 1), 2.0)
+        assert np.max(np.abs(np.diag(j.probs) - want)) <= 1e-15
 
     def test_marginal_mean_approaches_n(self):
-        j = source_joint(SourceSpec.twin_beam(1.0), 1e-13)
+        j = source_joint(SourceSpec.twin_beam(1.0), tail_tol=1e-13)
         n = np.arange(j.cutoff + 1)
         assert j.marginal(1) @ n == pytest.approx(1.0, rel=1e-10)
 
@@ -92,34 +109,35 @@ class TestCoherentPairJoint:
 
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0, 5.0])
     def test_factorizes(self, n_mean):
-        j = source_joint(SourceSpec.coherent_pair(n_mean), 1e-13)
+        j = source_joint(SourceSpec.coherent_pair(n_mean), tail_tol=1e-13)
         outer = np.outer(j.marginal(1), j.marginal(2))
         assert np.max(np.abs(j.probs - outer)) < 1e-12
 
-    @pytest.mark.parametrize("n_mean, tail_tol, cutoff", [
-        (60.0, 1e-10, 117), (10.0, 1e-10, 37), (1.0, 1e-10, 14), (0.3, 1e-10, 9),
-        (1000.0, 1e-10, 1212), (60.0, 1e-14, 130), (1.0, 1e-16, 19), (1.0, 1e-300, 167),
-        (1e-300, 1e-300, 2), (1000.0, 1e-14, 1255), (60.0, 1e-300, 532), (10.0, 1e-30, 66),
-        (0.3, 1e-300, 135),
+    @pytest.mark.parametrize("n_mean, tail_tol", [
+        (60.0, 1e-10), (10.0, 1e-10), (1.0, 1e-10), (0.3, 1e-10), (1000.0, 1e-10), (60.0, 1e-14),
+        (1.0, 1e-16), (1.0, 1e-300), (1000.0, 1e-14), (60.0, 1e-300), (10.0, 1e-30),
+        (0.3, 1e-300),
     ])
-    def test_cutoff_is_the_least_whose_tail_is_within_half_the_tolerance(self, n_mean, tail_tol,
-                                                                          cutoff):
-        c = source_joint(SourceSpec.coherent_pair(n_mean), tail_tol).cutoff
-        assert poisson.sf(c - 1, n_mean) <= tail_tol / 2 < poisson.sf(c - 2, n_mean)  # P(X >= c)
-        assert c == cutoff
+    def test_cutoff_leaves_a_quarter_of_the_tolerance_per_beam(self, n_mean, tail_tol):
+        # the Chernoff edge is above the exact Poisson cutoff, but not by much
+        c = source_joint(SourceSpec.coherent_pair(n_mean), tail_tol=tail_tol).cutoff
+        exact = exact_poisson_cutoff(n_mean, tail_tol / 4)
+        assert exact <= c <= 1.05 * exact + 5
+
+    def test_a_faint_beam_at_the_least_tolerance_gets_a_small_window(self):
+        # the Chernoff grid ends at |ln s| = 40, so the edge is about -ln(tail_tol) / 40
+        j = source_joint(SourceSpec.coherent_pair(1e-300), tail_tol=1e-300)
+        assert j.cutoff <= 20 and j.probs[0, 0] == 1.0
 
     @pytest.mark.parametrize("n_mean", [1e5, 1e300])
-    def test_an_oversized_table_is_refused_before_the_tail_is_walked(self, monkeypatch, n_mean):
-        # the cutoff is at least floor(n_mean), so the budget refuses the table first
-        def walk(lam, tol):
-            raise AssertionError("the tail was walked")
-        monkeypatch.setattr(sources, "_poisson_cutoff", walk)
-        with pytest.raises(TailToleranceError, match="table budget"):
+    def test_an_oversized_table_is_refused(self, n_mean):
+        with pytest.raises(TailToleranceError, match="table budget") as err:
             source_joint(SourceSpec.coherent_pair(n_mean))
+        assert err.value.required_cutoff >= min(n_mean, 2**24)
 
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_normalization_and_means(self, n_mean):
-        j = source_joint(SourceSpec.coherent_pair(n_mean), 1e-13)
+        j = source_joint(SourceSpec.coherent_pair(n_mean), tail_tol=1e-13)
         assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
         n = np.arange(j.cutoff + 1)
         for beam in (1, 2):
@@ -138,43 +156,37 @@ class TestSplitThermalJoint:
 
     def test_balanced_marginal_zero_by_geometric_series(self):
         # sum_k (1/3)(2/3)^k (1/2)^k = (1/3)/(1 - 1/3) = 1/2
-        j = source_joint(SourceSpec.split_thermal(1.0), 1e-13)
+        j = source_joint(SourceSpec.split_thermal(1.0), tail_tol=1e-13)
         assert j.marginal(1)[0] == pytest.approx(0.5, rel=1e-11)
 
     def test_transparent_splitter(self):
         j = source_joint(SourceSpec.split_thermal(1.0, tau=1.0))
-        assert np.all(j.probs[:, 1:] == 0.0)
+        assert np.all(j.probs[:, 1:] <= 1e-16)  # the FFT's rounding
         k = np.arange(j.cutoff + 1)
-        assert np.allclose(j.probs[:, 0], thermal_pmf(k, 2.0), atol=1e-12)
+        assert np.allclose(j.probs[:, 0], oracles.thermal_pmf(k, 2.0), atol=1e-12)
 
-    def test_opaque_splitter_is_exactly_thermal(self):
-        # 0 * log 0 = 0 in the log-binomial: beam 1 is empty, beam 2 carries the thermal law
+    def test_opaque_splitter_is_thermal(self):
         j = source_joint(SourceSpec.split_thermal(1.0, tau=0.0))
-        assert np.all(j.probs[1:, :] == 0.0)
-        assert np.array_equal(j.probs[0, :], thermal_pmf(np.arange(j.cutoff + 1), 2.0))
+        assert np.all(j.probs[1:, :] <= 1e-16)
+        # the mass beyond the window folds in, at most half the tail tolerance
+        want = oracles.thermal_pmf(np.arange(j.cutoff + 1), 2.0)
+        assert np.abs(j.probs[0, :] - want).sum() <= 0.5e-10
 
     @pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75])
     def test_marginals_thermal(self, n_mean, tau):
-        j = source_joint(SourceSpec.split_thermal(n_mean, tau=tau), 1e-13)
+        j = source_joint(SourceSpec.split_thermal(n_mean, tau=tau), tail_tol=1e-13)
         k = np.arange(j.cutoff + 1)
         for beam, mean in ((1, 2 * n_mean * tau), (2, 2 * n_mean * (1 - tau))):
             got = j.marginal(beam)
-            want = thermal_pmf(k, mean)
-            # truncation removes a little mass from the top entries only
-            assert np.max(np.abs(got - want)[: j.cutoff // 2]) < 1e-10
+            want = oracles.thermal_pmf(k, mean)
+            # the folded tail moves a little mass, below the tail tolerance
+            assert np.max(np.abs(got - want)) < 1e-13
 
     @pytest.mark.parametrize("n_mean", N_GRID)
     def test_normalization(self, n_mean):
         j = source_joint(SourceSpec.split_thermal(n_mean))
         assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
-
-
-class TestThermalPmf:
-    @pytest.mark.parametrize("k", [-1, 2.5, math.nan, math.inf, "a", [0, -2], [True]])
-    def test_points_that_are_not_integers_from_zero_rejected(self, k):
-        with pytest.raises(ValidationError, match="k"):
-            thermal_pmf(k, 2.0)
 
 
 class TestMultithermalPdf:
@@ -243,9 +255,9 @@ class TestSourceSpec:
             assert abs(j.probs.sum() + j.tail_mass - 1.0) < 1e-12
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_source_joint_is_one_of_the_mode_pairs(self, kind):
+    def test_source_joint_sums_the_mode_pairs(self, kind):
         j = source_joint(SourceSpec(kind, 10.0, 14))
-        assert j.marginal(1) @ np.arange(j.cutoff + 1) == pytest.approx(10.0 / 14, rel=1e-6)
+        assert j.marginal(1) @ np.arange(j.cutoff + 1) == pytest.approx(10.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -258,38 +270,38 @@ def test_non_finite_mean_rejected_by_joints(kind, n_mean):
 @pytest.mark.parametrize("tail_tol", [0.0, 1.0, -1e-10, math.nan, math.inf])
 def test_tail_tolerance_outside_zero_one_rejected(tail_tol):
     with pytest.raises(ValidationError, match=r"tail_tol: must be a number in \(0, 1\)"):
-        source_joint(SourceSpec.split_thermal(1.0, tau=0.3), tail_tol)
+        source_joint(SourceSpec.split_thermal(1.0, tau=0.3), tail_tol=tail_tol)
 
 
 class TestTableBudget:
     """One float64 table budget, sources._TABLE_BYTES, guards every exact layer."""
 
     SMALL = 1 << 16  # 8192 points: a joint table of cutoff 89
-    AUTO = "auto"  # an automatic cutoff, above the 89 the small budget admits
+    AUTO = "auto"  # the cutoff the call has at the real budget, above the 89 the small one admits
 
     # each case builds its call at the real budget; the call runs under the small one
     @pytest.mark.parametrize("prepare, cutoff", [
-        (lambda: partial(source_joint, SourceSpec.twin_beam(1.0), tol_for_cutoff(100)), 100),
+        (lambda: partial(source_joint, SourceSpec.twin_beam(1.0), tail_tol=1e-30), AUTO),
         (lambda: partial(source_joint, SourceSpec.twin_beam(50.0)), AUTO),
-        (lambda: partial(source_joint, SourceSpec.coherent_pair(70.0), 1e-3), 100),
-        # floor(n_mean), no cdf walk
-        (lambda: partial(source_joint, SourceSpec.coherent_pair(1e5)), 100000),
-        # refused after the walk
+        (lambda: partial(source_joint, SourceSpec.twin_beam(40.0, 14), EFF), AUTO),
+        (lambda: partial(source_joint, SourceSpec.coherent_pair(70.0), tail_tol=1e-3), AUTO),
         (lambda: partial(source_joint, SourceSpec.coherent_pair(80.0)), AUTO),
-        # each beam's tail tolerance is half the table's
-        (lambda: partial(source_joint, SourceSpec.split_thermal(1.0), tol_for_cutoff(99)), 100),
+        (lambda: partial(source_joint, SourceSpec.split_thermal(1.0), tail_tol=1e-30), AUTO),
         (lambda: partial(source_joint, SourceSpec.split_thermal(50.0, tau=0.3)), AUTO),
         (lambda: partial(loss_matrix, 0.5, 100), 100),
-        (lambda: partial(thin_joint, source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(100)),
+        (lambda: partial(thin_joint, oracles.single_pair_joint(SourceSpec.twin_beam(1.0), 100),
                          EFF), 100),
         (lambda: partial(multimode_convolve,
-                         source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(10)), 14), 69),
+                         oracles.single_pair_joint(SourceSpec.twin_beam(1.0), 10), 14), 69),
         (lambda: partial(difference_analytic, SourceSpec.twin_beam(1e6, 14), EFF), None),
-    ], ids=["twin-100", "twin-auto", "coherent-100", "coherent-auto-bound",
-            "coherent-auto-walk", "split-100", "split-auto", "loss_matrix", "thin_joint",
-            "multimode_convolve", "difference_analytic"])
+    ], ids=["twin-1e-30", "twin-auto", "twin-14-modes", "coherent-1e-3", "coherent-auto",
+            "split-1e-30", "split-auto", "loss_matrix", "thin_joint", "multimode_convolve",
+            "difference_analytic"])
     def test_refused_before_allocating(self, monkeypatch, prepare, cutoff):
         call = prepare()
+        if cutoff == self.AUTO:
+            cutoff = call().cutoff
+            assert cutoff > 89
         monkeypatch.setattr(sources, "_TABLE_BYTES", self.SMALL)
         tracemalloc.start()
         try:
@@ -299,22 +311,20 @@ class TestTableBudget:
         finally:
             tracemalloc.stop()
         assert peak < self.SMALL
-        if cutoff == self.AUTO:
-            assert err.value.required_cutoff > 89
-        else:
-            assert err.value.required_cutoff == cutoff
+        assert err.value.required_cutoff == cutoff
 
     def test_edge_of_the_budget(self, monkeypatch):
+        fits, over = tol_for_cutoff(89), tol_for_cutoff(90)
         monkeypatch.setattr(sources, "_TABLE_BYTES", self.SMALL)
-        assert source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(89)).cutoff == 89
+        assert source_joint(SourceSpec.twin_beam(1.0), tail_tol=fits).cutoff == 89
         with pytest.raises(TailToleranceError):
-            source_joint(SourceSpec.twin_beam(1.0), tol_for_cutoff(90))
+            source_joint(SourceSpec.twin_beam(1.0), tail_tol=over)
 
     def test_real_budget(self):
         # 2**27 bytes are 2**24 points: a joint table of cutoff 4095 or the widest p(d) FFT
-        assert _check_cutoff(4095, 1e-10) == 4095
+        _check_table(4096**2, "a table of cutoff 4095", 4095)
         with pytest.raises(TailToleranceError) as err:
-            _check_cutoff(4096, 1e-10)
+            _check_table(4097**2, "a table of cutoff 4096", 4096)
         assert err.value.required_cutoff == 4096
         # a twin beam of mean 1e6 needs cutoff 23 025 862 at the default tail tolerance
         for call in (partial(source_joint, SourceSpec.twin_beam(1e6)),
