@@ -145,28 +145,31 @@ def _read_rows(csv_path, counts_mode):
     dtype = np.int64 if counts_mode else float
     with open(csv_path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        expected = "shot,m1,m2" if counts_mode else "shot,v1,v2"
-        if header != expected:
-            raise DataError(f"{csv_path}: line 1: expected header {expected!r}, got {header!r}")
-        rows = _load_rows(fh, dtype)
-        if rows is None:
-            fh.seek(0)
+    expected = "shot,m1,m2" if counts_mode else "shot,v1,v2"
+    if header != expected:
+        raise DataError(f"{csv_path}: line 1: expected header {expected!r}, got {header!r}")
+    rows = _load_rows(csv_path, dtype)
+    if rows is None:
+        with open(csv_path, encoding="utf-8") as fh:
             fh.readline()
             return _scan_rows(fh, csv_path, dtype)
-        return np.ascontiguousarray(rows[:, 1:].T)
+    return np.ascontiguousarray(rows[:, 1:].T)
 
 
-def _load_rows(fh, dtype):
+def _load_rows(csv_path, dtype):
     """Parse the data rows in one numpy call; None if they are not plain rows.
 
-    Anything numpy rejects or warns about (a malformed field, a row of the
-    wrong width, an empty body) or a nan or inf channel value returns None,
-    so the caller can rescan the rows with _scan_rows to name the line.
+    numpy opens the file itself and skips the header line, which is faster
+    than parsing from a Python file object.  Anything numpy rejects or warns
+    about (a malformed field, a row of the wrong width, an empty body) or a
+    nan or inf channel value returns None, so the caller can rescan the rows
+    with _scan_rows to name the line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=2)
+            rows = np.loadtxt(csv_path, delimiter=",", comments=None, dtype=dtype, ndmin=2,
+                              skiprows=1, encoding="utf-8")
         except (ValueError, OverflowError, Warning):
             return None
     if rows.shape[0] < 1 or rows.shape[1] != 3 or not np.isfinite(rows[:, 1:]).all():

@@ -24,7 +24,7 @@ from photocorr import (
     sample_series,
     solve_pump_noise,
 )
-from photocorr.analysis import _imbalance_terms
+from photocorr.analysis import _imbalance_terms, _quartiles
 from photocorr.detection import _difference_variance
 
 PAPER_TWB = dict(sigma2=2.124e11, m1=7.225e6, m2=7.212e6, mu=14, eta=0.67)
@@ -222,6 +222,22 @@ class TestFitMultithermal:
         v = rng.gamma(14.0, 1.0 / 14.0, 100000)
         fit = fit_multithermal(v)
         assert fit.goodness < 3.0
+
+
+def _quartile_samples():
+    """Integers, floats and ties at the sizes where the virtual index's fraction cycles."""
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 4, 5, 999, 1000, 1001, 200_000):
+        yield pytest.param(rng.integers(-10**6, 10**6, n), id=f"int-{n}")
+        yield pytest.param(rng.standard_normal(n) * 1e3, id=f"float-{n}")
+        yield pytest.param(rng.integers(0, 3, n).astype(float), id=f"float-ties-{n}")
+        yield pytest.param(rng.integers(-2, 2, n), id=f"int-ties-{n}")
+
+
+@pytest.mark.parametrize("v", _quartile_samples())
+def test_quartiles_are_numpys_percentiles_bit_for_bit(v):
+    got, want = _quartiles(v), np.percentile(v, [75, 25])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
 
 
 class TestImbalanceBounds:

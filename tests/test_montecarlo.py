@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from photocorr import (
     solve_pump_noise,
     source_joint,
 )
+from photocorr import montecarlo
+from photocorr.detection import _pgf_coefficients
 
 
 def corr_and_se(a, b):
@@ -291,3 +295,138 @@ class TestVoltsMode:
     def test_pairs_must_be_pairs(self, key, value):
         with pytest.raises(ValidationError, match=f"{key}: expected a pair"):
             cfg_for("coherent_pair", 2.0, 1, (0.6, 0.7), shots=10, volts=True, **{key: value})
+
+
+def one_generator_record(cfg, bit_generator=None):
+    """(ch1, ch2, truncations) drawn from the one generator Philox(cfg.seed) (or the
+    bit generator given), whole arrays at a time and the pumped twin beam by a plain
+    loop over modes: the record a simulation of at most one chunk must reproduce bit
+    for bit."""
+    src, eff, k = cfg.source, cfg.eff, cfg.shots
+    rng = np.random.Generator(bit_generator or np.random.Philox(cfg.seed))
+
+    def scales(sd):
+        if sd == 0:
+            return np.ones(k), 0
+        u = rng.normal(1.0, sd, k)
+        return np.clip(u, 0.0, None), int((u < 0).sum())
+
+    if src.kind == "twin_beam" and cfg.pump_x > 0:
+        gain = math.asinh(math.sqrt(src.per_mode_mean))
+        n, cut = np.zeros((2, k), dtype=np.int64), 0
+        for _ in range(src.mu):
+            e = rng.standard_exponential(k)
+            for j, eta in enumerate((eff.eta1, eff.eta2)):
+                u, c = scales(cfg.pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0)
+                cut += c
+                with np.errstate(divide="ignore"):
+                    n[j] += np.floor(e / np.log1p(1.0 / np.sinh(gain * np.sqrt(u)) ** 2)).astype(np.int64)
+        m = [rng.binomial(nj, eta) if eta < 1 else nj for nj, eta in zip(n, (eff.eta1, eff.eta2))]
+    else:
+        bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
+                                                eff.eta1, eff.eta2)
+        sd = {"twin_beam": 0.0, "split_thermal": math.sqrt(2.0) * cfg.pump_x}.get(src.kind, cfg.pump_x)
+        u, cut = scales(sd)
+        g = u * rng.standard_gamma(src.mu, k) if bose else u * src.mu
+        z = rng.poisson(g * c) if c > 0 else 0
+        m = [rng.poisson(g * (a - c)) + z, rng.poisson(g * (b - c)) + z]
+    if cfg.volts:
+        m = [conv * mj + (rng.normal(0.0, math.sqrt(nv), k) if nv > 0 else 0.0)
+             for mj, conv, nv in zip(m, cfg.conv, cfg.instrument_noise_var)]
+    return m[0], m[1], cut
+
+
+CHUNK = montecarlo._CHUNK_SHOTS
+
+# (kind, n_mean, mu, eta, extra config): every branch of the sampler
+RECORDS = [
+    ("twin_beam", 50.0, 3, (0.6, 0.7), {"pump_x": 0.05}),
+    ("twin_beam", 50.0, 2, (1.0, 0.0), {"pump_x": 2.0}),
+    ("twin_beam", 50.0, 3, (0.6, 0.7), {}),
+    ("split_thermal", 50.0, 3, (0.7, 0.7), {"pump_x": 0.5, "volts": True, "conv": (0.5, 2.0),
+                                            "instrument_noise_var": (0.3, 0.0)}),
+    ("coherent_pair", 50.0, 1, (0.6, 0.7), {"pump_x": 0.05}),
+]
+
+
+def same_record(a, b):
+    return (a.ch1.dtype == b.ch1.dtype and a.ch1.tobytes() == b.ch1.tobytes()
+            and a.ch2.tobytes() == b.ch2.tobytes() and a.pump_truncations == b.pump_truncations)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("shots", [1, 1000, CHUNK])
+    @pytest.mark.parametrize("kind,n_mean,mu,eta,extra", RECORDS)
+    def test_one_chunk_is_the_single_generator_draw(self, kind, n_mean, mu, eta, extra, shots):
+        cfg = cfg_for(kind, n_mean, mu, eta, shots=shots, seed=5, **extra)
+        s = sample_series(cfg)
+        ch1, ch2, cut = one_generator_record(cfg)
+        assert s.ch1.dtype == ch1.dtype and s.ch2.dtype == ch2.dtype
+        assert s.ch1.tobytes() == ch1.tobytes() and s.ch2.tobytes() == ch2.tobytes()
+        assert s.pump_truncations == cut
+
+    @pytest.mark.parametrize("kind,n_mean,mu,eta,extra", RECORDS)
+    def test_a_longer_record_starts_with_the_one_chunk_record(self, kind, n_mean, mu, eta, extra):
+        short = sample_series(cfg_for(kind, n_mean, mu, eta, shots=CHUNK, seed=6, **extra))
+        long = sample_series(cfg_for(kind, n_mean, mu, eta, shots=CHUNK + 77, seed=6, **extra))
+        assert np.array_equal(long.ch1[:CHUNK], short.ch1)
+        assert np.array_equal(long.ch2[:CHUNK], short.ch2)
+        # the second chunk has a stream of its own
+        assert not np.array_equal(long.ch1[CHUNK:], short.ch1[:77])
+
+    @pytest.mark.parametrize("kind,n_mean,mu,eta,extra", RECORDS)
+    def test_chunk_i_is_drawn_from_the_ith_jump(self, kind, n_mean, mu, eta, extra):
+        s = sample_series(cfg_for(kind, n_mean, mu, eta, shots=2 * CHUNK + 77, seed=6, **extra))
+        tail = cfg_for(kind, n_mean, mu, eta, shots=77, seed=6, **extra)
+        ch1, ch2, _ = one_generator_record(tail, np.random.Philox(6).jumped(2))
+        assert s.ch1[2 * CHUNK:].tobytes() == ch1.tobytes()
+        assert s.ch2[2 * CHUNK:].tobytes() == ch2.tobytes()
+
+    @pytest.mark.parametrize("kind,n_mean,mu,eta,extra", RECORDS)
+    def test_the_record_does_not_depend_on_the_thread_count(self, monkeypatch, kind, n_mean,
+                                                             mu, eta, extra):
+        cfg = cfg_for(kind, n_mean, mu, eta, shots=2 * CHUNK + 5, seed=7, **extra)
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 1)
+        one = sample_series(cfg)
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+        assert same_record(sample_series(cfg), one)
+
+    def test_many_threads_on_many_small_chunks(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows: a chunk
+        # drawn twice or never would change the record (np.empty leaves garbage)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 64)
+        cfg = cfg_for("twin_beam", 50.0, 3, (0.6, 0.7), shots=64 * 300 + 9, seed=8, pump_x=0.5)
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 1)
+        one = sample_series(cfg)
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert same_record(sample_series(cfg), one)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "caller"])
+    def test_an_error_in_a_thread_reaches_the_caller(self, monkeypatch, in_worker):
+        class Boom(Exception):
+            pass
+
+        raised = threading.Event()
+        draw = montecarlo._draw_chunk
+
+        def failing(*args):
+            main = threading.current_thread() is threading.main_thread()
+            if main == in_worker:  # the other thread draws its chunks once the error is raised
+                raised.wait(10.0)
+                return draw(*args)
+            raised.set()
+            raise Boom("chunk failed")
+
+        monkeypatch.setattr(montecarlo, "_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_draw_chunk", failing)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="chunk failed"):
+            sample_series(cfg_for("coherent_pair", 5.0, 1, (0.6, 0.7), shots=4 * CHUNK))
+        assert raised.is_set()
+        assert threading.active_count() == before

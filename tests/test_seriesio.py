@@ -319,9 +319,7 @@ def test_fast_parse_agrees_with_line_scan(tmp_path, unit, body):
 def test_plain_rows_take_the_numpy_parse(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("shot,m1,m2\n0,1,2\n1,3,4\n")
-    with open(path) as fh:
-        fh.readline()
-        rows = _load_rows(fh, np.int64)
+    rows = _load_rows(path, np.int64)
     assert rows.tolist() == [[0, 1, 2], [1, 3, 4]]
 
 
