@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     InconsistentDataError,
     NoiseDominatedError,
     UndefinedMarkerError,
@@ -80,19 +81,21 @@ def measured_difference_variance(series: ShotSeries) -> float:
     Voltage records are first mapped back to counts (v/alpha); the additive
     instrument-noise variance propagates as nv1/alpha1**2 + nv2/alpha2**2
     and is removed.  Raises NoiseDominatedError when that noise exceeds the
-    measured variance.
+    measured variance, and DataError when the result is beyond the float range.
     """
     c1, c2 = series.counts()
-    d = c1 - c2
     nv1, nv2 = series.instrument_noise_var
     if series.unit == "volts":
         a1, a2 = series.conv
-        noise = nv1 / a1**2 + nv2 / a2**2
+        noise = nv1 / a1 / a1 + nv2 / a2 / a2  # a1**2 can underflow to 0
     else:
         noise = nv1 + nv2
-    sigma2 = float(d.var() - noise)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        sigma2 = float((c1 - c2).var() - noise)
     if sigma2 < 0.0:
         raise NoiseDominatedError("instrument noise exceeds the measured difference variance")
+    if not math.isfinite(sigma2):
+        raise DataError("the difference variance is beyond the float range")
     return sigma2
 
 
@@ -161,12 +164,6 @@ def _bisect(holds, lo, hi, tol):
     return lo
 
 
-def _fd_width(v):
-    """Freedman-Diaconis bin width 2 IQR / n**(1/3) of a sample."""
-    q75, q25 = _quartiles(v)
-    return 2.0 * (q75 - q25) * v.size ** (-1.0 / 3.0)
-
-
 def _quartiles(v):
     """(q75, q25) of a 1-d sample, bit for bit np.percentile(v, [75, 25]).
 
@@ -186,15 +183,38 @@ def _quartiles(v):
     return q
 
 
+_MAX_BINS = 2**16  # bins widen past the Freedman-Diaconis width to keep at most this many
+
+
+def _fd_histogram(v, integer):
+    """(counts, edges) of a 1-d sample on Freedman-Diaconis bins, in numeric order.
+
+    The bin width is 2 IQR / n**(1/3), widened where the range of v would
+    otherwise need more than _MAX_BINS bins.  For integer data it is rounded
+    up to a whole number >= 1 and the edges are integers from min v, so each
+    bin holds the integers e_i <= v < e_(i+1).  Otherwise [min v, max v] is
+    split into ceil(range / width) equal bins (one bin when the width is 0),
+    the last one closed.  Every value falls in one bin.  Integer edges are
+    Python ints, as a difference of two int64 counts can pass the int64 range.
+    """
+    q75, q25 = _quartiles(v)
+    width = 2.0 * (q75 - q25) * v.size ** (-1.0 / 3.0)
+    lo, hi = v.min(), v.max()
+    if integer:
+        # floor(range / width) + 1 bins, so the width must exceed range / _MAX_BINS
+        width = max(math.ceil(width), int((hi - lo) // _MAX_BINS) + 1)
+        counts = np.bincount(((v - lo) // width).astype(np.intp))
+        return counts, int(lo) + width * np.arange(counts.size + 1, dtype=object)
+    # the ratio is capped first, as it can exceed the float range
+    bins = math.ceil(min((hi - lo) / width, _MAX_BINS)) if width > 0 else 1
+    return np.histogram(v, bins=bins, range=(lo, hi))
+
+
 def _chi2_per_bin(v, mu, v_mean):
-    """Chi-square per bin against the fitted density, Freedman-Diaconis bins."""
-    width = _fd_width(v)
-    if width <= 0.0:
+    """Chi-square per bin against the fitted density, on _fd_histogram's bins."""
+    observed, edges = _fd_histogram(v, False)
+    if observed.size < 2:
         return float("nan")
-    edges = np.arange(0.0, v.max() + width, width)
-    if len(edges) < 3:
-        return float("nan")
-    observed, edges = np.histogram(v, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     expected = multithermal_pdf(centers, mu, v_mean) * np.diff(edges) * v.size
     keep = expected > 5.0

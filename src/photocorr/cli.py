@@ -253,9 +253,10 @@ def cmd_analyze(cfg, out_dir, fmt="tsv"):
         "correlation_raw": analysis.correlation_function(series, 0),
         "correlation_noise_corrected": analysis.measured_correlation(series),
         "sigma2_difference": analysis.measured_difference_variance(series),
-        "difference_histogram": _difference_histogram(series),
         "input_metadata": meta,
     }
+    counts, edges = analysis._fd_histogram(np.subtract(*series.counts()), series.unit == "counts")
+    report["difference_histogram"] = {"edges": edges, "counts": counts}
     if fit:
         for channel, values in enumerate(series.counts(), start=1):
             report[f"multithermal_fit_channel{channel}"] = _fit_entry(values, integer_mu)
@@ -271,32 +272,6 @@ def _fit_entry(values, integer_mu):
     chi2 = fit.goodness if math.isfinite(fit.goodness) else None
     return {"mu": fit.mu_hat, "v_mean": fit.v_mean_hat, "chi2_per_bin": chi2,
             "n_clipped": fit.n_clipped}
-
-
-def _difference_histogram(series):
-    """Histogram of d = c1 - c2 with Freedman-Diaconis bins, in numeric order.
-
-    The bin width is 2 IQR / shots**(1/3).  For counts it is rounded up to an
-    integer >= 1 and the edges are integers, so each bin holds the integers
-    e_i <= d < e_(i+1).  For volts the range [min d, max d] is split into
-    ceil(range / width) equal bins (one bin when the width is 0).  Every
-    shot falls in one bin.
-    """
-    from . import analysis
-
-    c1, c2 = series.counts()
-    d = c1 - c2
-    width = analysis._fd_width(d)
-    lo, hi = d.min(), d.max()
-    if series.unit == "counts":
-        width = max(1, math.ceil(width))
-        index = ((d - lo) // width).astype(np.intp)
-        counts = np.bincount(index)
-        edges = int(lo) + width * np.arange(counts.size + 1)
-    else:
-        bins = math.ceil((hi - lo) / width) if width > 0 else 1
-        counts, edges = np.histogram(d, bins=bins, range=(lo, hi))
-    return {"edges": edges, "counts": counts}
 
 
 def cmd_fit(cfg, out_dir, fmt="tsv"):

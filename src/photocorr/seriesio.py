@@ -136,6 +136,12 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
                                "integer >= 0")
     except ValidationError as exc:
         raise DataError(str(exc)) from None
+    if not counts_mode:
+        for j, ch in ((1, ch1), (2, ch2)):
+            peak = float(max(-ch.min(), ch.max()))  # v / alpha is largest at the largest |v|
+            if not np.isfinite(peak / conv[j - 1]):
+                raise DataError(f"{side}: alpha{j}: {conv[j - 1]!r} maps the volts of "
+                                f"channel {j} to counts beyond the float range")
     series = ShotSeries(ch1, ch2, unit, conv, noise, truncations)
     return series, meta
 
@@ -228,11 +234,16 @@ def write_table(path, columns, fmt="tsv") -> Path:
     lengths = {name: len(c) for name, c in zip(columns, cols)}
     if len(set(lengths.values())) > 1:
         raise ValidationError(f"columns: expected equal lengths, got {lengths}")
-    if fmt == "json":
-        rows = zip(*(c.tolist() for c in cols))
+    if fmt == "json":  # the text of json.dump(rows, fh, indent=2), a block of rows at a time
+        n = len(cols[0]) if cols else 0
         with open(path, "w") as fh:
-            json.dump([dict(zip(columns, r)) for r in rows], fh, indent=2)
-            fh.write("\n")
+            fh.write("[" if n else "[]")
+            for lo in range(0, n, _BLOCK_ROWS):
+                rows = zip(*(c[lo:lo + _BLOCK_ROWS].tolist() for c in cols))
+                # the block's list text without its brackets, as its rows sit in the whole list
+                text = json.dumps([dict(zip(columns, r)) for r in rows], indent=2)[1:-2]
+                fh.write(text if lo == 0 else "," + text)
+            fh.write("\n]\n" if n else "\n")
         return path
     _write_text(path, columns, cols, {"tsv": "\t", "csv": ","}[fmt])
     return path

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import digamma, polygamma
 
 from photocorr import (
+    DataError,
     EfficiencyPair,
     InconsistentDataError,
     NoiseDominatedError,
@@ -24,7 +27,7 @@ from photocorr import (
     sample_series,
     solve_pump_noise,
 )
-from photocorr.analysis import _imbalance_terms, _quartiles
+from photocorr.analysis import _MAX_BINS, _fd_histogram, _imbalance_terms, _quartiles
 from photocorr.detection import _difference_variance
 
 PAPER_TWB = dict(sigma2=2.124e11, m1=7.225e6, m2=7.212e6, mu=14, eta=0.67)
@@ -156,6 +159,17 @@ class TestMeasuredDifferenceVariance:
         got = measured_difference_variance(volts)
         assert got == pytest.approx(want, rel=0.02)
 
+    def test_calibration_beyond_the_float_range(self):
+        # alpha**2 underflows to 0 at 1e-170: the noise term is inf, not a ZeroDivisionError
+        v = 1.0 + np.arange(2000.0) * 1e-160
+        volts = ShotSeries(v, v[::-1], "volts", (1e-170, 1e-170), (1e-8, 1e-8))
+        with pytest.raises(NoiseDominatedError):
+            measured_difference_variance(volts)
+        # counts of about 1e167 apart: their variance is beyond the float range
+        v = 1.0 + np.arange(2000.0) * 1e-3
+        with pytest.raises(DataError, match="beyond the float range"):
+            measured_difference_variance(ShotSeries(v, v[::-1], "volts", (1e-170, 1e-170)))
+
 
 def grid_mu(values):
     """Integer mode count maximising the multithermal profile log-likelihood,
@@ -238,6 +252,65 @@ def _quartile_samples():
 def test_quartiles_are_numpys_percentiles_bit_for_bit(v):
     got, want = _quartiles(v), np.percentile(v, [75, 25])
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
+
+
+def _uncapped_fd_histogram(v, integer):
+    """The Freedman-Diaconis rule without the bin cap, written out with np.percentile
+    and np.histogram on explicit edges; None where it asks for more than _MAX_BINS bins."""
+    q75, q25 = np.percentile(v, [75, 25])
+    width = 2.0 * (q75 - q25) * v.size ** (-1.0 / 3.0)
+    lo, hi = v.min(), v.max()
+    if integer:
+        width = max(1, math.ceil(width))
+        bins = int((hi - lo) // width) + 1
+        if bins > _MAX_BINS:
+            return None
+        edges = lo + width * np.arange(bins + 1)
+        return np.histogram(v, edges - 0.5)[0], edges
+    bins = math.ceil((hi - lo) / width) if width > 0 else 1
+    return None if bins > _MAX_BINS else np.histogram(v, bins, (lo, hi))
+
+
+@st.composite
+def fd_samples(draw):
+    """(sample, integer): integers, or floats about 1 at a spread of 1e-9 to 1e6, of
+    1 to 400 values, one of which may be an extreme value (a glitch shot)."""
+    integer = draw(st.booleans())
+    if integer:
+        v = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=400)), float)
+    else:
+        scale = draw(st.sampled_from([1e-9, 1.0, 1e6]))
+        v = 1.0 + scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=400)))
+    extreme = draw(st.sampled_from([None, 1e3, 1e15, -1e15]))
+    if extreme is not None:
+        v[draw(st.integers(0, v.size - 1))] = extreme
+    return v, integer
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(fd_samples())
+@example((np.r_[np.zeros(999), 65535.0], True))  # the rule asks for exactly _MAX_BINS bins
+def test_fd_histogram_bins_every_value_once(sample):
+    v, integer = sample
+    counts, edges = _fd_histogram(v, integer)
+    bins = counts.size
+    assert 1 <= bins <= _MAX_BINS and edges.size == bins + 1
+    assert counts.sum() == v.size and np.all(np.diff(edges) > 0)
+    # each value lies in e_i <= v < e_(i+1); the last float bin is closed
+    index = np.searchsorted(edges, v, side="right") - 1
+    if integer:
+        assert all(type(e) is int for e in edges) and edges[0] == v.min() and edges[-1] > v.max()
+    else:
+        assert edges[-1] == v.max() or v.min() == v.max()
+        index = np.minimum(index, bins - 1)
+    assert index.min() >= 0 and np.array_equal(np.bincount(index, minlength=bins), counts)
+    # the cap changes nothing where the rule asks for at most _MAX_BINS bins, and where
+    # it widens the bins it keeps more than half of them
+    want = _uncapped_fd_histogram(v, integer)
+    if want is None:
+        assert bins > _MAX_BINS // 2
+    else:
+        assert np.array_equal(counts, want[0]) and np.array_equal(edges, want[1])
 
 
 class TestImbalanceBounds:

@@ -254,9 +254,16 @@ class TestAnalyze:
     def test_volt_histogram_covers_every_shot(self, tmp_path):
         csv = self.make_series(tmp_path, volts=True, conv=[0.5, 0.25], shots=5000)
         hist = self.analyze(tmp_path, csv)["difference_histogram"]
-        assert np.all(np.diff(hist["edges"]) > 0)
-        assert len(hist["counts"]) == len(hist["edges"]) - 1
-        assert sum(hist["counts"]) == 5000
+        edges, counts = np.array(hist["edges"]), np.array(hist["counts"])
+        assert len(counts) == len(edges) - 1 and counts.sum() == 5000
+        # ceil(range / width) equal bins over [min d, max d], at the Freedman-Diaconis width
+        v = np.loadtxt(csv, delimiter=",", skiprows=1)
+        d = v[:, 1] / 0.5 - v[:, 2] / 0.25
+        q75, q25 = np.percentile(d, [75, 25])
+        width = 2.0 * (q75 - q25) * 5000 ** (-1.0 / 3.0)
+        assert len(counts) == math.ceil((d.max() - d.min()) / width) > 1
+        assert edges[0] == d.min() and edges[-1] == d.max()
+        assert np.allclose(np.diff(edges), (d.max() - d.min()) / len(counts), rtol=1e-12)
 
     def test_constant_difference_is_one_bin(self, tmp_path):
         csv = self.make_series(tmp_path, source="twin_beam", eta=[1.0, 1.0], shots=300)
@@ -294,6 +301,43 @@ class TestAnalyze:
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "v.json: unit" in err
+
+    @pytest.mark.parametrize("alpha", [1e-170, 1e-320])
+    def test_calibration_beyond_the_float_range_exits_3(self, tmp_path, capsys, alpha):
+        # v / alpha overflows at 1e-320; at 1e-170 alpha**2 underflows to 0 and the
+        # variance of counts about 1e167 apart overflows
+        v = 1.0 + np.random.default_rng(5).uniform(-1e-3, 1e-3, (2000, 2))
+        series = ShotSeries(v[:, 0], v[:, 1], "volts", (1.0, 1.0), (1e-8, 1e-8))
+        csv = write_series(series, tmp_path / "v.csv",
+                           extra_meta={"alpha1": alpha, "alpha2": alpha})
+        cfg = write_config(tmp_path, "ana.json", {"input": str(csv)})
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert ("v.json: alpha1" if alpha < 1e-308 else "beyond the float range") in err
+
+    @pytest.mark.parametrize("glitch", ["counts", "int64", "volts"])
+    def test_a_glitch_shot_keeps_the_bins_bounded(self, tmp_path, glitch):
+        # one shot far from the rest would otherwise ask for 1e12 to 1e14 bins
+        rng = np.random.default_rng(11)
+        if glitch == "volts":
+            ch = 1.0 + rng.uniform(-1e-9, 1e-9, (2, 2000))
+            ch[0, 17] = 1e3
+        else:
+            ch = rng.poisson(100, (2, 2000))
+            ch[:, 17] = (10**15, 0) if glitch == "counts" else (2**63 - 1, -2**63)
+        unit = "volts" if glitch == "volts" else "counts"
+        csv = write_series(ShotSeries(ch[0], ch[1], unit), tmp_path / "g.csv")
+        ana = write_config(tmp_path, "ana_cfg.json", {"input": str(csv), "fit": True})
+        fit = write_config(tmp_path, "fit_cfg.json", {"input": str(csv)})
+        assert run(["analyze", "--config", ana, "--out", tmp_path]) == EXIT_OK
+        assert run(["fit", "--config", fit, "--out", tmp_path]) == EXIT_OK
+        hist = strict_json(tmp_path / "analysis.json")["difference_histogram"]
+        assert len(hist["counts"]) <= 2**16 and sum(hist["counts"]) == 2000
+        # a difference of 2**64 - 1 counts: the edges pass the int64 range, and stay exact
+        edges = hist["edges"]
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert edges[-1] > (2**64 if glitch == "int64" else 0)
+        assert strict_json(tmp_path / "fit.json")["mu"] >= 1
 
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

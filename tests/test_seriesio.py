@@ -144,6 +144,20 @@ def test_bad_calibration_names_sidecar_and_key(tmp_path, key, value, bad):
         read_series(path)
 
 
+@pytest.mark.parametrize("key", ["alpha1", "alpha2"])
+@pytest.mark.parametrize("volts", [1e10, -1e10])
+def test_volts_beyond_the_float_range_name_the_alpha(tmp_path, key, volts):
+    # 1.0 / 1e-300 is in the float range, +-1e10 / 1e-300 is not
+    path = tmp_path / "v.csv"
+    path.write_text(f"shot,v1,v2\n0,1.0,1.0\n1,{volts},{volts}\n")
+    sidecar_path(path).write_text(json.dumps({"unit": "volts", key: 1e-300}))
+    with pytest.raises(DataError, match=f"v.json: {key}: 1e-300 maps the volts"):
+        read_series(path)
+    # at 1e-170 the counts are about 1e180, inside the float range
+    sidecar_path(path).write_text(json.dumps({"unit": "volts", key: 1e-170}))
+    assert read_series(path)[0].conv == ((1e-170, 1.0) if key == "alpha1" else (1.0, 1e-170))
+
+
 @pytest.mark.parametrize("unit", ["amps", 5, ["volts"], None, "Volts"])
 def test_bad_unit_names_sidecar_and_key(tmp_path, unit):
     path = tmp_path / "v.csv"
@@ -532,6 +546,17 @@ def test_a_float_column_prints_alike_in_records_and_tables(tmp_path):
     assert record.read_bytes() == table.read_bytes()
 
 
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5])
+def test_json_table_is_the_text_of_one_dump(tmp_path, rows):
+    rng = np.random.default_rng(9)
+    columns = {"n": np.arange(rows) - 7, "p": rng.random(rows), "flag": rng.random(rows) > 0.5,
+               'a "key"': np.where(np.arange(rows) % 5 == 0, np.nan, 1.5)}
+    want = [dict(zip(columns, r)) for r in zip(*(c.tolist() for c in columns.values()))]
+    text = write_table(tmp_path / "t", columns, "json").read_text()
+    assert json.loads(text) == json.loads(json.dumps(want))  # NaN != NaN, so compared as text
+    assert text == json.dumps(want, indent=2) + "\n"
+
+
 def _peak_bytes(write):
     tracemalloc.start()
     try:
@@ -541,17 +566,20 @@ def _peak_bytes(write):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("what", ["table", "volts"])
+@pytest.mark.parametrize("what", ["table", "json", "volts"])
 def test_writer_memory_does_not_grow_with_the_rows(tmp_path, what):
     rng = np.random.default_rng(8)
     peaks = {}
-    for rows in (90_000, 20_000, 200_000) if what == "table" else (200_000, 20_000):
-        if what == "table":  # the shape of a 300x300 noise surface
+    sizes = {"table": (90_000, 20_000, 200_000), "json": (40_000, 10_000)}
+    for rows in sizes.get(what, (200_000, 20_000)):
+        if what != "volts":  # the shape of a 300x300 noise surface
             columns = {name: rng.random(rows) * 10.0**k for k, name in enumerate("abcde")}
-            peaks[rows] = _peak_bytes(lambda: write_table(tmp_path / "t.tsv", columns))
+            fmt = "tsv" if what == "table" else "json"
+            peaks[rows] = _peak_bytes(lambda: write_table(tmp_path / "t", columns, fmt))
         else:
             series = ShotSeries(rng.standard_normal(rows) + 1.4, rng.standard_normal(rows) + 1.4,
                                 "volts")
             peaks[rows] = _peak_bytes(lambda: write_series(series, tmp_path / "v.csv"))
-    assert max(peaks.values()) < 1e6, peaks
-    assert abs(peaks[200_000] - peaks[20_000]) < 0.2e6, peaks
+    # a block of JSON rows is about 1.6 MB while the encoder builds its text
+    assert max(peaks.values()) < (2.5e6 if what == "json" else 1e6), peaks
+    assert abs(peaks[max(peaks)] - peaks[min(peaks)]) < 0.2e6, peaks
