@@ -21,13 +21,13 @@ _EXPORTS = {
     "analysis": ("MultithermalFit", "NoiseBudget", "PumpFit", "correlation_function",
                  "fit_multithermal", "imbalance_bounds", "measured_correlation",
                  "measured_difference_variance", "noise_surface", "solve_pump_noise"),
-    "detection": ("EfficiencyPair", "MomentSet", "analytic_moments", "detected_moments",
-                  "multimode_convolve", "source_joint", "thin_joint", "twin_beam_joint"),
+    "detection": ("EfficiencyPair", "MomentSet", "analytic_moments", "multimode_convolve",
+                  "source_joint", "thin_joint", "twin_beam_joint"),
     "errors": ("DataError", "InconsistentDataError", "NoiseDominatedError", "PhotocorrError",
                "TailToleranceError", "UndefinedMarkerError", "ValidationError"),
     "markers": ("DifferenceDistribution", "VarianceReport", "correlation_coefficient",
-                "correlation_from_joint", "difference_analytic", "difference_from_joint",
-                "difference_variance", "variance_threshold"),
+                "difference_analytic", "difference_from_joint", "difference_variance",
+                "variance_threshold"),
     "montecarlo": ("SimulationConfig", "predicted_beam_variance", "sample_series"),
     "seriesio": ("ShotSeries", "read_series", "write_series"),
     "sources": ("COHERENT_PAIR", "SPLIT_THERMAL", "TWIN_BEAM", "JointCountDistribution",

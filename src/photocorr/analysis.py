@@ -37,6 +37,7 @@ def correlation_function(series: ShotSeries, lag: int) -> float:
 
     The sum runs over the shots where both samples exist (no circular
     indexing); means and standard deviations are taken over the full series.
+    A standard deviation or covariance beyond the float range raises DataError.
     """
     v1 = np.asarray(series.ch1, dtype=float)
     v2 = np.asarray(series.ch2, dtype=float)
@@ -44,16 +45,19 @@ def correlation_function(series: ShotSeries, lag: int) -> float:
     lag = _checked("lag", lag, "integer")
     if k <= abs(lag) + 1:
         raise ValidationError(f"lag {lag} needs more than {abs(lag) + 1} shots, got {k}")
-    s1, s2 = v1.std(), v2.std()
-    if s1 == 0.0 or s2 == 0.0:
-        raise UndefinedMarkerError("correlation undefined: a channel has zero variance")
-    d1 = v1 - v1.mean()
-    d2 = v2 - v2.mean()
-    if lag >= 0:
-        num = (d1[: k - lag] * d2[lag:]).mean()
-    else:
-        num = (d1[-lag:] * d2[: k + lag]).mean()
-    return float(num / (s1 * s2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment beyond the float range is refused
+        s1 = _finite_moment("standard deviation of ch1", v1.std())
+        s2 = _finite_moment("standard deviation of ch2", v2.std())
+        if s1 == 0.0 or s2 == 0.0:
+            raise UndefinedMarkerError("correlation undefined: a channel has zero variance")
+        d1 = v1 - v1.mean()
+        d2 = v2 - v2.mean()
+        if lag >= 0:
+            num = (d1[: k - lag] * d2[lag:]).mean()
+        else:
+            num = (d1[-lag:] * d2[: k + lag]).mean()
+        # s1 * s2 can pass the float range where num does not; the quotient is then 0
+        return float(_finite_moment(f"lag-{lag} covariance", num) / (s1 * s2))
 
 
 def measured_correlation(series: ShotSeries) -> float:
@@ -61,17 +65,18 @@ def measured_correlation(series: ShotSeries) -> float:
 
     Each channel's variance is reduced by its recorded instrument-noise
     variance before normalizing; the covariance itself needs no correction
-    because the noise of the two channels is independent.
+    because the noise of the two channels is independent.  A variance or the
+    covariance beyond the float range raises DataError.
     """
     v1 = np.asarray(series.ch1, dtype=float)
     v2 = np.asarray(series.ch2, dtype=float)
     nv1, nv2 = series.instrument_noise_var
-    var1 = v1.var() - nv1
-    var2 = v2.var() - nv2
-    if var1 <= 0.0 or var2 <= 0.0:
-        raise NoiseDominatedError(
-            "instrument noise exceeds a channel's measured variance")
-    cov = ((v1 - v1.mean()) * (v2 - v2.mean())).mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # a moment beyond the float range is refused
+        var1 = _finite_moment("variance of ch1", v1.var()) - nv1
+        var2 = _finite_moment("variance of ch2", v2.var()) - nv2
+        if var1 <= 0.0 or var2 <= 0.0:
+            raise NoiseDominatedError("instrument noise exceeds a channel's measured variance")
+        cov = _finite_moment("covariance", ((v1 - v1.mean()) * (v2 - v2.mean())).mean())
     return float(cov / (math.sqrt(var1) * math.sqrt(var2)))
 
 
@@ -94,9 +99,14 @@ def measured_difference_variance(series: ShotSeries) -> float:
         sigma2 = float((c1 - c2).var() - noise)
     if sigma2 < 0.0:
         raise NoiseDominatedError("instrument noise exceeds the measured difference variance")
-    if not math.isfinite(sigma2):
-        raise DataError("the difference variance is beyond the float range")
-    return sigma2
+    return _finite_moment("difference variance", sigma2)
+
+
+def _finite_moment(name, value):
+    """value, a moment of a record; DataError naming it when it is inf or nan (inf - inf)."""
+    if not math.isfinite(value):
+        raise DataError(f"the {name} is beyond the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -124,7 +134,8 @@ def fit_multithermal(values, integer_mu: bool = True) -> MultithermalFit:
     floor(mu) and floor(mu) + 1, within [1, _MU_MAX], has the larger ll (the
     lower on a tie): ll is strictly concave in mu, so that is the integer
     maximum.  Values at or below zero (possible in voltage records) are
-    clipped to zero, counted, and excluded from the likelihood.
+    clipped to zero, counted, and excluded from the likelihood.  A mean of the
+    positive values beyond the float range raises DataError.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 1000:
@@ -133,7 +144,8 @@ def fit_multithermal(values, integer_mu: bool = True) -> MultithermalFit:
     v = v[v > 0.0]
     if v.size == 0:
         raise ValidationError("no positive samples to fit")
-    v_mean = v.mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean beyond the float range is refused
+        v_mean = _finite_moment("mean of the positive values", v.mean())
     mean_log = np.log(v).mean()
 
     def mean_loglik(mu):
@@ -215,7 +227,7 @@ def _chi2_per_bin(v, mu, v_mean):
     observed, edges = _fd_histogram(v, False)
     if observed.size < 2:
         return float("nan")
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    centers = 0.5 * edges[:-1] + 0.5 * edges[1:]  # no overflow near the float range
     expected = multithermal_pdf(centers, mu, v_mean) * np.diff(edges) * v.size
     keep = expected > 5.0
     if keep.sum() < 2:

@@ -100,20 +100,6 @@ def thin_joint(dist: JointCountDistribution, eff: EfficiencyPair) -> JointCountD
     return JointCountDistribution(thinned, dist.tail_mass)
 
 
-def detected_moments(dist: JointCountDistribution) -> MomentSet:
-    """Exact moments of the (truncated) joint distribution."""
-    p = dist.probs
-    n = np.arange(p.shape[0], dtype=float)
-    p1 = p.sum(axis=1)
-    p2 = p.sum(axis=0)
-    m1 = p1 @ n
-    m2 = p2 @ n
-    v1 = p1 @ n**2 - m1**2
-    v2 = p2 @ n**2 - m2**2
-    cov = n @ p @ n - m1 * m2
-    return MomentSet(m1, m2, v1, v2, cov)
-
-
 def _pgf_coefficients(kind, n, tau, eta1, eta2):
     """Bose flag, coefficients (A, B, C) of a source's single-pair count pgf, A - B
     and A + B - 2C.

@@ -11,8 +11,8 @@ the same intensity:
   shot-noise level (eta1 + eta2) * N as long as the efficiencies are not
   too unbalanced.
 
-Every analytic form here has a distribution-derived counterpart so the two
-routes can be checked against each other.
+Each marker is computed by one route, from the law core in detection; the
+independent routes that check them live in the test oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import EfficiencyPair, _difference_pmf, _difference_variance, analytic_moments, detected_moments
+from .detection import EfficiencyPair, _difference_pmf, _difference_variance, analytic_moments
 from .errors import UndefinedMarkerError, ValidationError
 from .sources import (COHERENT_PAIR, DEFAULT_TAIL_TOL, JointCountDistribution, SourceSpec, _checked,
                       _checked_array, _checked_pmf)
@@ -84,27 +84,20 @@ def correlation_coefficient(src: SourceSpec, eff: EfficiencyPair) -> float:
 
     A coherent pair is uncorrelated, so it returns exactly zero, also in
     vacuum.  Otherwise raises UndefinedMarkerError when a beam's detected
-    variance is zero (no photons, or zero efficiency).
+    variance is zero (no photons, or zero efficiency), and ValidationError when
+    var1 var2 is beyond the float range.
     """
     if src.kind == COHERENT_PAIR:
         return 0.0
-    return _correlation(analytic_moments(src, eff))
-
-
-def correlation_from_joint(dist: JointCountDistribution) -> float:
-    """Correlation coefficient computed from a joint count distribution."""
-    return _correlation(detected_moments(dist))
-
-
-def _correlation(m) -> float:
-    """cov / sqrt(var1 var2); UndefinedMarkerError at a zero variance, ValidationError on overflow."""
+    m = analytic_moments(src, eff)
     if m.var1 <= 0.0 or m.var2 <= 0.0:
         raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
     return m.cov / math.sqrt(_checked("var1 * var2", m.var1 * m.var2, "finite"))
 
 
 def difference_from_joint(dist: JointCountDistribution) -> DifferenceDistribution:
-    """Distribution of d = m1 - m2 obtained by summing joint anti-diagonals."""
+    """Distribution of d = m1 - m2 obtained by summing joint anti-diagonals.  Kept only
+    because the benchmark's reference route (perfbench/checks.py) calls it by this name."""
     c = dist.cutoff
     probs = np.array([np.trace(dist.probs, offset=-d) for d in range(-c, c + 1)])
     return DifferenceDistribution(probs, -c, dist.tail_mass)

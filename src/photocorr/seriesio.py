@@ -65,7 +65,11 @@ class ShotSeries:
         if len(self.ch1) != len(self.ch2):
             raise ValidationError("ch1 and ch2 must have equal length")
         # the coefficients divide volts; counts never use them, but write them to the sidecar
-        _checked_pair("conv", self.conv, "> 0" if self.unit == "volts" else ">= 0")
+        conv = _checked_pair("conv", self.conv, "> 0" if self.unit == "volts" else ">= 0")
+        j = self.unit == "volts" and _overflowing_channel(self.ch1, self.ch2, conv)
+        if j:
+            raise ValidationError(f"conv: {conv[j - 1]!r} maps the volts of ch{j} to counts "
+                                  "beyond the float range")
         _checked_pair("instrument_noise_var", self.instrument_noise_var, ">= 0")
         _checked("pump_truncations", self.pump_truncations, "integer >= 0")
 
@@ -77,6 +81,12 @@ class ShotSeries:
         if self.unit == "counts":
             return np.asarray(self.ch1, dtype=float), np.asarray(self.ch2, dtype=float)
         return self.ch1 / self.conv[0], self.ch2 / self.conv[1]
+
+
+def _overflowing_channel(ch1, ch2, conv):
+    """The first channel, 1 or 2, whose counts v / conv pass the float range, else 0."""
+    return next((j for j, ch in ((1, ch1), (2, ch2))
+                 if not np.isfinite(max(-float(ch.min()), float(ch.max())) / conv[j - 1])), 0)
 
 
 def sidecar_path(csv_path) -> Path:
@@ -136,12 +146,10 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
                                "integer >= 0")
     except ValidationError as exc:
         raise DataError(str(exc)) from None
-    if not counts_mode:
-        for j, ch in ((1, ch1), (2, ch2)):
-            peak = float(max(-ch.min(), ch.max()))  # v / alpha is largest at the largest |v|
-            if not np.isfinite(peak / conv[j - 1]):
-                raise DataError(f"{side}: alpha{j}: {conv[j - 1]!r} maps the volts of "
-                                f"channel {j} to counts beyond the float range")
+    j = not counts_mode and _overflowing_channel(ch1, ch2, conv)
+    if j:
+        raise DataError(f"{side}: alpha{j}: {conv[j - 1]!r} maps the volts of "
+                        f"channel {j} to counts beyond the float range")
     series = ShotSeries(ch1, ch2, unit, conv, noise, truncations)
     return series, meta
 

@@ -1,5 +1,6 @@
-"""Independent oracles: the one-pair joint photon table, built term by term, and
-p(d), the law of d = m1 - m2, at any brightness.
+"""Independent oracles: the one-pair joint photon table, built term by term, the
+moments and correlation coefficient of any joint table, and p(d), the law of
+d = m1 - m2, at any brightness.
 
 single_pair_joint writes the photon-number law of one mode pair of each source
 in closed form, at an explicit cutoff: a thermal number on both beams for the
@@ -7,6 +8,9 @@ twin beam, two Poisson beams for the coherent pair, and a thermal beam of mean
 2n split binomially for split thermal light.  Thinned by detection.thin_joint
 and summed over the mu pairs by detection.multimode_convolve, it is the
 reference for the package's pgf inversion, detection.source_joint.
+detected_moments and correlation_from_joint sum a joint table directly; they are
+the references for the closed forms detection.analytic_moments and
+markers.correlation_coefficient.
 
 For p(d):
 
@@ -38,7 +42,7 @@ import numpy as np
 from scipy.special import gammaln, ive, roots_genlaguerre
 from scipy.stats import binom, poisson
 
-from photocorr import JointCountDistribution
+from photocorr import JointCountDistribution, MomentSet, UndefinedMarkerError
 
 #: |d| from which the Skellam pmf takes the Debye expansion of I_nu, four terms
 #: (relative error about u_5 / nu**5 < 1e-15); below it, scipy's ive.
@@ -77,6 +81,23 @@ def single_pair_joint(spec, cutoff):
         total = k[:, None] + k[None, :]
         probs = binom.pmf(k[:, None], total, spec.tau) * thermal_pmf(total, 2.0 * n)
     return JointCountDistribution(probs, max(0.0, 1.0 - probs.sum()))
+
+
+def detected_moments(dist):
+    """Exact moments of a (truncated) joint table, as a MomentSet."""
+    p = dist.probs
+    n = np.arange(p.shape[0], dtype=float)
+    p1, p2 = p.sum(axis=1), p.sum(axis=0)
+    m1, m2 = p1 @ n, p2 @ n
+    return MomentSet(m1, m2, p1 @ n**2 - m1**2, p2 @ n**2 - m2**2, n @ p @ n - m1 * m2)
+
+
+def correlation_from_joint(dist):
+    """cov / sqrt(var1 var2) of a joint table; UndefinedMarkerError at a zero variance."""
+    m = detected_moments(dist)
+    if m.var1 <= 0.0 or m.var2 <= 0.0:
+        raise UndefinedMarkerError("correlation undefined: a beam has zero variance")
+    return m.cov / math.sqrt(m.var1 * m.var2)
 
 
 def joint_tv(p, q):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,27 @@ class TestMeasuredDifferenceVariance:
         v = 1.0 + np.arange(2000.0) * 1e-3
         with pytest.raises(DataError, match="beyond the float range"):
             measured_difference_variance(ShotSeries(v, v[::-1], "volts", (1e-170, 1e-170)))
+
+
+class TestMomentsBeyondTheFloatRange:
+    """A volts record near the float's largest value: its counts are finite, but their
+    sums, squares and differences are not, so each estimator refuses it without a
+    RuntimeWarning."""
+
+    v = np.random.default_rng(3).uniform(1e307, 1.7e308, (2, 2000))
+    series = ShotSeries(v[0], v[1], "volts", (1.0, 1.0))
+
+    @pytest.mark.parametrize("call, moment", [
+        (lambda s: correlation_function(s, 0), "standard deviation of ch1"),
+        (lambda s: correlation_function(s, -3), "standard deviation of ch1"),
+        (measured_correlation, "variance of ch1"),
+        (lambda s: fit_multithermal(s.counts()[0]), "mean of the positive values"),
+    ])
+    def test_estimator_raises_data_error_naming_the_moment(self, call, moment):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match=f"the {moment} is beyond the float range"):
+                call(self.series)
 
 
 def grid_mu(values):

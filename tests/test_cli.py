@@ -339,6 +339,21 @@ class TestAnalyze:
         assert edges[-1] > (2**64 if glitch == "int64" else 0)
         assert strict_json(tmp_path / "fit.json")["mu"] >= 1
 
+    @pytest.mark.parametrize("command", ["fit", "analyze"])
+    def test_moments_beyond_the_float_range_exit_3_without_warnings(self, tmp_path, command):
+        # counts near the float's largest value: their mean and variances overflow; in a
+        # fresh interpreter, so that a RuntimeWarning would reach stderr
+        v = np.random.default_rng(3).uniform(1e307, 1.7e308, (2, 2000))
+        csv = write_series(ShotSeries(v[0], v[1], "volts"), tmp_path / "huge.csv")
+        payload = {"input": str(csv)}
+        if command == "analyze":
+            payload["fit"] = True
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = subprocess.run([sys.executable, "-m", "photocorr", command, "--config", cfg,
+                              "--out", str(tmp_path / "out")], capture_output=True, text=True)
+        assert out.returncode == EXIT_DATA, out.stderr
+        assert "beyond the float range" in out.stderr and "Warning" not in out.stderr
+
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("shot,m1,m2\n0,1,x\n")

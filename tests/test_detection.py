@@ -13,7 +13,7 @@ from photocorr import (
     SourceSpec,
     ValidationError,
     analytic_moments,
-    detected_moments,
+    correlation_coefficient,
     multimode_convolve,
     source_joint,
     thin_joint,
@@ -77,7 +77,7 @@ class TestMoments:
     def test_thinned_twb_moments(self, eta):
         n_mean = 1.0
         j = source_joint(SourceSpec.twin_beam(n_mean), tail_tol=1e-13)
-        m = detected_moments(thin_joint(j, EfficiencyPair(eta, eta)))
+        m = oracles.detected_moments(thin_joint(j, EfficiencyPair(eta, eta)))
         assert m.mean1 == pytest.approx(eta * n_mean, rel=1e-10)
         want_var = eta**2 * n_mean * (n_mean + 1) + eta * (1 - eta) * n_mean
         assert m.var1 == pytest.approx(want_var, rel=1e-9)
@@ -86,13 +86,13 @@ class TestMoments:
     @pytest.mark.parametrize("eta", [(0.5, 0.5), (0.3, 0.9)])
     def test_thinned_twb_covariance(self, n_mean, eta):
         j = source_joint(SourceSpec.twin_beam(n_mean), tail_tol=1e-13)
-        m = detected_moments(thin_joint(j, EfficiencyPair(*eta)))
+        m = oracles.detected_moments(thin_joint(j, EfficiencyPair(*eta)))
         want = eta[0] * eta[1] * n_mean * (n_mean + 1)
         assert m.cov == pytest.approx(want, rel=1e-8)
 
     def test_coherent_covariance_zero(self):
         j = source_joint(SourceSpec.coherent_pair(1.0), tail_tol=1e-13)
-        m = detected_moments(thin_joint(j, EfficiencyPair(0.6, 0.8)))
+        m = oracles.detected_moments(thin_joint(j, EfficiencyPair(0.6, 0.8)))
         assert abs(m.cov) < 1e-10
 
     @pytest.mark.parametrize("kind", ["twin_beam", "coherent_pair", "split_thermal"])
@@ -102,9 +102,23 @@ class TestMoments:
         eff = EfficiencyPair(*eta)
         got = analytic_moments(src, eff)
         j = source_joint(src, tail_tol=1e-13)
-        want = detected_moments(thin_joint(j, eff))
+        want = oracles.detected_moments(thin_joint(j, eff))
         for field in ("mean1", "mean2", "var1", "var2", "cov"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["twin_beam", "coherent_pair", "split_thermal"])
+    def test_analytic_matches_distribution_three_modes(self, kind):
+        src, eff = SourceSpec(kind, 2.0, 3), EfficiencyPair(0.6, 0.7)
+        table = source_joint(src, eff, 1e-13)
+        got, want = analytic_moments(src, eff), oracles.detected_moments(table)
+        for field in ("mean1", "mean2", "var1", "var2", "cov"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-8, abs=1e-10)
+        if kind == "coherent_pair":  # exactly 0 in closed form, rounding noise in the table
+            assert correlation_coefficient(src, eff) == 0.0
+            assert abs(oracles.correlation_from_joint(table)) < 1e-10
+        else:
+            assert correlation_coefficient(src, eff) == pytest.approx(
+                oracles.correlation_from_joint(table), rel=1e-8)
 
     def test_twb_mean_independent_of_mu(self):
         eff = EfficiencyPair(0.6, 0.7)
@@ -140,8 +154,8 @@ class TestMultimodeConvolve:
     def test_mean_and_variance_scale(self, mu):
         src = SourceSpec.split_thermal(1.0)
         j = thin_joint(source_joint(src, tail_tol=1e-13), EfficiencyPair(0.67, 0.67))
-        single = detected_moments(j)
-        multi = detected_moments(multimode_convolve(j, mu, tail_tol=1e-12))
+        single = oracles.detected_moments(j)
+        multi = oracles.detected_moments(multimode_convolve(j, mu, tail_tol=1e-12))
         assert multi.mean1 == pytest.approx(mu * single.mean1, rel=1e-9)
         assert multi.var1 == pytest.approx(mu * single.var1, rel=1e-8)
         assert multi.cov == pytest.approx(mu * single.cov, rel=1e-8)

@@ -77,10 +77,20 @@ def test_counts_channels_are_integers(ch1):
     ((0.0, 1.0), (0.0, 0.0), "conv"), ((1.0, math.nan), (0.0, 0.0), "conv"),
     (5.0, (0.0, 0.0), "conv: expected a pair"), ((1.0, 1.0), (-1.0, 0.0), "instrument_noise_var"),
     ((1.0, 1.0), (0.0, math.inf), "instrument_noise_var"),
+    # v / conv beyond the float range
+    ((1e-320, 1.0), (0.0, 0.0), "conv: 1e-320 maps the volts of ch1 to counts beyond"),
+    ((1.0, 1e-320), (0.0, 0.0), "conv: 1e-320 maps the volts of ch2 to counts beyond"),
 ])
 def test_calibrations_the_estimators_cannot_use_are_refused(conv, noise, match):
     with pytest.raises(ValidationError, match=match):
         ShotSeries(np.array([1.0, 2.0]), np.array([2.0, 1.0]), "volts", conv, noise)
+
+
+def test_volts_calibration_within_the_float_range_is_accepted():
+    # |v| of about 1 at 1e-170 gives counts of about 1e170, as read_series accepts
+    v = 1.0 + np.random.default_rng(5).uniform(-1e-3, 1e-3, 2000)
+    c1, c2 = ShotSeries(v, -v, "volts", (1e-170, 1e-170)).counts()
+    assert np.isfinite(c1).all() and np.isfinite(c2).all()
 
 
 def test_sidecar_carries_extra_metadata(tmp_path):

@@ -45,6 +45,14 @@ print(json.dumps(bad))
     assert fresh(code) == []
 
 
+@pytest.mark.parametrize("name", ["correlation_from_joint", "detected_moments"])
+def test_test_oracles_are_not_public_names(name):
+    # the joint-table moments and correlation are test references (tests/oracles.py)
+    code = (f"import json, photocorr; "
+            f"print(json.dumps([hasattr(photocorr, {name!r}), {name!r} in dir(photocorr)]))")
+    assert fresh(code) == [False, False]
+
+
 def test_the_library_step_loads_sources_and_detection_only():
     code = ("import json, sys; from photocorr import EfficiencyPair, multimode_convolve, "
             f"thin_joint, twin_beam_joint; print(json.dumps({LOADED}))")
