@@ -36,28 +36,10 @@ def correlation_function(series: ShotSeries, lag: int) -> float:
     """Normalized cross-correlation of the two channels at a shot lag.
 
     The sum runs over the shots where both samples exist (no circular
-    indexing); means and standard deviations are taken over the full series.
-    A standard deviation or covariance beyond the float range raises DataError.
+    indexing); means and variances are taken over the full series.  A channel
+    of zero variance raises UndefinedMarkerError.
     """
-    v1 = np.asarray(series.ch1, dtype=float)
-    v2 = np.asarray(series.ch2, dtype=float)
-    k = len(v1)
-    lag = _checked("lag", lag, "integer")
-    if k <= abs(lag) + 1:
-        raise ValidationError(f"lag {lag} needs more than {abs(lag) + 1} shots, got {k}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a moment beyond the float range is refused
-        s1 = _finite_moment("standard deviation of ch1", v1.std())
-        s2 = _finite_moment("standard deviation of ch2", v2.std())
-        if s1 == 0.0 or s2 == 0.0:
-            raise UndefinedMarkerError("correlation undefined: a channel has zero variance")
-        d1 = v1 - v1.mean()
-        d2 = v2 - v2.mean()
-        if lag >= 0:
-            num = (d1[: k - lag] * d2[lag:]).mean()
-        else:
-            num = (d1[-lag:] * d2[: k + lag]).mean()
-        # s1 * s2 can pass the float range where num does not; the quotient is then 0
-        return float(_finite_moment(f"lag-{lag} covariance", num) / (s1 * s2))
+    return _correlation(series, lag, (0.0, 0.0))
 
 
 def measured_correlation(series: ShotSeries) -> float:
@@ -65,19 +47,41 @@ def measured_correlation(series: ShotSeries) -> float:
 
     Each channel's variance is reduced by its recorded instrument-noise
     variance before normalizing; the covariance itself needs no correction
-    because the noise of the two channels is independent.  A variance or the
-    covariance beyond the float range raises DataError.
+    because the noise of the two channels is independent.  A channel that the
+    noise leaves with no variance raises NoiseDominatedError (one of zero
+    variance and zero noise, UndefinedMarkerError).
     """
-    v1 = np.asarray(series.ch1, dtype=float)
-    v2 = np.asarray(series.ch2, dtype=float)
-    nv1, nv2 = series.instrument_noise_var
-    with np.errstate(over="ignore", invalid="ignore"):  # a moment beyond the float range is refused
-        var1 = _finite_moment("variance of ch1", v1.var()) - nv1
-        var2 = _finite_moment("variance of ch2", v2.var()) - nv2
-        if var1 <= 0.0 or var2 <= 0.0:
+    return _correlation(series, 0, series.instrument_noise_var)
+
+
+def _correlation(series, lag, noise_var):
+    """The covariance of the two channels at a shot lag over sqrt(var1 - nv1) sqrt(var2 - nv2).
+
+    Each channel is first scaled by 2**-e, e the binary exponent of its largest |v|,
+    and its noise variance by 2**-2e.  A power of two commutes with rounding, so the
+    result is that of the unscaled moments wherever these are in the float range, and
+    the moments of a channel within (-1, 1) never leave the float range.
+    """
+    k = len(series)
+    lag = _checked("lag", lag, "integer")
+    if k <= abs(lag) + 1:
+        raise ValidationError(f"lag {lag} needs more than {abs(lag) + 1} shots, got {k}")
+    centred, sd = [], []
+    for values, nv in zip((series.ch1, series.ch2), noise_var):
+        v = np.asarray(values, dtype=float)
+        e = int(np.frexp(np.abs(v).max())[1])
+        v = np.ldexp(v, -e)
+        with np.errstate(over="ignore"):  # noise scaled beyond the float range is inf: it dominates
+            var = v.var() - np.ldexp(float(nv), -2 * e)
+        if not var > 0.0:
+            if nv == 0:
+                raise UndefinedMarkerError("correlation undefined: a channel has zero variance")
             raise NoiseDominatedError("instrument noise exceeds a channel's measured variance")
-        cov = _finite_moment("covariance", ((v1 - v1.mean()) * (v2 - v2.mean())).mean())
-    return float(cov / (math.sqrt(var1) * math.sqrt(var2)))
+        centred.append(v - v.mean())
+        sd.append(math.sqrt(var))
+    d1, d2 = centred if lag >= 0 else centred[::-1]  # lag -j of (ch1, ch2) is lag j of (ch2, ch1)
+    cov = (d1[: k - abs(lag)] * d2[abs(lag):]).mean()
+    return float(cov / (sd[0] * sd[1]))
 
 
 def measured_difference_variance(series: ShotSeries) -> float:

@@ -90,19 +90,11 @@ def _text(value):
     return value
 
 
-def _pair(value):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"expected a pair [x1, x2], got {value!r}")
-    return tuple(value)
-
-
 def _number_list(value):
-    arr = np.asarray(value)
-    # np.asarray turns [1, true] into integers, so booleans are looked for by element
-    if (arr.ndim != 1 or arr.dtype.kind not in "iuf"
-            or any(isinstance(v, bool) for v in value)):
+    # as parsed: np.asarray would read a bool in it as 0 or 1, which the entry checks refuse
+    if np.ndim(value) != 1:
         raise ValueError(f"expected a list of numbers, got {value!r}")
-    return arr
+    return value
 
 
 def _grid_spec(value):
@@ -118,7 +110,7 @@ def _source(cfg, kind, n_mean) -> SourceSpec:
 
 
 def _eff_from(cfg) -> EfficiencyPair:
-    return EfficiencyPair(*_config_value(cfg, "eta", _pair))
+    return EfficiencyPair(*sources._checked_pair("eta", _config_value(cfg, "eta"), "[0, 1]"))
 
 
 def _write_report(out_dir, name, payload, resolved_config):

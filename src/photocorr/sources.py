@@ -76,8 +76,8 @@ def _checked_array(name, values, rule):
     """The array form of _checked: values, an array of real numbers of any shape, as a
     float64 array if every element obeys the same rule of _DOMAINS (the integer rules ask
     for whole numbers), else ValidationError naming name, the index and the value of the
-    first element that does not.  An array of bools, strings or objects, and a ragged
-    sequence, fail every rule.
+    first element that does not.  An array of bools, strings or objects, a bool in a list
+    or tuple, and a ragged sequence, fail every rule.
     A float goes to _checked and comes back a float, so scalar callers pay no array cost."""
     if isinstance(values, float):
         return _checked(name, values, rule)
@@ -93,10 +93,13 @@ def _checked_array(name, values, rule):
     ok = (least <= x) & (x <= greatest)
     if integer:
         ok &= np.trunc(x) == x
+    if isinstance(values, (list, tuple)):  # np.asarray reads a bool among numbers as 0 or 1
+        ok &= ~np.vectorize(lambda v: isinstance(v, (bool, np.bool_)), otypes=[bool])(
+            np.array(values, dtype=object))
     if not ok.all():
         index = np.argwhere(~ok)[0].tolist()
-        raise ValidationError(f"{name}{index if index else ''}: must be {text}, "
-                              f"got {arr[tuple(index)].item()!r}")
+        got = np.array(values, dtype=object)[tuple(index)]
+        raise ValidationError(f"{name}{index if index else ''}: must be {text}, got {got!r}")
     return x
 
 

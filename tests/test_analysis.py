@@ -135,6 +135,33 @@ class TestMeasuredCorrelation:
         with pytest.raises(NoiseDominatedError):
             measured_correlation(s)
 
+    def test_constant_channel_without_noise_rejected(self):
+        # zero variance, not noise, leaves the correlation undefined
+        s = counts_series([1, 1, 1, 1], [1, 2, 3, 4])
+        with pytest.raises(UndefinedMarkerError, match="zero variance"):
+            measured_correlation(s)
+
+    def test_one_shot_rejected(self):
+        with pytest.raises(ValidationError, match="lag 0 needs more than 1 shots, got 1"):
+            measured_correlation(counts_series([1], [2]))
+
+
+def test_correlations_are_scale_free():
+    # at 1e-200 the variances underflow to 0, unless the channels are scaled first
+    v = np.random.default_rng(5).uniform(1e-200, 2e-200, (2, 2000))
+    v[1] = 0.5 * (v[0] + v[1])
+    tiny = ShotSeries(v[0], v[1], "volts", (1.0, 1.0))
+    large = ShotSeries(np.ldexp(v[0], 664), np.ldexp(v[1], 664), "volts", (1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for lag in (0, 1, -3):
+            assert correlation_function(tiny, lag) == correlation_function(large, lag)
+        assert measured_correlation(tiny) == measured_correlation(large) > 0.5
+        # a noise variance that the scaling takes beyond the float range dominates
+        noisy = ShotSeries(v[0], v[1], "volts", (1.0, 1.0), (1e-80, 0.0))
+        with pytest.raises(NoiseDominatedError):
+            measured_correlation(noisy)
+
 
 class TestMeasuredDifferenceVariance:
     def test_perfect_copy_is_zero(self):
@@ -174,23 +201,30 @@ class TestMeasuredDifferenceVariance:
 
 class TestMomentsBeyondTheFloatRange:
     """A volts record near the float's largest value: its counts are finite, but their
-    sums, squares and differences are not, so each estimator refuses it without a
-    RuntimeWarning."""
+    sums, squares and differences are not.  The correlations, which scale each channel
+    into (-1, 1) first, are those of the record times 2**-1024; the fit refuses it.
+    Neither raises a RuntimeWarning."""
 
     v = np.random.default_rng(3).uniform(1e307, 1.7e308, (2, 2000))
     series = ShotSeries(v[0], v[1], "volts", (1.0, 1.0))
 
-    @pytest.mark.parametrize("call, moment", [
-        (lambda s: correlation_function(s, 0), "standard deviation of ch1"),
-        (lambda s: correlation_function(s, -3), "standard deviation of ch1"),
-        (measured_correlation, "variance of ch1"),
-        (lambda s: fit_multithermal(s.counts()[0]), "mean of the positive values"),
+    @pytest.mark.parametrize("call", [
+        lambda s: correlation_function(s, 0),
+        lambda s: correlation_function(s, -3),
+        measured_correlation,
     ])
-    def test_estimator_raises_data_error_naming_the_moment(self, call, moment):
+    def test_correlation_is_that_of_the_scaled_record(self, call):
+        scaled = ShotSeries(np.ldexp(self.v[0], -1024), np.ldexp(self.v[1], -1024), "volts")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DataError, match=f"the {moment} is beyond the float range"):
-                call(self.series)
+            assert call(self.series) == call(scaled)
+
+    def test_fit_raises_data_error_naming_the_moment(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="the mean of the positive values is beyond "
+                                                "the float range"):
+                fit_multithermal(self.series.counts()[0])
 
 
 def grid_mu(values):
@@ -252,6 +286,10 @@ class TestFitMultithermal:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValidationError):
             fit_multithermal(np.ones(10))
+
+    def test_no_positive_samples_rejected(self):
+        with pytest.raises(ValidationError, match="no positive samples"):
+            fit_multithermal(np.zeros(1000))
 
     def test_goodness_reasonable_for_true_model(self):
         rng = np.random.Generator(np.random.Philox(101))
@@ -431,6 +469,11 @@ class TestSolvePumpNoise:
             solve_pump_noise(1.0, 0.0, 0.5, 10.0, 10.0, 1)
         with pytest.raises(ValidationError):
             solve_pump_noise(1.0, 0.5, 0.5, 10.0, 10.0, 1, kind="coherent_pair")
+
+    def test_a_bool_among_the_efficiencies_rejected(self):
+        # np.asarray reads True as 1, which would solve the budget at eta1 = 1
+        with pytest.raises(ValidationError, match=r"eta1\[1\]: .* got True"):
+            solve_pump_noise(2.124e11, [0.6, True], 0.68, 7.2e6, 7.2e6, 14)
 
     @pytest.mark.parametrize("mu", [0, -3, 1.5])
     def test_mode_count_validated(self, mu):

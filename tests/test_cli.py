@@ -131,6 +131,10 @@ BUDGET = {"sigma2_measured": 1.0e6, "m1": 7.0e5, "m2": 7.0e5, "mu": 14}
     ("simulate", dict(SIM, mu=1.5), "mu"),
     ("simulate", dict(SIM, name=5), "name"),
     ("simulate", dict(SIM, conv=[1.0, "a"]), "conv"),
+    ("analytic", {"eta": [0.5]}, "eta"),
+    ("analytic", {"eta": [0.5, 0.6, 0.7]}, "eta"),
+    ("analytic", {"eta": "ab"}, "eta"),
+    ("analytic", {"eta": {"a": 0.5, "b": 0.6}}, "eta"),
     ("analytic", {"eta": [0.5, 0.5], "mu": "two"}, "mu"),
     ("sweep", {"eta": [0.5, 0.5], "n_grid": ["a", "b"]}, "n_grid"),
     ("noise-budget", dict(BUDGET, m1="x"), "m1"),

@@ -388,6 +388,10 @@ class TestDifferenceDistributionType:
         with pytest.raises(Exception):
             DifferenceDistribution(np.array([0.4, 0.4]), -1, 0.0)
 
+    def test_rejects_a_table(self):
+        with pytest.raises(ValidationError, match="probs: expected a 1-d array"):
+            DifferenceDistribution(np.full((2, 2), 0.25), -1, 0.0)
+
     def test_accessors(self):
         dd = DifferenceDistribution(np.array([0.25, 0.5, 0.25]), -1, 0.0)
         assert dd.support == (-1, 1)

@@ -66,6 +66,11 @@ def test_channels_the_estimators_cannot_reduce_are_refused(ch1, ch2, match):
         ShotSeries(ch1, ch2, "volts")
 
 
+def test_a_unit_other_than_counts_or_volts_is_refused():
+    with pytest.raises(ValidationError, match="unit: expected 'counts' or 'volts', got 'amps'"):
+        ShotSeries(np.array([1.0, 2.0]), np.array([2.0, 1.0]), "amps")
+
+
 @pytest.mark.parametrize("ch1", [np.array([1.0, 2.0]), np.array([True, False]), [0.5, 1]])
 def test_counts_channels_are_integers(ch1):
     # a counts record is written with %d, which a float channel would not survive

@@ -208,6 +208,10 @@ class TestMultithermalPdf:
     def test_real_mu_accepted(self):
         assert multithermal_pdf(1.0, 14.5, 1.0) > 0.0
 
+    def test_a_bool_among_the_points_rejected(self):
+        with pytest.raises(ValidationError, match=r"v\[1\]: .* got True"):
+            multithermal_pdf([1.0, True], 2, 1.0)
+
     def test_negative_v_rejected(self):
         with pytest.raises(ValidationError):
             multithermal_pdf(-0.1, 14, 1.0)
@@ -345,6 +349,14 @@ class TestJointCountDistribution:
         with pytest.raises(ValidationError):
             JointCountDistribution(p, 0.0)
 
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ValidationError, match=r"square matrix, got shape \(1, 2\)"):
+            JointCountDistribution(np.array([[0.5, 0.5]]), 0.0)
+
+    def test_marginal_refuses_a_third_beam(self):
+        with pytest.raises(ValidationError, match="beam: must be 1 or 2"):
+            JointCountDistribution(np.eye(2) / 2.0, 0.0).marginal(3)
+
     @pytest.mark.parametrize("make", [lambda: JointCountDistribution(np.zeros((0, 0)), 1.0),
                                       lambda: DifferenceDistribution(np.zeros(0), 0, 1.0)],
                              ids=["joint", "difference"])
@@ -384,6 +396,13 @@ class TestCheckedArray:
 
     def test_empty_array_passes(self):
         assert sources._checked_array("x", [], "> 0").size == 0
+
+    @pytest.mark.parametrize("values, index", [([0.5, True], "1"), ((False, 0.5), "0"),
+                                               ([[0.5, 1.0], [np.True_, 0.5]], "1, 0")])
+    def test_refuses_a_bool_among_numbers(self, values, index):
+        # np.asarray reads a bool among numbers as 0 or 1
+        with pytest.raises(ValidationError, match=rf"x\[{index}\]: .* got (np\.)?(True|False)"):
+            sources._checked_array("x", values, "[0, 1]")
 
 
 class TestLogFactorial:
