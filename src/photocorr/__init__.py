@@ -28,7 +28,7 @@ _EXPORTS = {
     "markers": ("DifferenceDistribution", "VarianceReport", "correlation_coefficient",
                 "difference_analytic", "difference_from_joint", "difference_variance",
                 "variance_threshold"),
-    "montecarlo": ("SimulationConfig", "predicted_beam_variance", "sample_series"),
+    "montecarlo": ("SimulationConfig", "sample_series"),
     "seriesio": ("ShotSeries", "read_series", "write_series"),
     "sources": ("COHERENT_PAIR", "SPLIT_THERMAL", "TWIN_BEAM", "JointCountDistribution",
                 "SourceSpec", "multithermal_pdf"),

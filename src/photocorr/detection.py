@@ -5,11 +5,14 @@ independently with probability eta and produces no dark counts, so a photon
 number n yields a detected count m ~ Binomial(n, eta).
 
 This module is the law core: _pgf_coefficients (the count pgf of one mode
-pair, thinning included) and _pump_excess hold the package's only per-source
-algebra, from which the moments, sigma2(d), p(d), the joint tables, the Monte
-Carlo draw and the noise budget derive.  _difference_pmf inverts the pgf of
-d = m1 - m2 to p(d) with one windowed FFT, and source_joint inverts the 2-D
-pgf of (m1, m2) to the joint table with one FFT per axis.
+pair, thinning included) and the pump model hold the package's only
+per-source algebra, from which the moments, sigma2(d), p(d), the joint
+tables, the Monte Carlo draw and the noise budget derive.  The pump model is
+the scale rule _pump_sds, the spreads of the pump scales that the simulator
+draws, and _pump_excess, the small-x closed form of the per-beam excess that
+the noise budget inverts.  _difference_pmf inverts the pgf of d = m1 - m2 to
+p(d) with one windowed FFT, and source_joint inverts the 2-D pgf of (m1, m2)
+to the joint table with one FFT per axis.
 
 thin_joint, loss_matrix and multimode_convolve apply thinning and the sum over
 mode pairs to a table directly; no layer of the package calls them, and they
@@ -273,6 +276,19 @@ def twin_beam_joint(n_mean):
     """source_joint of a single-mode twin beam of mean n_mean.  Kept only because the
     benchmark's library step (perfbench/libstep.py) calls it by this name."""
     return source_joint(SourceSpec.twin_beam(n_mean))
+
+
+def _pump_sds(kind, pump_x, eff):
+    """Standard deviations of a source's pump scales u ~ N(1, sd**2), truncated at 0,
+    that scale each mode pair's mean (montecarlo draws them): one per beam for the
+    twin beam, pump_x / (eta_j sqrt(2)) (0 where eta_j is 0), else one common to all
+    modes and both beams, sqrt(2) pump_x for split thermal light and pump_x for the
+    coherent pair.  They are set against _pump_excess, whose split-thermal form leaves
+    out the Bose term mu A**2 Var u of a shared scale: the drawn excess is (1 + 1/mu)
+    times it."""
+    if kind != TWIN_BEAM:
+        return [math.sqrt(2.0) * pump_x if kind == SPLIT_THERMAL else pump_x]
+    return [pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0 for eta in (eff.eta1, eff.eta2)]
 
 
 def _pump_excess(kind, n, mu):

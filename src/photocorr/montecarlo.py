@@ -17,8 +17,10 @@ twin beam).  The pumped twin beam is drawn mode by mode (see below), then
 thinned.
 
 Pump-laser excess noise (fraction pump_x of the mean) jitters the means from
-shot to shot.  The jitter is injected so that the per-beam detected-count
-excess matches the error-propagation budget used by the analysis module:
+shot to shot through pump scales u ~ N(1, sd**2).  The spreads sd are the
+scale rule of the law core, detection._pump_sds, set against the
+error-propagation budget that the analysis module inverts; this module only
+draws them:
 
 * twin beam: the squeezing gain maps a pump scale u to a per-mode mean
   a = sinh(G sqrt(u))**2 with G = arcsinh(sqrt(N/mu)).  Scales are drawn
@@ -34,8 +36,7 @@ excess matches the error-propagation budget used by the analysis module:
   a real pump scales both beams of a pair together.
 * split thermal / coherent pair: the mean scales linearly with a per-shot
   scale common to all modes and both beams, with standard deviation
-  sqrt(2) * pump_x (thermal, matching an excess of 2 x**2 N**2 per beam) or
-  pump_x (coherent, excess x**2 N**2).
+  sqrt(2) * pump_x (thermal) or pump_x (coherent).
 
 Negative Gaussian scales are truncated at zero and counted, not redrawn.
 
@@ -59,10 +60,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sources
-from .detection import EfficiencyPair, _pgf_coefficients, _pump_excess
+from .detection import EfficiencyPair, _pgf_coefficients, _pump_sds
 from .errors import TailToleranceError, ValidationError
 from .seriesio import ShotSeries
-from .sources import SPLIT_THERMAL, TWIN_BEAM, SourceSpec, _check_fields, _checked, _checked_pair
+from .sources import TWIN_BEAM, SourceSpec, _check_fields, _checked_pair
 
 
 #: Largest n_mean simulated: Poisson means reach about 40 n_mean (thermal tail
@@ -316,28 +317,3 @@ def _pumped_twin_beam(rng, cfg, floats, ints):
             draws[:] = x
             total += draws
     return truncations
-
-
-def _pump_sds(kind, pump_x, eff):
-    """Standard deviations of a source's pump scales (see the module docstring): one
-    per beam for the twin beam (0 where eta is 0), else one common to both beams."""
-    if kind != TWIN_BEAM:
-        return [math.sqrt(2.0) * pump_x if kind == SPLIT_THERMAL else pump_x]
-    return [pump_x / (eta * math.sqrt(2.0)) if eta > 0 else 0.0 for eta in (eff.eta1, eff.eta2)]
-
-
-def predicted_beam_variance(src: SourceSpec, pump_x: float) -> float:
-    """Photon-number variance of beam 1, of mean m = mu A (detection._pgf_coefficients:
-    N, or 2 N tau for split thermal light), in the bright-beam (multithermal) limit.
-
-    m**2/mu for the thermal laws (m for a coherent pair), without the Bose term +m
-    that m >> mu makes small, plus pump_x**2 * detection._pump_excess at m.  A
-    variance beyond the float range raises ValidationError.
-    """
-    pump_x = _checked("pump_x", pump_x, ">= 0")
-    bose, a, _, _, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau, 1.0, 1.0)
-    mean = src.mu * a
-    with np.errstate(over="ignore", invalid="ignore"):
-        excess = _pump_excess(src.kind, mean, src.mu)
-        variance = mean * (a if bose else 1.0) + pump_x * pump_x * excess
-    return _checked("the predicted beam variance", variance, "finite")

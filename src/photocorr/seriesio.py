@@ -70,7 +70,9 @@ class ShotSeries:
         if j:
             raise ValidationError(f"conv: {conv[j - 1]!r} maps the volts of ch{j} to counts "
                                   "beyond the float range")
-        _checked_pair("instrument_noise_var", self.instrument_noise_var, ">= 0")
+        object.__setattr__(self, "conv", conv)
+        object.__setattr__(self, "instrument_noise_var", _checked_pair(
+            "instrument_noise_var", self.instrument_noise_var, ">= 0"))
         _checked("pump_truncations", self.pump_truncations, "integer >= 0")
 
     def __len__(self):

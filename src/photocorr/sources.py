@@ -20,6 +20,7 @@ points) with TailToleranceError before it is allocated, in every exact layer.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,8 +106,11 @@ def _checked_array(name, values, rule):
 
 def _checked_pair(name, value, rule):
     """value, a pair (x1, x2) whose two elements obey the same rule of _DOMAINS, as a
-    tuple of _checked values, else ValidationError naming name."""
+    tuple of _checked values, else ValidationError naming name.  A mapping or a set is
+    no pair: its order is not the caller's."""
     try:
+        if isinstance(value, (Mapping, Set)):
+            raise TypeError
         x1, x2 = value
     except (TypeError, ValueError):
         raise ValidationError(f"{name}: expected a pair (x1, x2), got {value!r}") from None

@@ -1,6 +1,6 @@
 """Independent oracles: the one-pair joint photon table, built term by term, the
-moments and correlation coefficient of any joint table, and p(d), the law of
-d = m1 - m2, at any brightness.
+moments and correlation coefficient of any joint table, p(d), the law of
+d = m1 - m2, at any brightness, and the per-beam moments of a pumped record.
 
 single_pair_joint writes the photon-number law of one mode pair of each source
 in closed form, at an explicit cutoff: a thermal number on both beams for the
@@ -34,6 +34,12 @@ integrand is close to a Gaussian at the bright end, where the conditional law
 pins g, and close to the Gamma density at the faint end, where it does not;
 over ln g it is smooth and decays fast at both ends, so the rule holds at both,
 for mu >= 2.  When alpha == beta it is Gauss-Laguerre quadrature.
+
+pumped_beam_moments averages the conditional moments of each beam's count over
+the simulator's pump scales u = max(0, 1 + sd z), z standard normal, with sd
+from the package's scale rule detection._pump_sds, by Gauss-Hermite quadrature
+in z; the moments given u are written from the photon-level laws, not from the
+package's small-x closed form detection._pump_excess.
 """
 
 import math
@@ -43,10 +49,14 @@ from scipy.special import gammaln, ive, roots_genlaguerre
 from scipy.stats import binom, poisson
 
 from photocorr import JointCountDistribution, MomentSet, UndefinedMarkerError
+from photocorr.detection import _pump_sds
 
 #: |d| from which the Skellam pmf takes the Debye expansion of I_nu, four terms
 #: (relative error about u_5 / nu**5 < 1e-15); below it, scipy's ive.
 DEBYE_FROM = 1000
+
+#: Gauss-Hermite nodes of the pump-scale average.
+HERMITE_NODES = 96
 
 #: Trapezoid nodes at +-16 widths of the integrand's peak, two per width; Newton steps
 #: to the peak; Gauss-Laguerre order.
@@ -222,3 +232,42 @@ def difference_pmf(kind, n_mean, mu, tau, eta1, eta2, d, block=4096):
                        + t)
         out.append(width / STEPS_PER_WIDTH * terms.sum(axis=1))
     return np.concatenate(out)
+
+
+def pumped_beam_moments(src, eff, pump_x):
+    """[(mean1, var1), (mean2, var2)]: mean and variance of each beam's detected count in
+    a record that the simulator draws with pump noise pump_x, over the pump scales u.
+
+    Twin beam: each beam of each mode has a scale of its own, and given it a geometric
+    photon number of mean a = sinh(G sqrt(u))**2, G = arcsinh(sqrt(n)), so the beam's
+    photon number over mu modes has mean mu E a and variance mu (E a + 2 E a**2 - (E a)**2);
+    binomial thinning then gives eta mean and eta**2 var + eta (1 - eta) mean.  Split
+    thermal light and the coherent pair: one scale for all modes and both beams, and given
+    it a negative binomial (Gamma(mu) intensity) or Poisson count of mean mu A u, with A
+    the detected mean per mode (2 n tau eta1 or n eta1 for beam 1), so the mean is
+    mu A E u and the variance mu (A E u + bose A**2 E u**2) + mu**2 A**2 Var u.
+    """
+    z, w = np.polynomial.hermite_e.hermegauss(HERMITE_NODES)
+    w = w / w.sum()
+    n, mu = src.n_mean / src.mu, src.mu
+    etas = (eff.eta1, eff.eta2)
+    sds = _pump_sds(src.kind, pump_x, eff)
+    out = []
+    if src.kind == "twin_beam":
+        gain = math.asinh(math.sqrt(n))
+        for eta, sd in zip(etas, sds):
+            a = np.sinh(gain * np.sqrt(np.clip(1.0 + sd * z, 0.0, None))) ** 2
+            ea, ea2 = w @ a, w @ (a * a)
+            mean, var = mu * ea, mu * (ea + 2.0 * ea2 - ea * ea)
+            out.append((eta * mean, eta * eta * var + eta * (1.0 - eta) * mean))
+        return out
+    u = np.clip(1.0 + sds[0] * z, 0.0, None)
+    eu = w @ u
+    eu2, var_u = w @ (u * u), w @ ((u - eu) ** 2)
+    bose = src.kind == "split_thermal"
+    shares = (2.0 * src.tau, 2.0 * (1.0 - src.tau)) if bose else (1.0, 1.0)
+    for eta, share in zip(etas, shares):
+        a = n * share * eta
+        var = mu * (a * eu + bose * a * a * eu2) + (mu * a) ** 2 * var_u
+        out.append((mu * a * eu, var))
+    return out

@@ -294,8 +294,6 @@ CALLS = {  # name: function of a Hypothesis draw that makes the call
         *(d.draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-200, 2e-200, 1e-160])) for _ in "12"))),
     "DifferenceDistribution.prob": lambda d: pc.DifferenceDistribution(
         np.array([0.25, 0.5, 0.25]), -1).prob(d.draw(_arg([0, 1, -5, 2.0]))),
-    "predicted_beam_variance": lambda d: pc.predicted_beam_variance(
-        _source(d), d.draw(_arg([0.0, 0.02]))),
     "solve_pump_noise": lambda d: pc.solve_pump_noise(
         d.draw(_arg([2.124e11, 1.0])), d.draw(_arg([0.66, 1.0])), d.draw(_arg([0.68])),
         d.draw(_arg([7.225e6, 3.0])), d.draw(_arg([7.212e6])), d.draw(_arg(MODES)),

@@ -14,13 +14,14 @@ from photocorr import (
     analytic_moments,
     correlation_coefficient,
     difference_variance,
-    predicted_beam_variance,
     sample_series,
     solve_pump_noise,
     source_joint,
 )
 from photocorr import montecarlo
 from photocorr.detection import _pgf_coefficients
+
+import oracles
 
 
 def corr_and_se(a, b):
@@ -43,6 +44,17 @@ def var_and_se(x):
 def cfg_for(kind, n_mean, mu, eta, shots=100000, seed=123, **kw):
     return SimulationConfig(SourceSpec(kind, n_mean, mu), EfficiencyPair(*eta),
                             shots=shots, seed=seed, **kw)
+
+
+def assert_pumped_beam_moments(cfg):
+    """Each beam's sample mean and variance within 4 SE of oracles.pumped_beam_moments."""
+    s = sample_series(cfg)
+    for ch, (mean, var) in zip((s.ch1, s.ch2),
+                               oracles.pumped_beam_moments(cfg.source, cfg.eff, cfg.pump_x)):
+        c = ch.astype(float)
+        assert abs(c.mean() - mean) < 4 * c.std() / math.sqrt(len(c))
+        v, se = var_and_se(c)
+        assert abs(v - var) < 4 * se
 
 
 class TestDeterminism:
@@ -187,24 +199,19 @@ class TestPumpNoise:
         assert abs(v - want) < 3 * se + 0.02 * want
 
     def test_pumped_twin_beam_marginals(self):
-        # Per mode, beam j draws a geometric count of mean a_j = sinh(G sqrt(u_j))**2 with
-        # u_j ~ N(1, sd_j**2): E[n] = E[a] and Var n = E[a] + 2 E[a**2] - E[a]**2 exactly.
-        # The expectations over u_j use Gauss-Hermite quadrature; u_j is truncated at 0
-        # as in the sampler, which happens with probability below 1e-5 here.
-        n_mean, mu, eta, x = 20.0, 3, (0.6, 0.7), 0.2
-        s = sample_series(cfg_for("twin_beam", n_mean, mu, eta, seed=17, pump_x=x))
-        z, w = np.polynomial.hermite_e.hermegauss(96)
-        w = w / w.sum()
-        gain = math.asinh(math.sqrt(n_mean / mu))
-        for ch, e in ((s.ch1, eta[0]), (s.ch2, eta[1])):
-            u = np.clip(1.0 + x / (e * math.sqrt(2.0)) * z, 0.0, None)
-            a = np.sinh(gain * np.sqrt(u)) ** 2
-            ea, ea2 = w @ a, w @ (a * a)
-            mean_n, var_n = mu * ea, mu * (ea + 2.0 * ea2 - ea * ea)
-            c = ch.astype(float)
-            assert abs(c.mean() - e * mean_n) < 4 * c.std() / math.sqrt(len(c))
-            v, se = var_and_se(c)
-            assert abs(v - (e * e * var_n + e * (1.0 - e) * mean_n)) < 4 * se
+        # u_j is truncated at 0 as in the sampler, which happens with probability below
+        # 1e-5 here
+        assert_pumped_beam_moments(cfg_for("twin_beam", 20.0, 3, (0.6, 0.7), seed=17, pump_x=0.2))
+
+    def test_monte_carlo_cross_check(self):
+        # at unit efficiency the detected counts are the photon numbers
+        src = SourceSpec.twin_beam(1e4, 14)
+        x = 0.0224
+        s = sample_series(SimulationConfig(src, EfficiencyPair(1.0, 1.0),
+                                           shots=100000, seed=77, pump_x=x))
+        v, se = var_and_se(s.ch1.astype(float))
+        (_, want), _ = oracles.pumped_beam_moments(src, EfficiencyPair(1.0, 1.0), x)
+        assert abs(v - want) < 3 * se
 
     @pytest.mark.parametrize("eta", [(0.5, 0.5), (0.9, 0.05)])
     def test_pump_bound_keeps_counts_in_int64(self, eta):
@@ -234,41 +241,26 @@ class TestPumpNoise:
         assert sample_series(quiet).pump_truncations == 0
 
 
-class TestPredictedBeamVariance:
-    def test_quiet_limit_is_multithermal(self):
-        src = SourceSpec.twin_beam(1e4, 14)
-        assert predicted_beam_variance(src, 0.0) == pytest.approx(1e8 / 14, rel=1e-12)
+PUMPED = [(kind, mu, eta) for kind in SOURCES for mu in (3, 14)
+          for eta in ((1.0, 1.0), (0.6, 0.7))]
 
-    def test_correction_stays_small_in_bright_regime(self):
-        src = SourceSpec.twin_beam(1e7, 14)
-        ratio = predicted_beam_variance(src, 0.0224) / predicted_beam_variance(src, 0.0)
-        assert 1.0 < ratio < 1.03
 
-    def test_monte_carlo_cross_check(self):
-        # at unit efficiency the detected counts are the photon numbers
-        src = SourceSpec.twin_beam(1e4, 14)
-        x = 0.0224
-        s = sample_series(SimulationConfig(src, EfficiencyPair(1.0, 1.0),
-                                           shots=100000, seed=77, pump_x=x))
-        v, se = var_and_se(s.ch1.astype(float))
-        assert abs(v - predicted_beam_variance(src, x)) < 3 * se
+class TestPumpedBeamMoments:
+    """Each beam's sample mean and variance against the exact pump-scale average of
+    oracles.pumped_beam_moments (N = 1e4, x = 0.1).  48 checks at 4 SE: at 3 SE about
+    one seed in eight would fail by chance."""
 
-    def test_thermal_excess(self):
-        src = SourceSpec.split_thermal(100.0, 5)
-        want = 100.0**2 / 5 + 2 * 0.03**2 * 100.0**2
-        assert predicted_beam_variance(src, 0.03) == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("kind,mu,eta", PUMPED)
+    def test_sample_moments(self, kind, mu, eta):
+        assert_pumped_beam_moments(cfg_for(kind, 1e4, mu, eta, shots=200_000, seed=5, pump_x=0.1))
 
-    @pytest.mark.parametrize("x", [0.0, 0.03])
-    def test_split_thermal_is_beam_one(self, x):
-        # beam 1 of split thermal light carries 2 N tau of the N per beam at tau = 1/2
-        src = SourceSpec.split_thermal(1e4, 14, tau=0.3)
-        m = 2 * 1e4 * 0.3
-        want = m**2 / 14 + 2 * x**2 * m**2
-        assert predicted_beam_variance(src, x) == pytest.approx(want, rel=1e-12)
-
-    def test_coherent_excess(self):
-        src = SourceSpec.coherent_pair(100.0)
-        assert predicted_beam_variance(src, 0.1) == pytest.approx(100.0 + 0.01 * 1e4, rel=1e-12)
+    @pytest.mark.parametrize("kind,mu,eta", PUMPED)
+    def test_quiet_limit_is_analytic_moments(self, kind, mu, eta):
+        src, eff = SourceSpec(kind, 1e4, mu), EfficiencyPair(*eta)
+        want = analytic_moments(src, eff)
+        (m1, v1), (m2, v2) = oracles.pumped_beam_moments(src, eff, 0.0)
+        for got, ref in ((m1, want.mean1), (v1, want.var1), (m2, want.mean2), (v2, want.var2)):
+            assert got == pytest.approx(ref, rel=1e-12)
 
 
 class TestVoltsMode:

@@ -82,6 +82,10 @@ def test_counts_channels_are_integers(ch1):
     ((0.0, 1.0), (0.0, 0.0), "conv"), ((1.0, math.nan), (0.0, 0.0), "conv"),
     (5.0, (0.0, 0.0), "conv: expected a pair"), ((1.0, 1.0), (-1.0, 0.0), "instrument_noise_var"),
     ((1.0, 1.0), (0.0, math.inf), "instrument_noise_var"),
+    # a set or a mapping unpacks into two values, but in an order not the caller's
+    ({3.0, 1.0}, (0.0, 0.0), "conv: expected a pair"),
+    ({2.0: "x", 1.0: "y"}, (0.0, 0.0), "conv: expected a pair"),
+    ((1.0, 1.0), {"a": 0.1, "b": 0.2}, "instrument_noise_var: expected a pair"),
     # v / conv beyond the float range
     ((1e-320, 1.0), (0.0, 0.0), "conv: 1e-320 maps the volts of ch1 to counts beyond"),
     ((1.0, 1e-320), (0.0, 0.0), "conv: 1e-320 maps the volts of ch2 to counts beyond"),
@@ -89,6 +93,15 @@ def test_counts_channels_are_integers(ch1):
 def test_calibrations_the_estimators_cannot_use_are_refused(conv, noise, match):
     with pytest.raises(ValidationError, match=match):
         ShotSeries(np.array([1.0, 2.0]), np.array([2.0, 1.0]), "volts", conv, noise)
+
+
+def test_calibrations_are_stored_as_the_checked_tuples():
+    s = ShotSeries(np.array([1.0, 2.0]), np.array([2.0, 1.0]), "volts", [2, np.float64(4.0)],
+                   [np.int64(0), 0.5])
+    for pair, want in ((s.conv, (2.0, 4.0)), (s.instrument_noise_var, (0.0, 0.5))):
+        assert type(pair) is tuple and pair == want
+        assert all(type(x) is float for x in pair)
+    assert np.array_equal(s.counts()[0], [0.5, 1.0])
 
 
 def test_volts_calibration_within_the_float_range_is_accepted():
