@@ -344,10 +344,15 @@ def solve_pump_noise(sigma2_measured, eta1, eta2, m1, m2, mu,
     Measurements at or below the x = 0 model return x = 0 with at_floor set.
     A model value beyond the float range raises ValidationError.
     eta1 and eta2 may be arrays that broadcast against each other (e.g. a
-    column and a row of an efficiency grid); every field of the result then
-    has the broadcast shape.
+    column and a row of an efficiency grid; ValidationError naming both shapes
+    if they do not); every field of the result then has the broadcast shape.
     """
     eta1, eta2 = _efficiencies("eta1", eta1), _efficiencies("eta2", eta2)
+    try:
+        np.broadcast_shapes(np.shape(eta1), np.shape(eta2))
+    except ValueError:
+        raise ValidationError(f"eta1 and eta2: shapes {np.shape(eta1)} and {np.shape(eta2)} "
+                              "do not broadcast") from None
     sigma2_measured, m1, m2, mu = _check_budget(sigma2_measured, m1, m2, mu, kind)
     with np.errstate(all="ignore"):  # a value beyond the float range is refused below
         n1, n2 = m1 / eta1, m2 / eta2
@@ -383,9 +388,13 @@ def noise_surface(sigma2_measured, m1, m2, mu, eta1_grid, eta2_grid,
     kept, flagged at_floor.  The shot-noise plane (eta1 + eta2) N equals
     m1 + m2 for every efficiency choice, hence a single number.  The imbalance
     interval and the nominal fit are taken at eta_nominal, by default the grid's mean.
+    Each grid is a number or a 1-d array.
     """
     e1 = np.atleast_1d(_efficiencies("eta1_grid", eta1_grid))
     e2 = np.atleast_1d(_efficiencies("eta2_grid", eta2_grid))
+    if e1.ndim > 1 or e2.ndim > 1:
+        raise ValidationError(f"eta1_grid and eta2_grid: expected 1-d grids, got shapes "
+                              f"{e1.shape} and {e2.shape}")
     _check_table(e1.size * e2.size, f"a {e1.size} x {e2.size} noise surface")
     fit = solve_pump_noise(sigma2_measured, e1[:, None], e2[None, :], m1, m2, mu, kind)
     corrected = np.where(fit.at_floor, sigma2_measured, fit.base_sigma2)

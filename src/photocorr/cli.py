@@ -5,8 +5,8 @@ command reads a JSON config (--config), writes machine-readable tables
 (TSV) and reports (JSON) into --out, and is deterministic given its config,
 seeds included.  Reports embed the fully resolved config for provenance.
 
-Exit codes: 0 success, 2 validation error, 3 data error, 4 numerical
-tolerance error.
+Exit codes, all set by main(): 0 success, 2 validation error, 3 data error (a
+path that cannot be read or written too), 4 numerical tolerance error.
 
 Only errors, sources and detection load with this module; each command
 imports the modules it uses, so that a process loads what its command
@@ -41,15 +41,26 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_TOLERANCE = 4
 
+# (class, exit code, label) of each failure main() reports; the first match wins.  An
+# OSError is a path that cannot be read or written.
+_FAILURES = (
+    (ValidationError, EXIT_VALIDATION, "validation error"),
+    (TailToleranceError, EXIT_TOLERANCE, "tolerance error"),
+    ((DataError, OSError), EXIT_DATA, "data error"),
+)
+
 
 def _load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
-        raise ValidationError(f"config: no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config {path}: invalid JSON: {exc}")
+        raise ValidationError(f"config: no such file: {path}") from None
+    except OSError as exc:  # a directory, a file it may not read
+        raise ValidationError(f"config: cannot read {path}: {exc.strerror}") from None
+    # not UTF-8, an integer past Python's digit limit, nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError(f"config: expected a JSON object, got {type(cfg).__name__}")
     return cfg
@@ -165,7 +176,6 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
     report["threshold_n"] = ("unbounded" if thr is None
                              else sources._checked("threshold_n", src.mu * thr, "finite"))
     _write_report(out_dir, "analytic.json", report, cfg)
-    return EXIT_OK
 
 
 _SWEEP_KINDS = (("coherent", COHERENT_PAIR), ("twin_beam", TWIN_BEAM), ("thermal", SPLIT_THERMAL))
@@ -203,7 +213,6 @@ def cmd_sweep(cfg, out_dir, fmt="tsv"):
         table[f"ratio_{name}"] = markers._variances(kind, n_ref, mu, tau, eta, eta)[0] / n_ref
     seriesio.write_table(Path(out_dir) / "sweep_eta.tsv", table, fmt)
     _write_report(out_dir, "sweep.json", {"tables": ["sweep_n.tsv", "sweep_eta.tsv"]}, cfg)
-    return EXIT_OK
 
 
 def cmd_simulate(cfg, out_dir, fmt="tsv"):
@@ -224,7 +233,6 @@ def cmd_simulate(cfg, out_dir, fmt="tsv"):
     series = montecarlo.sample_series(sim)
     seriesio.write_series(series, Path(out_dir) / name,
                           extra_meta={"config": dict(cfg, seed=sim.seed)})
-    return EXIT_OK
 
 
 def cmd_analyze(cfg, out_dir, fmt="tsv"):
@@ -253,7 +261,6 @@ def cmd_analyze(cfg, out_dir, fmt="tsv"):
         for channel, values in enumerate(series.counts(), start=1):
             report[f"multithermal_fit_channel{channel}"] = _fit_entry(values, integer_mu)
     _write_report(out_dir, name, report, cfg)
-    return EXIT_OK
 
 
 def _fit_entry(values, integer_mu):
@@ -279,7 +286,6 @@ def cmd_fit(cfg, out_dir, fmt="tsv"):
     series, _ = seriesio.read_series(input_path)
     entry = _fit_entry(series.counts()[channel - 1], integer_mu)
     _write_report(out_dir, name, dict(entry, channel=channel), cfg)
-    return EXIT_OK
 
 
 def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
@@ -311,11 +317,7 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
         "x_grid_min": float(budget.x.min()),
         "x_grid_max": float(budget.x.max()),
     }
-    reference_x = _config_value(cfg, "reference_x", "finite", None)
-    if reference_x is not None:
-        summary["reference_x"] = reference_x
     _write_report(out_dir, "noise_budget.json", summary, cfg)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -346,19 +348,12 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.seed is not None:
             cfg = dict(cfg, seed=args.seed)
-        return _COMMANDS[args.command](cfg, out_dir, args.format)
-    except ValidationError as exc:
-        print(f"photocorr {args.command}: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TailToleranceError as exc:
-        print(f"photocorr {args.command}: tolerance error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except DataError as exc:
-        print(f"photocorr {args.command}: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except PhotocorrError as exc:
-        print(f"photocorr {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        _COMMANDS[args.command](cfg, out_dir, args.format)
+        return EXIT_OK
+    except (PhotocorrError, OSError) as exc:
+        code, label = next((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls))
+        print(f"photocorr {args.command}: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 def run():

@@ -292,20 +292,18 @@ def _pump_sds(kind, pump_x, eff):
 
 
 def _pump_excess(kind, n, mu):
-    """Per-beam excess variance per unit pump_x**2 at per-beam mean n over mu modes.
+    """Per-beam excess variance per unit pump_x**2 at per-beam mean n over mu modes, for
+    the two sources the noise budget takes, the twin beam and split thermal light:
 
         twin beam:      (n**2 / mu) arcsinh(sqrt(n / mu))**2
         split thermal:  2 n**2
-        coherent pair:  n**2
 
     n may be an array.
     """
     if kind == TWIN_BEAM:
         g = np.arcsinh(np.sqrt(n / mu))
         return n * n / mu * (g * g)
-    if kind == SPLIT_THERMAL:
-        return 2.0 * (n * n)
-    return n * n
+    return 2.0 * (n * n)
 
 
 def analytic_moments(src: SourceSpec, eff: EfficiencyPair) -> MomentSet:

@@ -116,28 +116,25 @@ def write_series(series: ShotSeries, csv_path, extra_meta=None) -> Path:
 
 
 def read_series(csv_path) -> tuple[ShotSeries, dict]:
-    """Load a CSV shot record and its sidecar; returns (series, metadata)."""
+    """Load a CSV shot record and its sidecar; returns (series, metadata).  A missing
+    sidecar reads as {}; a missing record, or any other OSError reading either file,
+    is a DataError naming the file."""
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
-    if not csv_path.exists():
-        raise DataError(f"{csv_path}: no such file")
-    meta = {}
-    if side.exists():
-        try:
-            with open(side) as fh:
-                meta = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{side}: invalid JSON sidecar: {exc}") from None
-        if not isinstance(meta, dict):
-            raise DataError(f"{side}: expected a JSON object sidecar, got {type(meta).__name__}")
-    unit = meta.get("unit", "counts")
-    if unit not in ("counts", "volts"):
-        raise DataError(f"{side}: unit: expected 'counts' or 'volts', got {unit!r}")
-    counts_mode = unit == "counts"
     try:
-        ch1, ch2 = _read_rows(csv_path, counts_mode)
+        with open(csv_path, encoding="utf-8") as fh:
+            meta = _read_sidecar(side)
+            unit = meta.get("unit", "counts")
+            if unit not in ("counts", "volts"):
+                raise DataError(f"{side}: unit: expected 'counts' or 'volts', got {unit!r}")
+            counts_mode = unit == "counts"
+            ch1, ch2 = _read_rows(fh, csv_path, counts_mode)
+    except FileNotFoundError:
+        raise DataError(f"{csv_path}: no such file") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{csv_path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{csv_path}: cannot read: {exc.strerror}") from None
     conv = (meta.get("alpha1", 1.0), meta.get("alpha2", 1.0))
     try:  # the rules of ShotSeries, each named by the sidecar and the key
         conv = tuple(_checked(f"{side}: alpha{j}", conv[j - 1], ">= 0" if counts_mode else "> 0")
@@ -156,19 +153,34 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
     return series, meta
 
 
-def _read_rows(csv_path, counts_mode):
-    """The two channel columns of the record, after its header is checked."""
+def _read_sidecar(side):
+    """The sidecar's JSON object, {} if there is none; DataError naming it if it cannot
+    be read or is not a JSON object."""
+    try:
+        with open(side, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        return {}
+    # not UTF-8, an integer past Python's digit limit, nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{side}: invalid JSON sidecar: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"{side}: cannot read: {exc.strerror}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{side}: expected a JSON object sidecar, got {type(meta).__name__}")
+    return meta
+
+
+def _read_rows(fh, csv_path, counts_mode):
+    """The two channel columns of the record open as fh, after its header is checked."""
     dtype = np.int64 if counts_mode else float
-    with open(csv_path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
+    header = fh.readline().strip()
     expected = "shot,m1,m2" if counts_mode else "shot,v1,v2"
     if header != expected:
         raise DataError(f"{csv_path}: line 1: expected header {expected!r}, got {header!r}")
     rows = _load_rows(csv_path, dtype)
     if rows is None:
-        with open(csv_path, encoding="utf-8") as fh:
-            fh.readline()
-            return _scan_rows(fh, csv_path, dtype)
+        return _scan_rows(fh, csv_path, dtype)
     return np.ascontiguousarray(rows[:, 1:].T)
 
 

@@ -475,6 +475,10 @@ class TestSolvePumpNoise:
         with pytest.raises(ValidationError, match=r"eta1\[1\]: .* got True"):
             solve_pump_noise(2.124e11, [0.6, True], 0.68, 7.2e6, 7.2e6, 14)
 
+    def test_efficiencies_that_do_not_broadcast_are_refused(self):
+        with pytest.raises(ValidationError, match=r"shapes \(3,\) and \(2,\) do not broadcast"):
+            solve_pump_noise(1e11, [0.5, 0.6, 0.7], [0.5, 0.6], 7e6, 7e6, 14)
+
     @pytest.mark.parametrize("mu", [0, -3, 1.5])
     def test_mode_count_validated(self, mu):
         # the budget divides by mu; a bad count must not end in ZeroDivisionError
@@ -533,6 +537,12 @@ class TestNoiseSurface:
         assert np.array_equal(nb.at_floor, floor)
         assert nb.x == pytest.approx(x, rel=1e-12, abs=0.0)
         assert nb.corrected_sigma2 == pytest.approx(corrected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("grids", [([[0.5, 0.6]], [0.6]), ([0.6], [[0.5], [0.6]])])
+    def test_a_grid_that_is_not_1d_is_refused(self, grids):
+        p = PAPER_TWB
+        with pytest.raises(ValidationError, match="expected 1-d grids"):
+            noise_surface(p["sigma2"], p["m1"], p["m2"], p["mu"], *grids)
 
     def test_imbalance_interval_passed_through(self):
         p = PAPER_TWB

@@ -79,12 +79,12 @@ CONFIGS = {  # command: small valid configs; each of their keys takes every valu
                  "name": "analysis.json"}],
     "fit": [{"input": RECORD, "channel": 2, "integer_mu": True, "name": "fit.json"}],
     "noise-budget": [{"sigma2_measured": 2.124e11, "m1": 7.225e6, "m2": 7.212e6, "mu": 14,
-                      "source": "twin_beam", "eta_nominal": 0.67, "reference_x": 0.02,
+                      "source": "twin_beam", "eta_nominal": 0.67,
                       "eta_grid": GRID}],
 }
 NUMBER_KEYS = {"n_mean", "mu", "tau", "n_min", "n_max", "n_points", "n_ref", "shots", "seed",
-               "pump_x", "channel", "sigma2_measured", "m1", "m2", "eta_nominal", "reference_x",
-               "lo", "hi", "points"}
+               "pump_x", "channel", "sigma2_measured", "m1", "m2", "eta_nominal", "lo", "hi",
+               "points"}
 
 
 def _cases():

@@ -227,6 +227,16 @@ def test_missing_file(tmp_path):
         read_series(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("directory", ["s.csv", "s.json"])
+def test_a_directory_for_the_record_or_sidecar_is_a_data_error(tmp_path, directory):
+    path = tmp_path / "s.csv"
+    if directory == "s.json":
+        path.write_text("shot,m1,m2\n0,1,2\n")
+    (tmp_path / directory).mkdir()
+    with pytest.raises(DataError, match=f"{directory}: cannot read"):
+        read_series(path)
+
+
 def test_empty_data_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("shot,m1,m2\n")
@@ -234,7 +244,11 @@ def test_empty_data_rejected(tmp_path):
         read_series(path)
 
 
-@pytest.mark.parametrize("sidecar", [b'{"unit": "counts"', b"[1, 2]", b'"counts"', b"\xff\xfe{}"])
+@pytest.mark.parametrize("sidecar", [
+    b'{"unit": "counts"', b"[1, 2]", b'"counts"', b"\xff\xfe{}",
+    pytest.param(b'{"alpha1": ' + b"1" * 5000 + b"}", id="an integer of 5000 digits"),
+    pytest.param(b"[" * 100000, id="1e5 nested lists"),
+])
 def test_bad_sidecar_names_the_sidecar(tmp_path, sidecar):
     path = tmp_path / "s.csv"
     path.write_text("shot,m1,m2\n0,1,2\n")
