@@ -41,23 +41,18 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_TOLERANCE = 4
 
-# (class, exit code, label) of each failure main() reports; the first match wins.  An
-# OSError is a path that cannot be read or written.
-_FAILURES = (
-    (ValidationError, EXIT_VALIDATION, "validation error"),
-    (TailToleranceError, EXIT_TOLERANCE, "tolerance error"),
-    ((DataError, OSError), EXIT_DATA, "data error"),
-)
-
 
 def _load_config(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        fh = open(path, encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(f"config: no such file: {path}") from None
-    except OSError as exc:  # a directory, a file it may not read
-        raise ValidationError(f"config: cannot read {path}: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:  # a directory, a file it may not read, a NUL in the name
+        raise ValidationError(f"config: cannot read {path}: "
+                              f"{getattr(exc, 'strerror', exc)}") from None
+    try:
+        with fh:
+            cfg = json.load(fh)
     # not UTF-8, an integer past Python's digit limit, nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise DataError(f"config {path}: invalid JSON: {exc}") from None
@@ -67,13 +62,15 @@ def _load_config(path):
 
 
 _REQUIRED = object()
+_JSON_TYPES = {bool: "true or false", str: "a string", dict: "an object with lo, hi and points"}
 
 
 def _config_value(cfg, key, read=None, default=_REQUIRED):
     """cfg[key], or default when the key is absent or null, read by a domain rule of
-    sources._checked or a function; without read, a number goes to the library as
-    parsed.  A missing required key, or a value that read rejects, raises
-    ValidationError naming the key, so a wrong-typed config exits with 2."""
+    sources._checked, a type of _JSON_TYPES (the value as it is) or a function; without
+    read, a number goes to the library as parsed.  A missing required key, or a value
+    that read rejects, raises ValidationError naming the key, so a wrong-typed config
+    exits with 2."""
     value = cfg.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -83,34 +80,20 @@ def _config_value(cfg, key, read=None, default=_REQUIRED):
         return value
     if isinstance(read, str):
         return sources._checked(key, value, read)
+    if read in _JSON_TYPES:
+        if not isinstance(value, read):
+            raise ValidationError(f"config: {key!r}: expected {_JSON_TYPES[read]}, got {value!r}")
+        return value
     try:
         return read(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"config: {key!r}: {exc}") from None
 
 
-def _flag(value):
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
 def _number_list(value):
     # as parsed: np.asarray would read a bool in it as 0 or 1, which the entry checks refuse
     if np.ndim(value) != 1:
         raise ValueError(f"expected a list of numbers, got {value!r}")
-    return value
-
-
-def _grid_spec(value):
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object with lo, hi and points, got {value!r}")
     return value
 
 
@@ -125,13 +108,10 @@ def _eff_from(cfg) -> EfficiencyPair:
 
 
 def _write_report(out_dir, name, payload, resolved_config):
-    payload = dict(payload)
-    payload["config"] = resolved_config
-    path = Path(out_dir) / name
-    with open(path, "w") as fh:
+    payload = dict(payload, config=resolved_config)
+    with open(Path(out_dir) / name, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
-    return path
 
 
 def _jsonable(obj):
@@ -148,7 +128,7 @@ def cmd_analytic(cfg, out_dir, fmt="tsv"):
 
     eff = _eff_from(cfg)
     n_mean = _config_value(cfg, "n_mean", default=1.0)
-    with_joint = _config_value(cfg, "joint", _flag, False)
+    with_joint = _config_value(cfg, "joint", bool, False)
     report = {"sources": {}}
     for kind in (TWIN_BEAM, COHERENT_PAIR, SPLIT_THERMAL):
         src = _source(cfg, kind, n_mean)
@@ -220,16 +200,16 @@ def cmd_simulate(cfg, out_dir, fmt="tsv"):
     from . import montecarlo, seriesio
 
     sim = montecarlo.SimulationConfig(
-        source=_source(cfg, _config_value(cfg, "source", _text), _config_value(cfg, "n_mean")),
+        source=_source(cfg, _config_value(cfg, "source", str), _config_value(cfg, "n_mean")),
         eff=_eff_from(cfg),
         shots=_config_value(cfg, "shots", default=10000),
         seed=_config_value(cfg, "seed", default=0),
         pump_x=_config_value(cfg, "pump_x", default=0.0),
-        volts=_config_value(cfg, "volts", _flag, False),
+        volts=_config_value(cfg, "volts", bool, False),
         conv=_config_value(cfg, "conv", default=(1.0, 1.0)),
         instrument_noise_var=_config_value(cfg, "instrument_noise_var", default=(0.0, 0.0)),
     )
-    name = _config_value(cfg, "name", _text, "shots.csv")
+    name = _config_value(cfg, "name", str, "shots.csv")
     series = montecarlo.sample_series(sim)
     seriesio.write_series(series, Path(out_dir) / name,
                           extra_meta={"config": dict(cfg, seed=sim.seed)})
@@ -239,12 +219,12 @@ def cmd_analyze(cfg, out_dir, fmt="tsv"):
     """Reduce a CSV shot record to correlation, difference and fit statistics."""
     from . import analysis, seriesio
 
-    input_path = _config_value(cfg, "input", _text)
+    input_path = _config_value(cfg, "input", str)
     lags = [sources._checked("lags", lag, "integer")
             for lag in _config_value(cfg, "lags", _number_list, (0, 1, 2, 5))]
-    fit = _config_value(cfg, "fit", _flag, False)
-    integer_mu = _config_value(cfg, "integer_mu", _flag, True)
-    name = _config_value(cfg, "name", _text, "analysis.json")
+    fit = _config_value(cfg, "fit", bool, False)
+    integer_mu = _config_value(cfg, "integer_mu", bool, True)
+    name = _config_value(cfg, "name", str, "analysis.json")
     series, meta = seriesio.read_series(input_path)
     gamma = {str(lag): analysis.correlation_function(series, lag) for lag in lags}
     report = {
@@ -277,12 +257,12 @@ def cmd_fit(cfg, out_dir, fmt="tsv"):
     """Multithermal fit of one channel of a CSV record."""
     from . import seriesio
 
-    input_path = _config_value(cfg, "input", _text)
+    input_path = _config_value(cfg, "input", str)
     channel = _config_value(cfg, "channel", "integer", 1)
     if channel not in (1, 2):
         raise ValidationError(f"channel: must be 1 or 2, got {channel}")
-    integer_mu = _config_value(cfg, "integer_mu", _flag, True)
-    name = _config_value(cfg, "name", _text, "fit.json")
+    integer_mu = _config_value(cfg, "integer_mu", bool, True)
+    name = _config_value(cfg, "name", str, "fit.json")
     series, _ = seriesio.read_series(input_path)
     entry = _fit_entry(series.counts()[channel - 1], integer_mu)
     _write_report(out_dir, name, dict(entry, channel=channel), cfg)
@@ -293,8 +273,8 @@ def cmd_noise_budget(cfg, out_dir, fmt="tsv"):
     from . import analysis, seriesio
 
     measured = [_config_value(cfg, key) for key in ("sigma2_measured", "m1", "m2", "mu")]
-    kind = _config_value(cfg, "source", _text, TWIN_BEAM)
-    grid_cfg = _config_value(cfg, "eta_grid", _grid_spec, {})
+    kind = _config_value(cfg, "source", str, TWIN_BEAM)
+    grid_cfg = _config_value(cfg, "eta_grid", dict, {})
     points = _config_value(grid_cfg, "points", "integer >= 1", 12)
     sources._check_table(points, f"an efficiency grid of {points} points")
     grid = np.linspace(_config_value(grid_cfg, "lo", "(0, 1]", 0.4),
@@ -350,9 +330,11 @@ def main(argv=None) -> int:
             cfg = dict(cfg, seed=args.seed)
         _COMMANDS[args.command](cfg, out_dir, args.format)
         return EXIT_OK
-    except (PhotocorrError, OSError) as exc:
-        code, label = next((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls))
-        print(f"photocorr {args.command}: {label}: {exc}", file=sys.stderr)
+    except (PhotocorrError, OSError) as exc:  # an OSError: a path that cannot be read or written
+        code, label = ((EXIT_VALIDATION, "validation") if isinstance(exc, ValidationError) else
+                       (EXIT_TOLERANCE, "tolerance") if isinstance(exc, TailToleranceError) else
+                       (EXIT_DATA, "data"))
+        print(f"photocorr {args.command}: {label} error: {exc}", file=sys.stderr)
         return code
 
 

@@ -117,8 +117,8 @@ def write_series(series: ShotSeries, csv_path, extra_meta=None) -> Path:
 
 def read_series(csv_path) -> tuple[ShotSeries, dict]:
     """Load a CSV shot record and its sidecar; returns (series, metadata).  A missing
-    sidecar reads as {}; a missing record, or any other OSError reading either file,
-    is a DataError naming the file."""
+    sidecar reads as {}; a missing record, or any other fault opening or decoding either
+    file, is a DataError naming the file."""
     csv_path = Path(csv_path)
     side = sidecar_path(csv_path)
     try:
@@ -133,6 +133,8 @@ def read_series(csv_path) -> tuple[ShotSeries, dict]:
         raise DataError(f"{csv_path}: no such file") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{csv_path}: not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # a NUL or a character the file system cannot encode in the name
+        raise DataError(f"{csv_path}: cannot read: {exc}") from None
     except OSError as exc:
         raise DataError(f"{csv_path}: cannot read: {exc.strerror}") from None
     conv = (meta.get("alpha1", 1.0), meta.get("alpha2", 1.0))

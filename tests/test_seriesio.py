@@ -237,6 +237,13 @@ def test_a_directory_for_the_record_or_sidecar_is_a_data_error(tmp_path, directo
         read_series(path)
 
 
+@pytest.mark.parametrize("name", ["s\0.csv", "s\ud800.csv"])
+def test_a_name_the_file_system_cannot_take_is_a_data_error(tmp_path, name):
+    # open() raises ValueError for these, not OSError
+    with pytest.raises(DataError, match="cannot read"):
+        read_series(tmp_path / name)
+
+
 def test_empty_data_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("shot,m1,m2\n")
