@@ -108,8 +108,10 @@ def _eff_from(cfg) -> EfficiencyPair:
 
 
 def _write_report(out_dir, name, payload, resolved_config):
+    from .seriesio import _writing
+
     payload = dict(payload, config=resolved_config)
-    with open(Path(out_dir) / name, "w") as fh:
+    with _writing(Path(out_dir) / name) as (fh,):
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
@@ -325,7 +327,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except ValueError as exc:  # a NUL in the path, given to main() in-process
+            raise DataError(f"{out_dir}: cannot write: {exc}") from None
         if args.seed is not None:
             cfg = dict(cfg, seed=args.seed)
         _COMMANDS[args.command](cfg, out_dir, args.format)

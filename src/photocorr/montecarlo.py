@@ -90,9 +90,6 @@ _PUMPED_DRAWS = 1 << 28
 #: Shots per chunk of a record (see sample_series).
 _CHUNK_SHOTS = 1 << 15
 
-#: Shots per Poisson or binomial call (see _draw_into).
-_PIECE_SHOTS = 1 << 12
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -154,17 +151,13 @@ def sample_series(cfg: SimulationConfig) -> ShotSeries:
     out = np.empty((2, k), dtype=float if cfg.volts else np.int64)
     chunks = -(-k // _CHUNK_SHOTS)
     truncations = [0] * chunks
-    size = min(k, _CHUNK_SHOTS)
-    # one set of buffers per thread, allocated by this one (see _run_chunks)
-    buffers = [(np.empty((2, size)), np.empty((3, size), dtype=np.int64))
-               for _ in range(min(_cores(), chunks))]
 
-    def draw(i, scratch):
+    def draw(i):
         rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(i))
         chunk = out[:, i * _CHUNK_SHOTS:(i + 1) * _CHUNK_SHOTS]
-        truncations[i] = _draw_chunk(rng, cfg, chunk, scratch)
+        truncations[i] = _draw_chunk(rng, cfg, chunk)
 
-    _run_chunks(draw, chunks, buffers)
+    _run_chunks(draw, chunks, min(_cores(), chunks))
     unit = "volts" if cfg.volts else "counts"
     return ShotSeries(out[0], out[1], unit, cfg.conv, cfg.instrument_noise_var, sum(truncations))
 
@@ -177,22 +170,19 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _run_chunks(draw, chunks, buffers):
-    """draw(i, scratch) for i in range(chunks), on one thread per scratch in buffers.
+def _run_chunks(draw, chunks, threads):
+    """draw(i) for i in range(chunks), on the given number of threads.
 
     The calling thread is one of them, and every thread takes the next index
     from one shared iterator until it runs out or a thread fails.  The other
     threads are joined before this returns, and the first exception raised
-    by any thread is raised again here.  The scratch buffers come from the
-    calling thread because memory that a thread allocates stays in that
-    thread's malloc arena once freed, where the rest of the process cannot
-    reuse it.
+    by any thread is raised again here.
     """
     todo = iter(range(chunks))
     lock = threading.Lock()
     errors = []
 
-    def worker(scratch):
+    def worker():
         # errstate is per thread: a zero pump scale gives a mean of 0 and 1 / 0 = inf
         with np.errstate(divide="ignore"):
             while not errors:
@@ -201,75 +191,48 @@ def _run_chunks(draw, chunks, buffers):
                 if i is None:
                     return
                 try:
-                    draw(i, scratch)
+                    draw(i)
                 except BaseException as exc:  # raised again by the calling thread
                     errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(scratch,)) for scratch in buffers[1:]]
-    for thread in threads:
+    others = [threading.Thread(target=worker) for _ in range(threads - 1)]
+    for thread in others:
         thread.start()
     try:
-        worker(buffers[0])
+        worker()
     finally:
-        for thread in threads:
+        for thread in others:
             thread.join()
     if errors:
         raise errors[0]
 
 
-def _draw_chunk(rng, cfg, out, scratch):
+def _draw_chunk(rng, cfg, out):
     """Draw one chunk of the record into out, a (2, n) slice of counts or volts;
-    returns the number of truncated pump scales.
-
-    scratch is a pair of (2, >= n) float and (3, >= n) int64 buffers, in which
-    the counts of the two channels are drawn in place (in the first two int64
-    rows) before they are stored in out.
-    """
+    returns the number of truncated pump scales.  A thread keeps the memory it
+    frees in its own malloc arena, so the channels are drawn one at a time, each
+    as it is stored, and a counts record's pumped totals are summed in out."""
     src, eff = cfg.source, cfg.eff
     n = out.shape[1]
-    floats, ints = scratch[0][:, :n], scratch[1][:, :n]
-    counts = ints[:2]
     if src.kind == TWIN_BEAM and cfg.pump_x > 0:
-        truncations = _pumped_twin_beam(rng, cfg, floats, ints)
-        for m, eta in zip(counts, (eff.eta1, eff.eta2)):
-            if eta < 1.0:  # binomial thinning
-                _draw_into(m, rng.binomial, m, eta)
+        totals = np.empty((2, n), dtype=np.int64) if cfg.volts else out
+        truncations = _pumped_twin_beam(rng, cfg, totals)
+        counts = (rng.binomial(m, eta) if eta < 1.0 else m  # binomial thinning
+                  for m, eta in zip(totals, (eff.eta1, eff.eta2)))
     else:
         bose, a, b, c, _, _ = _pgf_coefficients(src.kind, src.per_mode_mean, src.tau,
                                                 eff.eta1, eff.eta2)
-        g, lam = floats
+        g = np.empty(n)
         truncations = _pump_scales(rng, _pump_sds(src.kind, cfg.pump_x, eff)[0], g)
-        g *= rng.standard_gamma(src.mu, out=lam) if bose else src.mu
-        z = ints[2]
-        if c > 0:
-            _draw_into(z, rng.poisson, np.multiply(g, c, out=lam))
-        for m, share in zip(counts, (a - c, b - c)):  # X_j, plus Z
-            _draw_into(m, rng.poisson, np.multiply(g, share, out=lam))
-            if c > 0:
-                m += z
-    if not cfg.volts:
-        out[:] = counts
-        return truncations
-    for o, m, conv in zip(out, counts, cfg.conv):
-        np.multiply(m, conv, out=o)
+        g *= rng.standard_gamma(src.mu, n) if bose else src.mu
+        z = rng.poisson(g * c) if c > 0 else 0
+        counts = (rng.poisson(g * share) + z for share in (a - c, b - c))  # X_j, plus Z
+    for o, conv in zip(out, cfg.conv):  # no name keeps a stored channel while the next is drawn
+        o[:] = next(counts) * conv if cfg.volts else next(counts)
     for o, noise_var in zip(out, cfg.instrument_noise_var):
-        if noise_var > 0:
-            noise = rng.standard_normal(out=floats[0])  # sd * z is rng.normal(0.0, sd) bit for bit
-            noise *= math.sqrt(noise_var)
-            o += noise
+        if noise_var > 0:  # sd * z is rng.normal(0.0, sd) bit for bit
+            o += rng.standard_normal(n) * math.sqrt(noise_var)
     return truncations
-
-
-def _draw_into(out, draw, param, *args):
-    """out[:] = draw(param, *args), _PIECE_SHOTS at a time.
-
-    For the Poisson and binomial draws, which take no output array: the arrays
-    they return stay small (see _run_chunks).  numpy draws an array of
-    parameters element by element, so the pieces take the same numbers from
-    the stream as one call would.
-    """
-    for lo in range(0, len(out), _PIECE_SHOTS):
-        out[lo:lo + _PIECE_SHOTS] = draw(param[lo:lo + _PIECE_SHOTS], *args)
 
 
 def _pump_scales(rng, sd, u):
@@ -285,21 +248,22 @@ def _pump_scales(rng, sd, u):
     return truncations
 
 
-def _pumped_twin_beam(rng, cfg, floats, ints):
-    """Photon totals (n1, n2) of a pump-noisy twin beam, summed mode by mode into ints[:2];
-    returns the number of truncated pump scales.
+def _pumped_twin_beam(rng, cfg, totals):
+    """Photon totals (n1, n2) of a pump-noisy twin beam, summed mode by mode into
+    totals, a (2, n) int64 array; returns the number of truncated pump scales.
 
     Per mode pair, one Exp(1) variate E is shared by both beams and beam j
     counts floor(E / log1p(1 / a_j)) photons, a geometric law of mean a_j
     (the inverse cdf at the uniform 1 - exp(-E)).  a_j = sinh(G sqrt(u_j))**2
     with its own pump scale u_j per mode and beam.  The rounds work in place
-    in floats (E and x) and ints[2]; a zero mean gives log1p(inf) = inf and a
-    draw of 0.
+    in e, x and draws, allocated once; a zero mean gives log1p(inf) = inf and
+    a draw of 0.
     """
     gain = math.asinh(math.sqrt(cfg.source.per_mode_mean))
     sds = _pump_sds(TWIN_BEAM, cfg.pump_x, cfg.eff)
-    e, x = floats
-    totals, draws = ints[:2], ints[2]
+    n = totals.shape[1]
+    e, x = np.empty((2, n))
+    draws = np.empty(n, dtype=np.int64)
     totals.fill(0)
     truncations = 0
     for _ in range(cfg.source.mu):

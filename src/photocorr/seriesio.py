@@ -7,7 +7,7 @@ instrument-noise variances, unit) and any extra provenance the writer adds.
 Counts round-trip exactly; voltages are written with 13 significant digits.
 
 Records and tables share one format rule: the dtype of a column picks C
-``%d`` (integers) or ``%.12e`` (everything else).  They are formatted
+``%d`` (integers) or ``%.12e`` (floats and booleans).  They are formatted
 block-wise in numpy, a fixed number of rows at a time, with the exact bytes
 of those formats.  An element whose digits the numpy path cannot prove
 correctly rounded (a near-tie, nan, inf, a magnitude outside about
@@ -17,7 +17,9 @@ correctly rounded (a near-tie, nan, inf, a magnitude outside about
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +52,7 @@ class ShotSeries:
             raise ValidationError(f"unit: expected 'counts' or 'volts', got {self.unit!r}")
         # counts are written with %d, so they must be integers
         kinds, what = ("iu", "integers") if self.unit == "counts" else ("iuf", "numbers")
-        for name in ("ch1", "ch2"):  # checked as they are: counts stay int64
+        for name in ("ch1", "ch2"):  # checked as they are: int64 counts are not copied
             try:
                 ch = np.asarray(getattr(self, name))
             except ValueError:  # a ragged sequence
@@ -61,6 +63,11 @@ class ShotSeries:
             if ch.dtype.kind == "f" and not np.isfinite(ch).all():
                 i = int(np.argmin(np.isfinite(ch)))
                 raise ValidationError(f"{name}[{i}]: must be a finite number, got {ch[i].item()!r}")
+            if self.unit == "counts":  # stored as int64, the type read_series reads back
+                if ch.dtype.kind == "u" and ch.max() > _INT64.max:
+                    i = int(np.argmax(ch))
+                    raise ValidationError(f"{name}[{i}]: count {ch[i]} is outside the int64 range")
+                ch = ch.astype(np.int64, copy=False)
             object.__setattr__(self, name, ch)
         if len(self.ch1) != len(self.ch2):
             raise ValidationError("ch1 and ch2 must have equal length")
@@ -96,9 +103,14 @@ def sidecar_path(csv_path) -> Path:
 
 
 def write_series(series: ShotSeries, csv_path, extra_meta=None) -> Path:
+    """Write the record and its sidecar as a pair (see _writing), the sidecar renamed
+    into place first: a fault in either write leaves no new file and an older pair as
+    it was, and renames within one directory fail alike, so the record's fails after
+    the sidecar's only where the record's path is a directory."""
     csv_path = Path(csv_path)
-    names = ("m1", "m2") if series.unit == "counts" else ("v1", "v2")
-    _write_text(csv_path, ("shot",) + names, (range(len(series.ch1)), series.ch1, series.ch2))
+    side = sidecar_path(csv_path)
+    if side == csv_path:
+        raise ValidationError(f"{csv_path}: a record name cannot end in .json, its sidecar's")
     meta = {
         "unit": series.unit,
         "alpha1": series.conv[0],
@@ -109,10 +121,50 @@ def write_series(series: ShotSeries, csv_path, extra_meta=None) -> Path:
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(sidecar_path(csv_path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    names = ("m1", "m2") if series.unit == "counts" else ("v1", "v2")
+    with _writing(side, csv_path) as (side_fh, fh):
+        json.dump(meta, side_fh, indent=2, sort_keys=True)
+        side_fh.write("\n")
+        fh.write(",".join(("shot",) + names) + "\n")
+        _write_rows(fh, (range(len(series.ch1)), series.ch1, series.ch2))
     return csv_path
+
+
+@contextmanager
+def _writing(*paths):
+    """Text handles that write the files at paths, all of them or none: the one
+    place where this package opens a file to write.
+
+    Each file is written under its name plus ".tmp" and renamed onto its path,
+    in the order given, when the block ends without an exception; otherwise each
+    temporary file opened is removed.  A path that cannot be opened or renamed,
+    or whose name open() refuses (a NUL, a character the file system cannot
+    encode), is a DataError naming it and the reason.
+    """
+    handles = []
+    try:
+        for path in paths:
+            try:
+                handles.append(open(f"{path}.tmp", "w"))
+            except (OSError, ValueError) as exc:
+                raise _cannot_write(path, exc) from None
+        yield handles
+        for fh in handles:
+            fh.close()
+        for fh, path in zip(handles, paths):
+            try:
+                os.replace(fh.name, path)
+            except OSError as exc:
+                raise _cannot_write(path, exc) from None
+    except BaseException:
+        for fh in handles:
+            fh.close()
+            Path(fh.name).unlink(missing_ok=True)  # missing once renamed
+        raise
+
+
+def _cannot_write(path, exc):
+    return DataError(f"{path}: cannot write: {getattr(exc, 'strerror', None) or exc}")
 
 
 def read_series(csv_path) -> tuple[ShotSeries, dict]:
@@ -229,38 +281,51 @@ def _scan_rows(fh, csv_path, dtype):
 
 
 def _parse_count(text):
-    value = int(text)
+    value = int(_plain(text, "count"))
     if not _INT64.min <= value <= _INT64.max:
         raise ValueError(f"count {value} is outside the int64 range")
     return value
 
 
 def _parse_volts(text):
-    value = float(text)
+    value = float(_plain(text, "voltage"))
     if not np.isfinite(value):
         raise ValueError(f"voltage {text.strip()!r} is not finite")
     return value
 
 
+def _plain(text, what):
+    """text without its surrounding white space; ValueError if it holds a '_' or a
+    character outside ASCII, which int() and float() take as digits and numpy refuses."""
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{what} {text!r} is not a plain ASCII number")
+    return text
+
+
 def write_table(path, columns, fmt="tsv") -> Path:
     """Tabular output written column-wise, with one format per column.
 
-    columns maps each header name to a 1-d array, all of one length
-    (ValidationError otherwise, before anything is written).  The
-    dtype of a column picks its format, as in a shot record: integer columns
-    are written as integers, all others in 13-significant-digit scientific
-    form.  fmt selects the container: "tsv" (default), "csv", or "json" (a
-    list of row objects keyed by the header names); the path suffix is
-    adjusted to match.
+    columns maps each header name to a 1-d array of bool, integer or float
+    dtype, all of one length (ValidationError otherwise, before anything is
+    written).  The dtype of a column picks its format, as in a shot record:
+    integer columns are written as integers, all others in 13-significant-digit
+    scientific form.  fmt selects the container: "tsv" (default), "csv", or
+    "json" (a list of row objects keyed by the header names); the path suffix
+    is adjusted to match.
     """
     path = Path(path).with_suffix(f".{fmt}")
     cols = [np.asarray(c) for c in columns.values()]
     lengths = {name: len(c) for name, c in zip(columns, cols)}
     if len(set(lengths.values())) > 1:
         raise ValidationError(f"columns: expected equal lengths, got {lengths}")
-    if fmt == "json":  # the text of json.dump(rows, fh, indent=2), a block of rows at a time
-        n = len(cols[0]) if cols else 0
-        with open(path, "w") as fh:
+    for name, c in zip(columns, cols):
+        if c.dtype.kind not in "biuf":
+            raise ValidationError(f"columns: {name!r}: expected bool, integer or float values, "
+                                  f"got dtype {c.dtype}")
+    with _writing(path) as (fh,):
+        if fmt == "json":  # the text of json.dump(rows, fh, indent=2), a block of rows at a time
+            n = len(cols[0]) if cols else 0
             fh.write("[" if n else "[]")
             for lo in range(0, n, _BLOCK_ROWS):
                 rows = zip(*(c[lo:lo + _BLOCK_ROWS].tolist() for c in cols))
@@ -268,16 +333,11 @@ def write_table(path, columns, fmt="tsv") -> Path:
                 text = json.dumps([dict(zip(columns, r)) for r in rows], indent=2)[1:-2]
                 fh.write(text if lo == 0 else "," + text)
             fh.write("\n]\n" if n else "\n")
-        return path
-    _write_text(path, columns, cols, {"tsv": "\t", "csv": ","}[fmt])
+        else:
+            sep = {"tsv": "\t", "csv": ","}[fmt]
+            fh.write(sep.join(columns) + "\n")
+            _write_rows(fh, cols, sep)
     return path
-
-
-def _write_text(path, header, columns, sep=","):
-    """A text file of the header names and then the rows of the columns."""
-    with open(path, "w") as fh:
-        fh.write(sep.join(header) + "\n")
-        _write_rows(fh, columns, sep)
 
 
 # Rows formatted per block: a block of a five-column table holds about 0.4 MB
@@ -361,18 +421,15 @@ def _format_run(parts, tails):
 
 
 def _format_column(values, tails):
-    """Words of %d (integer dtypes) or %.12e (any other) of each value, one
-    NUL-padded row each, ending in its tail byte.
+    """Words of %d (integer dtypes) or %.12e (floats and booleans) of each
+    value, one NUL-padded row each, ending in its tail byte.
 
     Floats and booleans take the %.12e path as doubles (the conversion
-    Python's % makes).  Any other dtype (objects, complex numbers), and the
-    values the float path cannot prove correctly rounded, are formatted by
-    Python's % value by value.
+    Python's % makes); the values that path cannot prove correctly rounded are
+    formatted by Python's % value by value.
     """
     if values.dtype.kind in "iu":
         return _format_d(values, tails)
-    if values.dtype.kind not in "bf":
-        return _python_fields(values, tails)
     x = values.astype(np.float64, copy=False)
     words, ok = _format_float(x, tails)
     redo = np.flatnonzero(~ok)
@@ -381,7 +438,7 @@ def _format_column(values, tails):
     return words
 
 
-def _python_fields(values, tails, n_words=1):
+def _python_fields(values, tails, n_words):
     """%.12e % v by Python for each v, as rows of at least n_words words."""
     raw = np.array(["%.12e" % v for v in values], dtype="S")
     words = np.zeros((len(raw), max(n_words, raw.itemsize // 8 + 1)), np.uint64)

@@ -186,17 +186,24 @@ def test_non_finite_number_exits_2(tmp_path, capsys, command, payload, key):
     ("analytic", "a config integer has 5000 digits", EXIT_DATA, "invalid JSON"),
     ("analytic", "the config nests 1e5 lists", EXIT_DATA, "invalid JSON"),
     ("analytic", "--out is a file", EXIT_DATA, "File exists"),
+    ("analytic", "--out holds a NUL", EXIT_DATA, "cannot write: embedded null byte"),
     ("analyze", "the input is a directory", EXIT_DATA, "cannot read"),
     ("analyze", "the input holds a NUL", EXIT_DATA, "cannot read: embedded null byte"),
     ("fit", "the input holds a lone surrogate", EXIT_DATA, "cannot read: 'utf-8' codec"),
     ("analyze", "the sidecar is a directory", EXIT_DATA, "rec.json: cannot read"),
     ("simulate", "the name is in a missing directory", EXIT_DATA, "missing"),
     ("analyze", "the name is in a missing directory", EXIT_DATA, "missing"),
+    ("simulate", "the name holds a NUL", EXIT_DATA, "cannot write: embedded null byte"),
+    ("analyze", "the name holds a NUL", EXIT_DATA, "cannot write: embedded null byte"),
+    ("simulate", "the name holds a lone surrogate", EXIT_DATA, "cannot write: 'utf-8' codec"),
+    ("analyze", "the name holds a lone surrogate", EXIT_DATA, "cannot write: 'utf-8' codec"),
+    ("fit", "the name holds a NUL", EXIT_DATA, "cannot write: embedded null byte"),
 ])
 def test_a_path_that_cannot_be_read_or_written_exits_typed(tmp_path, capfd, command, fault,
                                                            expected, text):
     # capfd: its stderr, as a process's, takes a lone surrogate in the message without failing
-    record = write_series(ShotSeries(np.arange(10), np.arange(10)[::-1], "counts"),
+    # 1000 shots, the fewest that fit takes
+    record = write_series(ShotSeries(np.arange(1000), np.arange(1000)[::-1], "counts"),
                           tmp_path / "rec.csv")
     cfg = {"analytic": {"eta": [0.6, 0.7]}, "analyze": {"input": str(record)},
            "fit": {"input": str(record)}, "simulate": SIM}
@@ -214,6 +221,12 @@ def test_a_path_that_cannot_be_read_or_written_exits_typed(tmp_path, capfd, comm
     else:
         if fault == "--out is a file":
             out.write_text("")
+        elif fault == "--out holds a NUL":  # open() and mkdir() raise ValueError, not OSError
+            out = f"{out}\0"
+        elif fault == "the name holds a NUL":
+            cfg = dict(cfg, name="a\0b")
+        elif fault == "the name holds a lone surrogate":  # one the file system cannot encode
+            cfg = dict(cfg, name="a\ud800b")
         elif fault == "the input is a directory":
             cfg = {"input": str(tmp_path)}
         elif fault == "the input holds a NUL":
@@ -230,6 +243,16 @@ def test_a_path_that_cannot_be_read_or_written_exits_typed(tmp_path, capfd, comm
     err = capfd.readouterr().err
     assert err.startswith(f"photocorr {command}: ") and err.count("\n") == 1, err
     assert text in err and "Traceback" not in err
+    assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_a_sidecar_that_cannot_be_written_leaves_no_record(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "shots.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, "sim.json", SIM)
+    assert run(["simulate", "--config", cfg, "--out", out]) == EXIT_DATA
+    assert "shots.json" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["shots.json"]
 
 
 class TestAnalyze:

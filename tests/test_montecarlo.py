@@ -334,6 +334,8 @@ CHUNK = montecarlo._CHUNK_SHOTS
 RECORDS = [
     ("twin_beam", 50.0, 3, (0.6, 0.7), {"pump_x": 0.05}),
     ("twin_beam", 50.0, 2, (1.0, 0.0), {"pump_x": 2.0}),
+    ("twin_beam", 50.0, 3, (0.6, 1.0), {"pump_x": 0.05, "volts": True, "conv": (0.5, 2.0),
+                                        "instrument_noise_var": (0.0, 0.3)}),
     ("twin_beam", 50.0, 3, (0.6, 0.7), {}),
     ("split_thermal", 50.0, 3, (0.7, 0.7), {"pump_x": 0.5, "volts": True, "conv": (0.5, 2.0),
                                             "instrument_noise_var": (0.3, 0.0)}),
