@@ -5,6 +5,10 @@ A series is stored as a CSV file with header ``shot,m1,m2`` (counts) or
 same stem carrying the calibration metadata (conversion coefficients,
 instrument-noise variances, unit) and any extra provenance the writer adds.
 Counts round-trip exactly; voltages are written with 13 significant digits.
+A record is read by one grammar, numpy's: a data line is what ``np.loadtxt``
+with ``delimiter=","`` reads in the channel's dtype, the shot field included.
+Empty lines are skipped; a line of white space is refused.  A refused record is
+parsed again a block of lines at a time, only to name its first bad line.
 
 Records and tables share one format rule: the dtype of a column picks C
 ``%d`` (integers) or ``%.12e`` (floats and booleans).  They are formatted
@@ -18,9 +22,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -232,75 +238,53 @@ def _read_rows(fh, csv_path, counts_mode):
     expected = "shot,m1,m2" if counts_mode else "shot,v1,v2"
     if header != expected:
         raise DataError(f"{csv_path}: line 1: expected header {expected!r}, got {header!r}")
-    rows = _load_rows(csv_path, dtype)
-    if rows is None:
-        return _scan_rows(fh, csv_path, dtype)
+    try:
+        rows = _parse_rows(csv_path, dtype, skiprows=1)
+    except ValueError as exc:
+        raise DataError(f"{csv_path}: {_first_fault(fh, dtype) or exc}") from None
     return np.ascontiguousarray(rows[:, 1:].T)
 
 
-def _load_rows(csv_path, dtype):
-    """Parse the data rows in one numpy call; None if they are not plain rows.
-
-    numpy opens the file itself and skips the header line, which is faster
-    than parsing from a Python file object.  Anything numpy rejects or warns
-    about (a malformed field, a row of the wrong width, an empty body) or a
-    nan or inf channel value returns None, so the caller can rescan the rows
-    with _scan_rows to name the line.
-    """
+def _parse_rows(source, dtype, skiprows=0):
+    """The rows of source (a path, or a list of non-empty lines) as numpy reads
+    them; ValueError giving the reason for anything it refuses or warns about, a
+    row not 3 fields wide or a channel value that is not finite.  numpy opens a
+    path itself, which is faster than parsing from a Python file object."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(csv_path, delimiter=",", comments=None, dtype=dtype, ndmin=2,
-                              skiprows=1, encoding="utf-8")
-        except (ValueError, OverflowError, Warning):
-            return None
-    if rows.shape[0] < 1 or rows.shape[1] != 3 or not np.isfinite(rows[:, 1:]).all():
-        return None
+            rows = np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=2,
+                              skiprows=skiprows, encoding="utf-8")
+        except Warning:  # numpy's one warning here: the input holds no rows
+            raise ValueError("no data rows") from None
+        except (ValueError, OverflowError) as exc:  # the caller names the line, not numpy's row
+            raise ValueError(re.sub(r"(.*) at row \d+, column (\d+)\.$", r"field \2: \1",
+                                    str(exc))) from None
+    if rows.shape[1] != 3:
+        raise ValueError(f"expected 3 fields, got {rows.shape[1]}")
+    if not np.isfinite(rows[:, 1:]).all():
+        i, j = np.argwhere(~np.isfinite(rows[:, 1:]))[0]
+        field = source[i].split(",")[j + 1].strip() if isinstance(source, list) else rows[i, j + 1]
+        raise ValueError(f"field {j + 2}: voltage {str(field)!r} is not finite")
     return rows
 
 
-def _scan_rows(fh, csv_path, dtype):
-    """Line-by-line parse of the data rows; raises DataError at the first bad line."""
-    parse = _parse_count if dtype is np.int64 else _parse_volts
-    ch1, ch2 = [], []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{csv_path}: line {lineno}: expected 3 fields, got {len(parts)}")
+def _first_fault(fh, dtype):
+    """The first line after the header of fh that _parse_rows refuses on its own, as
+    "line N: <reason>"; None if it refuses none.  Lines are parsed a block at a time,
+    and one at a time inside the first block refused; empty lines are skipped, as
+    numpy skips them."""
+    lines = ((n, line) for n, line in enumerate(fh, start=2) if line != "\n")
+    while block := list(islice(lines, _BLOCK_ROWS)):
         try:
-            ch1.append(parse(parts[1]))
-            ch2.append(parse(parts[2]))
-        except ValueError as exc:
-            raise DataError(f"{csv_path}: line {lineno}: {exc}") from exc
-    if not ch1:
-        raise DataError(f"{csv_path}: no data rows")
-    return np.asarray(ch1, dtype=dtype), np.asarray(ch2, dtype=dtype)
-
-
-def _parse_count(text):
-    value = int(_plain(text, "count"))
-    if not _INT64.min <= value <= _INT64.max:
-        raise ValueError(f"count {value} is outside the int64 range")
-    return value
-
-
-def _parse_volts(text):
-    value = float(_plain(text, "voltage"))
-    if not np.isfinite(value):
-        raise ValueError(f"voltage {text.strip()!r} is not finite")
-    return value
-
-
-def _plain(text, what):
-    """text without its surrounding white space; ValueError if it holds a '_' or a
-    character outside ASCII, which int() and float() take as digits and numpy refuses."""
-    text = text.strip()
-    if "_" in text or not text.isascii():
-        raise ValueError(f"{what} {text!r} is not a plain ASCII number")
-    return text
+            _parse_rows([line for _, line in block], dtype)
+        except ValueError:
+            for n, line in block:
+                try:
+                    _parse_rows([line], dtype)
+                except ValueError as exc:
+                    return f"line {n}: {exc}"
+    return None
 
 
 def write_table(path, columns, fmt="tsv") -> Path:
@@ -340,8 +324,9 @@ def write_table(path, columns, fmt="tsv") -> Path:
     return path
 
 
-# Rows formatted per block: a block of a five-column table holds about 0.4 MB
-# while it is built, however long the table.
+# Rows formatted, or parsed while a refused record is searched for its bad line,
+# per block: a block of a five-column table holds about 0.4 MB while it is built,
+# however long the table.
 _BLOCK_ROWS = 1024
 
 # Fields are rows of little-endian uint64 words: byte i of a word is bits

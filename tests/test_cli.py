@@ -434,11 +434,17 @@ class TestAnalyze:
         assert out.returncode == EXIT_DATA, out.stderr
         assert "beyond the float range" in out.stderr and "Warning" not in out.stderr
 
-    def test_malformed_csv_exits_3(self, tmp_path):
+    # numpy's parse refuses a shot field that is not an integer, and a line of white space
+    @pytest.mark.parametrize("body, line", [
+        ("0,1,x\n", 2), ("0,1,2\nx,1,2\n", 3), ("0,1,2\n1.5,1,2\n", 3),
+        ("0,1,2\n \n1,1,2\n", 3), ("0,1,2\n\n,1,2\n", 4)],
+        ids=["channel_x", "shot_x", "shot_1.5", "whitespace_line", "empty_shot_field"])
+    def test_malformed_csv_exits_3(self, tmp_path, capsys, body, line):
         bad = tmp_path / "bad.csv"
-        bad.write_text("shot,m1,m2\n0,1,x\n")
+        bad.write_text("shot,m1,m2\n" + body)
         cfg = write_config(tmp_path, "ana.json", {"input": str(bad)})
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == EXIT_DATA
+        assert f"bad.csv: line {line}: " in capsys.readouterr().err
 
     def test_fit_section(self, tmp_path):
         csv = self.make_series(tmp_path, n_mean=100.0, mu=5, shots=20000)

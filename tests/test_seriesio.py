@@ -3,18 +3,18 @@ import json
 import math
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from photocorr import DataError, ShotSeries, ValidationError, read_series, write_series
 from photocorr.seriesio import (
     _BLOCK_ROWS,
-    _load_rows,
-    _scan_rows,
+    _parse_rows,
     _write_rows,
     sidecar_path,
     write_table,
@@ -157,7 +157,8 @@ def test_bad_header_rejected(tmp_path):
 def test_count_outside_int64_reports_line_number(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("shot,m1,m2\n0,1,2\n1,99999999999999999999,3\n")
-    with pytest.raises(DataError, match="line 3: count 99999999999999999999 is outside"):
+    with pytest.raises(DataError, match="line 3: field 2: could not convert string "
+                                        "'99999999999999999999' to int64$"):
         read_series(path)
 
 
@@ -167,7 +168,7 @@ def test_non_finite_volts_report_line_number(tmp_path, value):
     rows = "".join(f"{i},{0.5 * i},3.0\n" for i in range(20))
     path.write_text("shot,v1,v2\n" + rows + f"20,4.0,{value}\n")
     sidecar_path(path).write_text('{"unit": "volts"}')
-    with pytest.raises(DataError, match=f"line 22: voltage '{value}' is not finite"):
+    with pytest.raises(DataError, match=f"line 22: field 3: voltage '{value}' is not finite$"):
         read_series(path)
 
 
@@ -371,8 +372,9 @@ def _rng_volts():
     return "\n".join(rows) + "\n"
 
 
-# Data bodies (after the header) on which the numpy parse and the line scan
-# must agree: the same arrays, or the same DataError message.
+# Data bodies (after the header).  numpy's parse of the whole body decides:
+# read_series reads what it reads, and refuses the rest, naming the first line
+# that numpy refuses on its own.
 BODIES = {
     "plain": "0,1,2\n1,3,4\n",
     "no_final_newline": "0,1,2\n1,3,4",
@@ -389,6 +391,7 @@ BODIES = {
     "exponent_count": "0,1e3,1\n",
     "underscore": "0,1_000,1\n",
     "underscore_in_a_decimal": "0,1,1_0.5\n",
+    "underscore_in_an_exponent": "0,1,1\n1,2,1.5e1_0\n",
     "arabic_indic_digit": "0,\u0661,1\n",
     "unicode_spaces": "0,\u20035\u00a0,1\n",
     "signs": "0,+5,-1\n",
@@ -398,7 +401,9 @@ BODIES = {
     "huge": "0,99999999999999999999,1\n",
     "huge_negative": "0,1,-99999999999999999999\n",
     "int64_limits": "0,9223372036854775807,-9223372036854775808\n",
-    "shot_not_a_number": "x,1,2\n",
+    "shot_not_a_number": "0,1,2\nx,1,2\n",
+    "shot_a_decimal": "0,1,2\n1.5,1,2\n",
+    "empty_shot_field": "0,1,2\n\n,1,2\n",
     "non_finite": "0,nan,inf\n1,-inf,NaN\n2,Infinity,1e400\n3,-0.0,1e-320\n",
     "random_volts": _rng_volts(),
     "empty": "",
@@ -406,55 +411,77 @@ BODIES = {
 }
 
 
-def _scan(path, dtype):
-    with open(path) as fh:
-        fh.readline()
-        return _scan_rows(fh, path, dtype)
+def _numpy_rows(source, dtype, skiprows=0):
+    """numpy's parse with a record's channel rules (3 fields, finite channels); None
+    where it refuses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(source, delimiter=",", comments=None, dtype=dtype, ndmin=2,
+                              skiprows=skiprows, encoding="utf-8")
+        except (ValueError, Warning):
+            return None
+    return rows if rows.shape[1] == 3 and np.isfinite(rows[:, 1:]).all() else None
 
 
-def _outcome(read):
-    try:
-        return read()
-    except DataError as exc:
-        return str(exc)
+def _read_as_numpy_does(path, unit, body):
+    """read_series accepts the record at path if and only if numpy's parse of the
+    whole file does, with the same arrays; a refused record names the first data
+    line that numpy refuses on its own, or has no data line."""
+    header = "shot,m1,m2" if unit == "counts" else "shot,v1,v2"
+    path.write_text(f"{header}\n{body}", newline="")
+    sidecar_path(path).write_text(json.dumps({"unit": unit}))
+    dtype = np.int64 if unit == "counts" else float
+    want = _numpy_rows(path, dtype, skiprows=1)
+    with open(path, encoding="utf-8") as fh:  # lines as Python and numpy split them
+        lines = fh.readlines()[1:]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = read_series(path)[0]
+        except DataError as exc:
+            got = str(exc)
+    assert [str(w.message) for w in caught] == []
+    if want is not None:
+        assert not isinstance(got, str), got
+        for ch, ref in zip((got.ch1, got.ch2), (want[:, 1], want[:, 2])):
+            assert ch.dtype == ref.dtype
+            assert ch.tobytes() == ref.tobytes()
+        return
+    assert isinstance(got, str), body
+    bad = [n for n, line in enumerate(lines, start=2)
+           if line != "\n" and _numpy_rows([line], dtype) is None]
+    if bad:
+        assert got.startswith(f"{path}: line {bad[0]}: "), got
+    else:
+        assert set(lines) <= {"\n"} and got == f"{path}: no data rows", got
 
 
 @pytest.mark.parametrize("unit", ["counts", "volts"])
 @pytest.mark.parametrize("body", sorted(BODIES))
-def test_fast_parse_agrees_with_line_scan(tmp_path, unit, body):
-    path = tmp_path / f"{unit}.csv"
-    header = "shot,m1,m2" if unit == "counts" else "shot,v1,v2"
-    path.write_text(f"{header}\n{BODIES[body]}")
-    sidecar_path(path).write_text(json.dumps({"unit": unit}))
-    want = _outcome(lambda: _scan(path, np.int64 if unit == "counts" else float))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = _outcome(lambda: read_series(path)[0])
-    assert [str(w.message) for w in caught] == []
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert not isinstance(got, str), got
-    for ch, ref in zip((got.ch1, got.ch2), want):
-        assert ch.dtype == ref.dtype
-        assert ch.tobytes() == ref.tobytes()
+def test_every_body_numpy_refuses_is_refused_naming_its_line(tmp_path, unit, body):
+    _read_as_numpy_does(tmp_path / f"{unit}.csv", unit, BODIES[body])
 
 
-@pytest.mark.parametrize("unit", ["counts", "volts"])
-@pytest.mark.parametrize("field", ["1_000", "1_0.5", "\u0661", "1.5e1_0"])
-def test_the_line_scan_refuses_what_numpy_refuses(tmp_path, unit, field):
-    # int() and float() read '_' separators and non-ASCII digits; numpy does not
-    path = tmp_path / "s.csv"
-    path.write_text(("shot,m1,m2" if unit == "counts" else "shot,v1,v2") + f"\n0,1,1\n1,2,{field}\n")
-    sidecar_path(path).write_text(json.dumps({"unit": unit}))
-    with pytest.raises(DataError, match="s.csv: line 3: "):
-        read_series(path)
+_FIELDS = st.sampled_from(["0", "7", "-3", "+2", "1.5", "1e3", "x", "", " ", " 4 ", "\t", "1_0",
+                           "\u0661", "nan", "inf", "Infinity", "99999999999999999999", "\x0c"])
+_LINES = st.one_of(st.lists(_FIELDS, min_size=1, max_size=4).map(",".join),
+                   st.sampled_from(["", " ", "\t"]),
+                   st.integers(0, 99).map(lambda i: f"{i},{i + 1},{i + 2}"))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(unit=st.sampled_from(["counts", "volts"]),
+       lines=st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8))
+def test_property_a_record_reads_as_numpy_parses_it(tmp_path, unit, lines):
+    _read_as_numpy_does(tmp_path / "r.csv", unit, "".join(line + end for line, end in lines))
 
 
 def test_plain_rows_take_the_numpy_parse(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("shot,m1,m2\n0,1,2\n1,3,4\n")
-    rows = _load_rows(path, np.int64)
+    rows = _parse_rows(path, np.int64, skiprows=1)
     assert rows.tolist() == [[0, 1, 2], [1, 3, 4]]
 
 
@@ -696,3 +723,25 @@ def test_writer_memory_does_not_grow_with_the_rows(tmp_path, what):
     # a block of JSON rows is about 1.6 MB while the encoder builds its text
     assert max(peaks.values()) < (2.5e6 if what == "json" else 1e6), peaks
     assert abs(peaks[max(peaks)] - peaks[min(peaks)]) < 0.2e6, peaks
+
+
+@pytest.mark.parametrize("unit, shots, bad_line", [
+    ("counts", 100_000, False), ("volts", 100_000, False), ("counts", 400_000, True)])
+def test_reading_a_record_holds_at_most_44_bytes_a_shot(tmp_path, unit, shots, bad_line):
+    # the parsed rows (24 B a shot) and the two channels copied contiguous (16 B); a
+    # refused record holds numpy's failed parse and then one block of lines at a time
+    rng = np.random.default_rng(12)
+    if unit == "counts":
+        ch = rng.poisson(7e6, (2, shots))
+    else:
+        ch = rng.standard_normal((2, shots)) + 1.4
+    path = write_series(ShotSeries(ch[0], ch[1], unit), tmp_path / "s.csv")
+    if bad_line:
+        with open(path, "a") as fh:
+            fh.write(f"{shots},1,\n")
+
+    def read():
+        with pytest.raises(DataError, match=f"line {shots + 2}: ") if bad_line else nullcontext():
+            read_series(path)
+
+    assert _peak_bytes(read) <= 44 * (shots + bad_line)
